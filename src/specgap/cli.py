@@ -22,7 +22,7 @@ from .graphs import (
     random_regular,
     write_edge_list,
 )
-from .ladder import expansion_slack, geodesic_count
+from .ladder import expansion_slack, expansion_slacks, geodesic_count
 from .oracle import (
     EigensolverError,
     adjacency_spectrum,
@@ -130,7 +130,11 @@ def _cmd_hseq(args):
     started = time.perf_counter()
     graph = _load_graph(args)
     lo, hi = _parse_k_range(args.k)
-    rows = [expansion_slack(graph, k) for k in range(lo, hi + 1)]
+    if lo == 1 and hi > 1:
+        # every k from 1 on: one sweep instead of one ladder per k
+        rows = list(expansion_slacks(graph, hi))
+    else:
+        rows = [expansion_slack(graph, k) for k in range(lo, hi + 1)]
     results = {"slacks": [_slack_payload(s, args.precision) for s in rows]}
     lines = [f"k={s.k}: {_slack_text(s, args.precision)}" for s in rows]
     _emit(args, "hseq", graph, results, lines, started)

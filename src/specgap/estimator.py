@@ -25,7 +25,7 @@ from math import isqrt
 from mpmath import mp
 
 from .graphs import RegularGraph
-from .ladder import SlackValue, expansion_slack
+from .ladder import SlackValue, expansion_slack, expansion_slacks
 
 _POWER_OF_TWO = re.compile(r"^2\^(-?\d+)$")
 
@@ -168,7 +168,7 @@ def convergent_estimates(graph, k_max):
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     top = k_max + (k_max % 2)
-    slacks = {j: expansion_slack(graph, j) for j in range(2, top + 4, 2)}
+    slacks = {s.k: s for s in expansion_slacks(graph, top + 2)}
     out = []
     for j in range(2, top + 2, 2):
         s, s2 = slacks[j], slacks[j + 2]
@@ -199,7 +199,7 @@ def ramanujan_scan(graph, k_max):
     """Scan slack signs for k = 1..k_max; stop at the first negative."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    for k in range(1, k_max + 1):
-        if expansion_slack(graph, k).sign() < 0:
-            return ScanReport(k_max, k)
+    for slack in expansion_slacks(graph, k_max):
+        if slack.sign() < 0:
+            return ScanReport(k_max, slack.k)
     return ScanReport(k_max, None)

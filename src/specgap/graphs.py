@@ -299,7 +299,15 @@ def parse_edge_list(text):
         max_vertex = max(max_vertex, v)
     if not edges:
         raise ValueError("no edges found")
-    return _from_edges(max_vertex + 1, edges, source="edge-list")
+    n = max_vertex + 1
+    # every vertex has degree >= 2, so |E| = n(q+1)/2 >= n; checking this
+    # first keeps a stray huge index from allocating an n x n matrix
+    if n > len(edges):
+        raise ValueError(
+            f"vertex index {max_vertex} implies {n} vertices, but {len(edges)} "
+            f"edges cannot give each of them degree >= 2"
+        )
+    return _from_edges(n, edges, source="edge-list")
 
 
 def write_edge_list(graph, header=False):

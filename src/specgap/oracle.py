@@ -6,8 +6,9 @@ route.  Geodesic-cycle counts come from powers of the directed
 spectrum via the scalar Chebyshev recurrence; the normalized spectral
 radius comes straight from the eigenvalues.  These recomputation paths
 share no code with :mod:`specgap.ladder`.  The deviation-bound scan is
-the one exception: it consumes the ladder's exact counts and checks them
-against the expected-count envelope with integer comparisons.
+the one exception: it consumes the ladder module's exact counts (one
+three-term sweep) and checks them against the expected-count envelope
+with integer comparisons.
 """
 
 import math
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .exact import IntMatrix, MultCounter, matrix_power
-from .ladder import geodesic_count
+from .ladder import geodesic_counts
 
 
 class EigensolverError(RuntimeError):
@@ -178,8 +179,8 @@ def geodesic_bounds_hold(graph, k_max):
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     n, q = graph.n, graph.q
     margin = 4 * (n - 1) ** 2
-    for k in range(1, k_max + 1):
-        dev = geodesic_count(graph, k) - q**k - 1
+    for k, count in enumerate(geodesic_counts(graph, k_max), start=1):
+        dev = count - q**k - 1
         if k % 2 == 0:
             dev -= n * (q - 1)
         if dev * dev > margin * q**k:

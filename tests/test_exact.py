@@ -214,3 +214,43 @@ def test_sign_agrees_with_50_digit_decimal(a, b, q):
         assert x.sign() == (1 if d > 0 else -1)
     else:
         assert x.sign() == 0 or abs(d) <= 1e-40
+
+
+def test_symmetric_fill_matches_the_full_product(monkeypatch):
+    # polynomials in one symmetric matrix: the object path fills the upper
+    # triangle only, and must agree with numpy's full object product
+    g = named_graph("petersen")
+    a = g.adjacency.as_generator(MultCounter())
+    x = matrix_power(a, 5).add_diag(-(2**70))
+    y = (x @ a).sub_scaled(a, 3)
+    assert x.generator is a.data and y.generator is a.data
+    fill, filled = exact._symmetric_product, []
+    monkeypatch.setattr(exact, "_symmetric_product",
+                        lambda p, r: filled.append(1) or fill(p, r))
+    assert (x @ y).data.tolist() == (x.data @ y.data).tolist()
+    assert filled == [1]
+
+
+def test_plain_matrices_never_take_the_symmetric_fill(monkeypatch):
+    w = IntMatrix.from_rows([[0, 2**40, 1], [0, 0, 2**40], [2**40, 0, 0]])
+    monkeypatch.setattr(exact, "_symmetric_product", None)  # would raise if called
+    assert w.generator is None
+    assert (w @ w).data.tolist() == (w.data @ w.data).tolist()
+    a = named_graph("cube").adjacency
+    copy = IntMatrix(a.data.copy())
+    # equal values in a different array: not known to be the same generator
+    prod = a.as_generator(MultCounter()) @ copy.as_generator(MultCounter())
+    assert prod.generator is None
+
+
+def test_generator_must_be_symmetric():
+    with pytest.raises(ValueError, match="symmetric"):
+        IntMatrix.from_rows([[0, 1], [0, 0]]).as_generator(MultCounter())
+
+
+def test_product_trace_is_counted_and_exact():
+    c = MultCounter()
+    x = IntMatrix.from_rows([[2**80, 1], [5, -3]], counter=c)
+    y = IntMatrix.from_rows([[7, 2**90], [-1, 4]])
+    assert x.product_trace(y) == (x.data @ y.data).trace()
+    assert c.count == 1

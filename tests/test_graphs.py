@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import specgap as sg
+from specgap import graphs
 from specgap.graphs import GraphValidationError
 
 
@@ -154,6 +155,17 @@ def test_cube_writes_12_lines():
 def test_edge_list_errors(text, match):
     with pytest.raises(ValueError, match=match):
         sg.parse_edge_list(text)
+
+
+def test_sparse_vertex_ids_fail_before_allocation(monkeypatch):
+    # 10**6 vertices would need a 10**12-cell matrix; two edges cannot
+    # make them all degree >= 2, so the parser must refuse up front
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("_from_edges must not run")
+
+    monkeypatch.setattr(graphs, "_from_edges", no_allocation)
+    with pytest.raises(ValueError, match="1000001 vertices"):
+        sg.parse_edge_list(f"0 1\n1 {10**6}\n")
 
 
 def test_parsed_graph_still_validated():

@@ -1,11 +1,10 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import specgap as sg
 from specgap.ladder import LadderInvariantError, _check_state, _run_ladder
-from specgap.exact import MultCounter, Quadratic
+from specgap.exact import IntMatrix, MultCounter, Quadratic
 
 from brute import brute_geodesic_cycles
 
@@ -195,10 +194,25 @@ def test_checked_mode_does_not_change_mult_count():
 
 def test_checked_mode_detects_corrupt_state():
     g = sg.named_graph("utility")
-    ident = np.zeros((g.n, g.n), dtype=object)
-    for i in range(g.n):
-        ident[i, i] = 1
     with pytest.raises(LadderInvariantError, match="exponent"):
-        _check_state(4, g.adjacency, 1, g.adjacency.data, g.q, ident)
+        _check_state(4, g.adjacency, 1, g.adjacency.data, g.q)
     with pytest.raises(LadderInvariantError, match="register"):
-        _check_state(2, g.adjacency, 1, g.adjacency.data, g.q, ident)
+        _check_state(2, g.adjacency, 1, g.adjacency.data, g.q)
+
+
+def test_checked_mode_covers_the_trace_only_finish(monkeypatch):
+    # k = 12 finishes with trace(M(6) @ M(6)); corrupt that last operand
+    g = sg.named_graph("utility")
+    honest = IntMatrix.product_trace
+
+    def corrupted(self, other):
+        bad = self.data.copy()
+        bad[0, 0] += 1
+        return honest(IntMatrix(bad, self.counter), other)
+
+    monkeypatch.setattr(IntMatrix, "product_trace", corrupted)
+    wrong, _ = _run_ladder(g, 12, MultCounter())
+    assert wrong != sg.geodesic_count_trace(g, 12) - g.n * (g.q - 1)
+    with pytest.raises(LadderInvariantError, match="final trace"):
+        _run_ladder(g, 12, MultCounter(), checked=True)
+
