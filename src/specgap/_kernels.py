@@ -1,12 +1,12 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy variants.
+"""The Jacobi eigenvalue kernel, with a numba-jitted and a pure-numpy variant.
 
-Two kernels live here: an int64 matrix product (used by the exact matrix
-layer when an a-priori bound certifies that no entry can overflow) and a
-cyclic Jacobi eigenvalue sweep for symmetric float64 matrices.
+One kernel lives here: a cyclic Jacobi eigenvalue sweep for symmetric
+float64 matrices, which the spectrum oracle uses.  The exact ladder does
+not go through this module; its products are float64 BLAS products on
+residues (see :mod:`specgap.ladder`).
 
-The jitted variants are compiled whenever numba imports cleanly.  Setting
-SPECGAP_DISABLE_NUMBA=1 in the environment forces the numpy fallbacks.
-``benchmarks/bench_kernels.py`` times both paths side by side.
+The jitted variant is compiled whenever numba imports cleanly.  Setting
+SPECGAP_DISABLE_NUMBA=1 in the environment forces the numpy fallback.
 """
 
 import math
@@ -16,23 +16,6 @@ import numpy as np
 
 _flag = os.environ.get("SPECGAP_DISABLE_NUMBA", "").strip().lower()
 _NUMBA_REQUESTED = _flag not in {"1", "true", "yes", "on"}
-
-
-def _matmul_int64_core(a, b):
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for k in range(n):
-            aik = a[i, k]
-            if aik != 0:
-                for j in range(n):
-                    out[i, j] += aik * b[k, j]
-    return out
-
-
-def matmul_int64_numpy(a, b):
-    """Product of two int64 matrices known in advance not to overflow."""
-    return a @ b
 
 
 def _offdiag_norm(a):
@@ -123,7 +106,6 @@ def jacobi_eigenvalues_numpy(a, tol, max_sweeps):
 
 
 HAVE_NUMBA = False
-matmul_int64_numba = None
 jacobi_eigenvalues_numba = None
 
 if _NUMBA_REQUESTED:
@@ -133,17 +115,14 @@ if _NUMBA_REQUESTED:
         pass
     else:
         HAVE_NUMBA = True
-        matmul_int64_numba = njit(cache=True)(_matmul_int64_core)
 
         def jacobi_eigenvalues_numba(a, tol, max_sweeps, _core=njit(cache=True)(_jacobi_core)):
             return _core(a.astype(np.float64, copy=True), tol, max_sweeps)
 
 
 if HAVE_NUMBA:
-    matmul_int64 = matmul_int64_numba
     jacobi_eigenvalues = jacobi_eigenvalues_numba
 else:
-    matmul_int64 = matmul_int64_numpy
     jacobi_eigenvalues = jacobi_eigenvalues_numpy
 
 

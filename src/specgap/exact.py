@@ -6,14 +6,11 @@ the form a + b*sqrt(r) carry their two rational components explicitly so
 that signs can be decided without ever rounding.  Floating point appears
 only in the rendering helpers.
 
-Matrix products go through a certified fast path: when an a-priori bound
-(order * max|X| * max|Y|) proves that every entry of the product fits in
-int64, the multiplication runs on the int64 kernel from ``_kernels``;
-otherwise it falls back to numpy's object-dtype product, which
-multiplies Python ints directly.  When both operands are polynomials in
-one symmetric generator (see :meth:`IntMatrix.as_generator`), the
-product is symmetric, and the object path computes only its upper
-triangle and mirrors it, which halves the big-integer work.
+:class:`IntMatrix` products are plain numpy object-dtype products, which
+multiply Python ints directly.  They serve the edge-matrix oracle as an
+independent reference; the Chebyshev ladder in :mod:`specgap.ladder`
+runs on residues modulo word-size primes instead and never forms an
+``IntMatrix`` product.
 """
 
 import math
@@ -21,10 +18,6 @@ import threading
 from fractions import Fraction
 
 import numpy as np
-
-from . import _kernels
-
-_INT64_SAFE = 2**62
 
 
 class MultCounter:
@@ -53,41 +46,18 @@ def _freeze(data):
     return data
 
 
-def _max_abs(data):
-    if data.size == 0:
-        return 0
-    return int(np.abs(data).max())
-
-
-def _symmetric_product(x, y):
-    """x @ y for a product known to be symmetric: upper triangle, mirrored."""
-    n = x.shape[0]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        row = x[i] @ y[:, i:]
-        out[i, i:] = row
-        out[i + 1:, i] = row[1:]
-    return out
-
-
 class IntMatrix:
     """Dense square matrix over arbitrary-precision integers.
 
     Instances are immutable.  Products share the left operand's counter,
-    which increments by exactly 1 per matrix-matrix multiplication;
-    scalar and diagonal adjustments are not counted.
-
-    ``generator`` is the data of a symmetric matrix G that this matrix is
-    a polynomial in, or None.  Polynomials in one symmetric G are
-    symmetric and commute, so their products are symmetric too.
+    which increments by exactly 1 per matrix-matrix multiplication.
     """
 
-    __slots__ = ("data", "counter", "generator")
+    __slots__ = ("data", "counter")
 
-    def __init__(self, data, counter=None, generator=None):
+    def __init__(self, data, counter=None):
         self.data = _freeze(data)
         self.counter = counter if counter is not None else MultCounter()
-        self.generator = generator
 
     @classmethod
     def from_rows(cls, rows, counter=None):
@@ -115,24 +85,7 @@ class IntMatrix:
 
     def with_counter(self, counter):
         """The same matrix bound to a different multiplication counter."""
-        return IntMatrix(self.data, counter, self.generator)
-
-    def as_generator(self, counter):
-        """The same matrix on ``counter``, as the generator of its polynomials.
-
-        Products, diagonal shifts and ``sub_scaled`` between this matrix
-        and matrices built from it keep the generator, so their products
-        take the symmetric fill.  Raises ValueError unless the matrix is
-        symmetric.
-        """
-        if not np.array_equal(self.data, self.data.T):
-            raise ValueError("a polynomial generator must be symmetric")
-        return IntMatrix(self.data, counter, self.data)
-
-    def _common_generator(self, other):
-        if self.generator is not None and self.generator is other.generator:
-            return self.generator
-        return None
+        return IntMatrix(self.data, counter)
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -142,65 +95,10 @@ class IntMatrix:
                 f"order mismatch: {self.order} vs {other.order}"
             )
         self.counter.bump()
-        n = self.order
-        generator = self._common_generator(other)
-        bound = n * _max_abs(self.data) * _max_abs(other.data)
-        if bound < _INT64_SAFE:
-            prod = _kernels.matmul_int64(
-                self.data.astype(np.int64), other.data.astype(np.int64)
-            )
-            out = prod.astype(object)
-        elif generator is not None:
-            out = _symmetric_product(self.data, other.data)
-        else:
-            out = self.data @ other.data
-        return IntMatrix(out, self.counter, generator)
-
-    def product_trace(self, other):
-        """trace(X @ Y) as the sum of X * Y^T, in O(n^2) operations.
-
-        Counted as one matrix-matrix multiplication: it stands in for the
-        product whose trace it returns.
-        """
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        self.counter.bump()
-        return int((self.data * other.data.T).sum())
+        return IntMatrix(self.data @ other.data, self.counter)
 
     def trace(self):
         return int(self.data.trace())
-
-    def scaled(self, c):
-        """c * X, exact; not a counted multiplication."""
-        return IntMatrix(self.data * c, self.counter)
-
-    def add_diag(self, c):
-        """X + c*I, exact; not a counted multiplication."""
-        out = self.data.copy()
-        idx = np.arange(self.order)
-        out[idx, idx] = out[idx, idx] + c
-        return IntMatrix(out, self.counter, self.generator)
-
-    def sub_scaled(self, other, c):
-        """X - c*Y, exact; not a counted multiplication."""
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return IntMatrix(self.data - other.data * c, self.counter,
-                         self._common_generator(other))
-
-    def __add__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return IntMatrix(self.data + other.data, self.counter)
-
-    def __sub__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return IntMatrix(self.data - other.data, self.counter)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):

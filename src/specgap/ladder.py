@@ -22,14 +22,27 @@ let each new index be built from one or two previously computed indices,
 so the schedule only ever needs the last few entries, kept in a 4-slot
 register file.  Power-of-q scalars ride along as plain exponents.  Every
 M(j) is a polynomial in the symmetric matrix A, so all of them are
-symmetric and commute.  Two consequences cut the work without changing
-a single value:
+symmetric, and the last step, which only feeds the trace, is a trace
+contraction trace(X @ Y) = sum(X * Y^T) in O(n^2) operations.  It still
+counts as one product, so a run for index k always counts
+len(ladder_indices(k)) - 1.
 
-* the last step is a trace contraction, trace(X @ Y) = sum(X * Y^T),
-  which costs O(n^2) instead of O(n^3).  It still counts as one product,
-  so a run for index k always counts len(ladder_indices(k)) - 1;
-* the big-integer products fill only their upper triangle (see
-  :meth:`specgap.exact.IntMatrix.as_generator`).
+The ladder runs on residues modulo word-size primes, and the Chinese
+remainder theorem rebuilds the one final trace.  The trace is bounded:
+an eigenvalue lam of A has |lam| <= q+1, the matching eigenvalue of M(k)
+is a**k + b**k with a + b = lam and a*b = q, so its modulus is at most
+q**k + 1, and |trace M(k)| <= n (q**k + 1).  The fewest primes whose
+product exceeds 2 n (q**k + 1) determine the trace, lifted into the
+symmetric range.  Residues are float64 values, so each step is one BLAS
+product (dgemm) on a stack of n x n residue matrices, one per prime.
+Reduction is delayed: r = x - p*floor(x * (1/p)) leaves r in [-p, 2p),
+so every value a step accumulates is an integer of modulus below
+n (2p)**2 + p, and the primes are chosen from n alone so that this stays
+below 2**53, where float64 arithmetic on integers is exact.  Both
+inequalities are checked before anything is computed.  The primes run
+in blocks of 2**14 // n**2 (at least one), so one stack holds at most
+2**14 entries unless a single n x n matrix is larger; a step keeps about
+five stacks alive, so the working set stays near 640 KiB.
 
 Consumers that want every k in 1..K use one sweep of the three-term
 recurrence M(j+1) = A M(j) - q M(j-1) instead (:func:`chebyshev_sweep`).
@@ -43,15 +56,24 @@ radius being at most 2, and for odd k the slack lives in the quadratic
 field Q[sqrt(q)].
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 
-from . import exact
 from .exact import MultCounter, Quadratic
 from .graphs import RegularGraph
+
+# the sweep stays on int64 while a bound on every intermediate is below this
+_INT64_SAFE = 2**62
+# float64 holds every integer of modulus below this exactly
+_EXACT = 2**53
+# one residue stack holds at most this many entries (128 KiB), unless a
+# single n x n matrix is larger: larger blocks raised peak memory on the
+# small-n eps tables without making the large-n ladders faster
+_BLOCK_ENTRIES = 2**14
 
 
 def ladder_indices(k):
@@ -95,7 +117,7 @@ def _sweep(adj_data, q):
     yield prev
     yield cur
     while True:
-        if cur.dtype != object and (q + 1) * big_cur + q * big_prev >= exact._INT64_SAFE:
+        if cur.dtype != object and (q + 1) * big_cur + q * big_prev >= _INT64_SAFE:
             prev, cur = prev.astype(object), cur.astype(object)
         nxt = cur[neighbours[0]]
         for rows in neighbours[1:]:
@@ -126,40 +148,122 @@ def chebyshev_sweep(graph):
 
 
 class LadderInvariantError(AssertionError):
-    """Checked-mode verification of the ladder state failed."""
+    """The ladder state failed verification.
 
-
-def _run_ladder(graph, k, counter, checked=False):
-    """Drive the register ladder; returns (trace, exponent).
-
-    On return, trace is the trace of the scaled Chebyshev matrix for
-    index k and the accompanying scalar is q**exponent with
-    exponent = floor(k/2).  Every step but the last forms a matrix.  The
-    last step forms only the trace: for the operands X, Y of the final
-    identity it returns sum(X * Y^T) - 2 q**e n (even k) or
-    sum(X * Y^T) - q**e trace(A) (odd k), in O(n^2) operations.  That
-    contraction still counts as one product, so exactly
-    len(ladder_indices(k)) - 1 products are counted on ``counter``.
-
-    With checked=True, every iteration re-derives the leading register
-    from scratch via the three-term recurrence and verifies the scalar
-    exponent, and the final trace is compared with the trace of the
-    recurrence matrix; this costs O(k q n^2) extra uncounted work per
-    check.
+    Checked mode raises it on any mismatch with the sweep; every run
+    raises it if the rebuilt trace falls outside its proven bound.
     """
-    q = graph.q
-    n = graph.n
-    schedule = ladder_indices(k)
-    steps = len(schedule)
-    adj = graph.adjacency.as_generator(counter)
-    trace = adj.trace()  # k = 1 runs no step
-    # registers: mats[r] is the scaled Chebyshev matrix for schedule[i + r - 1]
-    # during iteration i (after the shift); exps[r] is its scalar's q-exponent
-    mats = [adj, None, None, None]
+
+
+def _primes_between(lo, hi):
+    """The primes p with lo <= p < hi, ascending; needs 2 <= lo < hi."""
+    root = math.isqrt(hi - 1)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for d in range(2, math.isqrt(root) + 1):
+        if small[d]:
+            small[d * d::d] = False
+    base = np.flatnonzero(small)
+    # cross off every multiple m >= max(d*d, lo) of each base prime d, all
+    # at once: d's multiples in the window are first[d] + d*j, j < count[d]
+    first = np.maximum(base * base, -(-lo // base) * base) - lo
+    count = np.maximum(0, (hi - lo - first + base - 1) // base)
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    sieve = np.ones(hi - lo, dtype=bool)
+    sieve[np.repeat(first, count) + np.repeat(base, count) * j] = False
+    return (np.flatnonzero(sieve) + lo).tolist()
+
+
+def _prime_limit(n):
+    """The largest p with n (2p)**2 + p < 2**53."""
+    p = math.isqrt(_EXACT // (4 * n))
+    while n * (2 * p) ** 2 + p >= _EXACT:
+        p -= 1
+    return p
+
+
+def _moduli(n, bound):
+    """The fewest primes, largest first below _prime_limit(n), with product > 2*bound.
+
+    If even every prime below the limit falls short, returns them all,
+    and :func:`_certify` rejects the set.
+    """
+    top = _prime_limit(n) + 1
+    # primes near p have density 1/ln p, so a window of about
+    # 0.7 * bits(2*bound) integers holds enough of them
+    width = (2 * bound).bit_length() + 1024
+    while True:
+        lo = max(2, top - width)
+        primes, product = [], 1
+        for p in reversed(_primes_between(lo, top)):
+            primes.append(p)
+            product *= p
+            if product > 2 * bound:
+                return primes
+        if lo == 2:
+            return primes
+        width *= 4
+
+
+def _certify(n, bound, primes):
+    """Raise unless the moduli make every step exact and determine the trace."""
+    if any(n * (2 * p) ** 2 + p >= _EXACT for p in primes):
+        raise ArithmeticError(f"a modulus is too large for exact products of order {n}")
+    if math.prod(primes) <= 2 * bound:
+        raise ArithmeticError(f"moduli do not determine a trace bounded by {bound}")
+
+
+def _reduce(x, p, inv):
+    """x mod p in place, into [-p, 2p); x holds integers below 2**53 in modulus."""
+    t = x * inv
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
+
+
+def _trace_residues(x, y, p, inv):
+    """Per prime, an integer congruent to trace(X @ Y) mod p.
+
+    Ladder residues are symmetric mod p, so trace(X @ Y) = sum(X * Y).
+    Row sums stay below n (2p)**2, and after one reduction their sum
+    stays below 2pn, so every value is exact.
+    """
+    return _reduce(np.einsum("bij,bij->bi", x, y), p[:, :, 0], inv[:, :, 0]).sum(axis=1)
+
+
+def _crt(residues, primes):
+    """The integer in (-P/2, P/2] congruent to each residue, P = prod(primes)."""
+    modulus = math.prod(primes)
+    total = 0
+    for r, p in zip(residues, primes):
+        rest = modulus // p
+        total += r * rest * pow(rest, -1, p)
+    total %= modulus
+    return total - modulus if 2 * total > modulus else total
+
+
+def _ladder_block(a, edges, schedule, q, primes, counter, checked):
+    """Run the register ladder modulo each prime in ``primes``.
+
+    ``edges`` is np.nonzero(a), the positions of the 0/1 matrix A's ones.
+
+    Returns the residues of the final trace, one Python int per prime,
+    and the q-exponent of the final scalar.  The counter (or None) is
+    bumped once per step.
+    """
+    n = a.shape[0]
+    p = np.array(primes, dtype=np.float64)[:, None, None]
+    inv = 1.0 / p
+    diag = np.arange(n)
+    # registers: mats[r] holds the residues of the scaled Chebyshev matrix for
+    # schedule[i + r - 1] during iteration i (after the shift); exps[r] is its
+    # scalar's q-exponent.  A's 0/1 entries are their own residues.
+    mats = [np.repeat(a[None], len(primes), axis=0), None, None, None]
     exps = [0, 0, 0, 0]
-    for i in range(steps - 1, 0, -1):
+    for i in range(len(schedule) - 1, 0, -1):
         if checked:
-            _check_state(schedule[i], mats[0], exps[0], adj.data, q)
+            _check_state(schedule[i], mats[0], exps[0], a, q, primes)
         mats[3], mats[2], mats[1] = mats[2], mats[1], mats[0]
         exps[3], exps[2], exps[1] = exps[2], exps[1], exps[0]
         target = schedule[i - 1]
@@ -173,18 +277,66 @@ def _run_ladder(graph, k, counter, checked=False):
             j = 2 if target == 2 * schedule[i + 1] - 1 else 1
             x, y = mats[j], mats[j + 1]
             exps[0] = e = exps[j] + exps[j + 1]
-        if i > 1:
-            if target % 2 == 0:
-                mats[0] = (x @ y).add_diag(-2 * q**e)
-            else:
-                mats[0] = (x @ y).sub_scaled(adj, q**e)
-        elif target % 2 == 0:
-            trace = x.product_trace(y) - 2 * q**e * n
+        if counter is not None:
+            counter.bump()
+        scalar = q**e
+        if i == 1:
+            fix = scalar * (2 * n if target % 2 == 0 else int(a.trace()))
+            sums = _trace_residues(x, y, p, inv)
+            return [(int(s) - fix) % pr for s, pr in zip(sums.tolist(), primes)], e
+        out = np.matmul(x, y)
+        if target % 2 == 0:
+            out[:, diag, diag] -= [[2 * scalar % pr] for pr in primes]
         else:
-            trace = x.product_trace(y) - q**e * adj.trace()
+            out[:, edges[0], edges[1]] -= [[scalar % pr] for pr in primes]
+        mats[0] = _reduce(out, p, inv)
+
+
+def _run_ladder(graph, k, counter, checked=False):
+    """Drive the register ladder on residues; returns (trace, exponent).
+
+    On return, trace is the trace of the scaled Chebyshev matrix for
+    index k and the accompanying scalar is q**exponent with
+    exponent = floor(k/2).  Every step but the last forms a matrix.  The
+    last step forms only the trace: for the operands X, Y of the final
+    identity it returns sum(X * Y^T) - 2 q**e n (even k) or
+    sum(X * Y^T) - q**e trace(A) (odd k), in O(n^2) operations.  That contraction still counts as one product, so
+    exactly len(ladder_indices(k)) - 1 products are counted on
+    ``counter``, once per step however many prime blocks run it.
+
+    All of it runs modulo the primes of :func:`_moduli` for the bound
+    |trace| <= n (q**k + 1), block by block, and the trace residues are
+    combined once by the CRT.  ArithmeticError is raised, before any
+    product, if the primes could not make every step exact or could not
+    determine the trace.
+
+    With checked=True, every iteration re-derives the leading register
+    from scratch via the three-term recurrence, reduced modulo each
+    prime, and verifies the scalar exponent, and the final trace is
+    compared with the trace of the recurrence matrix; this costs
+    O(k q n^2) extra uncounted work per check.
+    """
+    q, n = graph.q, graph.n
+    schedule = ladder_indices(k)
+    a = graph.adjacency.data.astype(np.float64)
+    trace, exp = graph.adjacency.trace(), 0  # k = 1 runs no step
+    if len(schedule) > 1:
+        bound = n * (q**k + 1)
+        primes = _moduli(n, bound)
+        _certify(n, bound, primes)
+        per_block = max(1, _BLOCK_ENTRIES // (n * n))
+        edges = np.nonzero(a)
+        residues = []
+        for start in range(0, len(primes), per_block):
+            block, exp = _ladder_block(a, edges, schedule, q, primes[start:start + per_block],
+                                       counter if start == 0 else None, checked)
+            residues += block
+        trace = _crt(residues, primes)
+        if abs(trace) > bound:
+            raise LadderInvariantError(f"trace {trace} at index {k} exceeds its bound {bound}")
     if checked:
-        _check_trace(schedule[0], trace, exps[0], adj.data, q)
-    return trace, exps[0]
+        _check_trace(schedule[0], trace, exp, a, q)
+    return trace, exp
 
 
 def _reference(index, exp, adj_data, q):
@@ -196,10 +348,11 @@ def _reference(index, exp, adj_data, q):
     return next(islice(_sweep(adj_data, q), index, None))
 
 
-def _check_state(index, mat, exp, adj_data, q):
+def _check_state(index, stack, exp, adj_data, q, primes):
     expect = _reference(index, exp, adj_data, q)
-    if not np.array_equal(mat.data, expect):
-        raise LadderInvariantError(f"register mismatch at index {index}")
+    for residues, p in zip(stack, primes):
+        if not np.array_equal(residues.astype(np.int64) % p, (expect % p).astype(np.int64)):
+            raise LadderInvariantError(f"register mismatch at index {index} modulo {p}")
 
 
 def _check_trace(index, trace, exp, adj_data, q):

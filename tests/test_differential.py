@@ -1,12 +1,14 @@
 """Differential tests: three independent routes to the same exact traces.
 
-The Chebyshev ladder (O(log k) products, trace-only finish, symmetric
-big-integer fill), the three-term sweep (neighbour-row sums, int64 then
-Python ints) and trace(W**k) on the directed edge matrix must agree on
-every geodesic-cycle count; where the spectrum is integral, the slack
-must also equal the scalar recomputation from the eigenvalues.
+The Chebyshev ladder (O(log k) products on residues modulo word-size
+primes, trace-only finish, one CRT for the trace), the three-term sweep
+(neighbour-row sums, int64 then Python ints) and trace(W**k) on the
+directed edge matrix must agree on every geodesic-cycle count; where the
+spectrum is integral, the slack must also equal the scalar recomputation
+from the eigenvalues.
 """
 
+import math
 import random
 from itertools import islice
 
@@ -16,9 +18,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specgap as sg
-from specgap import exact
+from specgap import ladder
+from specgap.exact import MultCounter
 from specgap.graphs import GraphGenerationError
-from specgap.ladder import _sweep, chebyshev_sweep, expansion_slacks, geodesic_counts
+from specgap.ladder import (
+    _crt, _moduli, _primes_between, _reduce, _run_ladder, _sweep, chebyshev_sweep,
+    expansion_slacks, geodesic_counts,
+)
 from specgap.oracle import exact_slack_from_integer_spectrum
 
 K_MAX = 24
@@ -123,29 +129,16 @@ def test_slack_equals_integer_spectrum_recomputation(name, eigs):
         assert sweep[k - 1].as_fraction() == expected, (name, k)
 
 
-# each ladder's largest formed product has its bound in [2**62, 2**63),
-# with an earlier product in [2**61, 2**62): both paths, right at the cutoff
+# the sweep leaves int64 for Python ints before each of these k, and the
+# ladder's trace there needs several primes
 BOUNDARY_CASES = [("petersen", 131), ("utility", 125), ("chvatal", 83), ("complete(5)", 81)]
 
 
 @pytest.mark.parametrize("name,k", BOUNDARY_CASES, ids=[n for n, _ in BOUNDARY_CASES])
-def test_int64_boundary(monkeypatch, name, k):
+def test_int64_boundary(name, k):
     g = sg.named_graph(name)
-    paths = []
-    kernel, fill = exact._kernels.matmul_int64, exact._symmetric_product
-    monkeypatch.setattr(exact._kernels, "matmul_int64",
-                        lambda x, y: paths.append(("int64", x.shape[0] * int(abs(x).max()) * int(abs(y).max())))
-                        or kernel(x, y))
-    monkeypatch.setattr(exact, "_symmetric_product",
-                        lambda x, y: paths.append(("fill", x.shape[0] * exact._max_abs(x) * exact._max_abs(y)))
-                        or fill(x, y))
+    assert len(_moduli(g.n, g.n * (g.q**k + 1))) > 1
     trace = _ladder_trace(g, k)
-    monkeypatch.undo()
-
-    assert [p for p, _ in paths].count("fill") >= 1
-    assert all(b < 2**62 for p, b in paths if p == "int64")
-    assert all(2**62 <= b < 2**63 for p, b in paths if p == "fill")
-    assert max(b for p, b in paths if p == "int64") >= 2**61
 
     dtypes = [m.dtype for m in islice(_sweep(g.adjacency.data, g.q), k + 1)]
     switch = dtypes.index(np.dtype(object))
@@ -159,3 +152,106 @@ def test_int64_boundary(monkeypatch, name, k):
         expected = count - g.n * (g.q - 1) if j % 2 == 0 else count
         assert traces[j - 1] == expected, (name, j)
     assert _ladder_trace(g, switch) == traces[switch - 1]
+
+
+# ---- the residue ladder's moduli and CRT ----
+
+
+def _naive_primes(lo, hi):
+    return [m for m in range(max(lo, 2), hi) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+
+
+@pytest.mark.parametrize("lo,hi", [(2, 3), (2, 400), (4, 5), (25, 50), (9_000, 11_000), (2**20, 2**20 + 3000)])
+def test_primes_between_matches_trial_division(lo, hi):
+    assert _primes_between(lo, hi) == _naive_primes(lo, hi)
+
+
+@pytest.mark.parametrize("n", [3, 20, 150, 2048, 4096])
+def test_moduli_are_exact_and_determine_the_trace(n):
+    for q in (1, 2, 3, 7):
+        for k in [1, 2, 3, *range(250, 5001, 250)]:
+            bound = n * (q**k + 1)
+            primes = _moduli(n, bound)
+            assert primes == sorted(set(primes), reverse=True)
+            # every accumulation of a step is an exact float64 integer
+            assert all(n * (2 * p) ** 2 + p < 2**53 for p in primes)
+            # the fewest moduli that pin down a trace in [-bound, bound]
+            assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+            # pairwise coprime, as the CRT needs
+            assert all(math.gcd(p, math.prod(primes[:i])) == 1 for i, p in enumerate(primes))
+
+
+def test_reduction_is_exact_at_the_accumulation_bound():
+    for n in (3, 150, 4096):
+        p = _moduli(n, 1)[0]
+        top = n * (2 * p) ** 2 + p  # exclusive bound on what a step accumulates
+        values = [0, 1, -1, p - 1, p, -p, 2 * p, top - 1, -(top - 1), top // 3, -top // 7 + 5]
+        x = np.array(values, dtype=np.float64)
+        assert x.tolist() == values  # exactly representable
+        r = _reduce(x.copy(), p, 1.0 / p)
+        for v, got in zip(values, r.tolist()):
+            assert got == int(got) and -p <= got < 2 * p, (n, v, got)
+            assert (v - int(got)) % p == 0, (n, v, got)
+
+
+def test_crt_lifts_into_the_symmetric_range():
+    primes = _moduli(20, 2**100)
+    half = math.prod(primes) // 2
+    for value in (0, 1, -1, 2**100, -(2**100), half, -half + 1):
+        assert _crt([value % p for p in primes], primes) == value
+
+
+def test_a_modulus_set_one_prime_short_raises(monkeypatch):
+    g = sg.named_graph("petersen")
+    honest = ladder._moduli
+    assert len(honest(g.n, g.n * (g.q**131 + 1))) > 1
+    monkeypatch.setattr(ladder, "_moduli", lambda n, bound: honest(n, bound)[:-1])
+    with pytest.raises(ArithmeticError, match="do not determine"):
+        _run_ladder(g, 131, MultCounter())
+    # a modulus above the exactness limit is refused as well
+    monkeypatch.setattr(ladder, "_moduli", lambda n, bound: [2**26 + 15] + honest(n, bound))
+    with pytest.raises(ArithmeticError, match="too large"):
+        _run_ladder(g, 131, MultCounter())
+
+
+@st.composite
+def multi_block_cases(draw):
+    """Pairing-model graphs and k whose moduli fill more than one prime block."""
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(48, 64))
+    assume(n * (q + 1) % 2 == 0)
+    try:
+        g = sg.random_regular(n, q, draw(st.integers(0, 10_000)))
+    except GraphGenerationError:
+        assume(False)
+    return g, draw(st.integers(200, 260))
+
+
+@settings(max_examples=8, deadline=None)
+@given(multi_block_cases())
+def test_ladder_spans_prime_blocks(case):
+    g, k = case
+    assert len(_moduli(g.n, g.n * (g.q**k + 1))) > ladder._BLOCK_ENTRIES // g.n**2
+    traces = _sweep_traces(g, k)
+    for j in (1, 2, 3, k - 1, k):
+        counter = MultCounter()
+        trace, _ = _run_ladder(g, j, counter)
+        assert trace == traces[j - 1], (g.source, j)
+        assert counter.count == len(sg.ladder_indices(j)) - 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(regular_graphs(), st.integers(1, 60))
+def test_one_prime_per_block_agrees_with_the_oracle(g, k):
+    # blocks of one prime each, so a trace that needs several primes runs
+    # several blocks
+    traces = _sweep_traces(g, k)
+    expected = traces[k - 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ladder, "_BLOCK_ENTRIES", 1)
+        counter = MultCounter()
+        trace, _ = _run_ladder(g, k, counter, checked=True)
+    assert trace == expected == _ladder_trace(g, k), (g.source, k)
+    count = sg.geodesic_count_trace(g, k)
+    assert expected == (count - g.n * (g.q - 1) if k % 2 == 0 else count), (g.source, k)
+    assert counter.count == len(sg.ladder_indices(k)) - 1

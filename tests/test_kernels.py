@@ -38,16 +38,6 @@ def test_numba_and_numpy_jacobi_agree():
         assert np.max(np.abs(np.sort(d1) - np.sort(d2))) < 1e-10
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend not active")
-def test_numba_and_numpy_matmul_agree():
-    rng = np.random.default_rng(9)
-    for n in (1, 2, 7, 31):
-        a = rng.integers(-1000, 1000, size=(n, n)).astype(np.int64)
-        b = rng.integers(-1000, 1000, size=(n, n)).astype(np.int64)
-        assert np.array_equal(kernels.matmul_int64_numba(a, b),
-                              kernels.matmul_int64_numpy(a, b))
-
-
 def test_unconverged_flag():
     a = _random_symmetric(12, 7)
     _, sweeps = kernels.jacobi_eigenvalues_numpy(a, 1e-12, 0)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import specgap as sg
-from specgap.ladder import LadderInvariantError, _check_state, _run_ladder
-from specgap.exact import IntMatrix, MultCounter, Quadratic
+from specgap import ladder
+from specgap.ladder import LadderInvariantError, _check_state, _moduli, _run_ladder
+from specgap.exact import MultCounter, Quadratic
 
 from brute import brute_geodesic_cycles
 
@@ -193,26 +195,37 @@ def test_checked_mode_does_not_change_mult_count():
 
 
 def test_checked_mode_detects_corrupt_state():
-    g = sg.named_graph("utility")
+    g = sg.named_graph("chvatal")
+    primes = _moduli(g.n, g.n * (g.q**60 + 1))
+    assert len(primes) > 1
+    a = g.adjacency.data.astype(np.float64)
+    stack = np.repeat(a[None], len(primes), axis=0)  # residues of M(1) = A
     with pytest.raises(LadderInvariantError, match="exponent"):
-        _check_state(4, g.adjacency, 1, g.adjacency.data, g.q)
+        _check_state(4, stack, 1, a, g.q, primes)
     with pytest.raises(LadderInvariantError, match="register"):
-        _check_state(2, g.adjacency, 1, g.adjacency.data, g.q)
+        _check_state(2, stack, 1, a, g.q, primes)
+    _check_state(1, stack, 0, a, g.q, primes)
+    # residues are compared modulo each prime, not as representatives
+    stack[0, 0, 1] += primes[0]
+    _check_state(1, stack, 0, a, g.q, primes)
+    stack[-1, 2, 3] += 1
+    with pytest.raises(LadderInvariantError, match=f"register mismatch at index 1 modulo {primes[-1]}"):
+        _check_state(1, stack, 0, a, g.q, primes)
 
 
 def test_checked_mode_covers_the_trace_only_finish(monkeypatch):
-    # k = 12 finishes with trace(M(6) @ M(6)); corrupt that last operand
+    # k = 12 finishes with trace(M(6) @ M(6)); corrupt one residue of the
+    # last operand
     g = sg.named_graph("utility")
-    honest = IntMatrix.product_trace
+    honest = ladder._trace_residues
 
-    def corrupted(self, other):
-        bad = self.data.copy()
-        bad[0, 0] += 1
-        return honest(IntMatrix(bad, self.counter), other)
+    def corrupted(x, y, p, inv):
+        bad = x.copy()
+        bad[0, 0, 0] += 1
+        return honest(bad, y, p, inv)
 
-    monkeypatch.setattr(IntMatrix, "product_trace", corrupted)
+    monkeypatch.setattr(ladder, "_trace_residues", corrupted)
     wrong, _ = _run_ladder(g, 12, MultCounter())
     assert wrong != sg.geodesic_count_trace(g, 12) - g.n * (g.q - 1)
     with pytest.raises(LadderInvariantError, match="final trace"):
         _run_ladder(g, 12, MultCounter(), checked=True)
-
