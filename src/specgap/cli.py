@@ -205,12 +205,11 @@ def _cmd_table(args):
 def _cmd_oracle(args):
     started = time.perf_counter()
     graph = _load_graph(args)
-    spectrum = adjacency_spectrum(graph, tol=args.tol)
-    summary = spectral_summary(graph, tol=args.tol)
+    spectrum = adjacency_spectrum(graph)
+    summary = spectral_summary(graph)
     bounds = geodesic_bounds_hold(graph, args.kmax)
     results = {
         "eigenvalues": list(spectrum.values),
-        "sweeps": spectrum.sweeps,
         "mu": summary.mu,
         "spectral_gap": summary.spectral_gap,
         "is_ramanujan": summary.is_ramanujan,
@@ -289,8 +288,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--kmax", type=int, default=40,
                    help="check count-deviation bounds for k <= kmax (default 40)")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="eigensolver off-diagonal tolerance (default 1e-12)")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a graph and write its edge list")

@@ -4,11 +4,13 @@ Everything the ladder computes can be recomputed here by a different
 route.  Geodesic-cycle counts come from powers of the directed
 (non-backtracking) edge matrix; the slack values come from the adjacency
 spectrum via the scalar Chebyshev recurrence; the normalized spectral
-radius comes straight from the eigenvalues.  These recomputation paths
-share no code with :mod:`specgap.ladder`.  The deviation-bound scan is
-the one exception: it consumes the ladder module's exact counts (one
-three-term sweep) and checks them against the expected-count envelope
-with integer comparisons.
+radius comes straight from the eigenvalues.  The eigenvalues come from
+LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), in floating
+point.  These recomputation paths share no code with
+:mod:`specgap.ladder`.  The deviation-bound scan is the one exception:
+it consumes the ladder module's exact counts (one three-term sweep) and
+checks them against the expected-count envelope with integer
+comparisons.
 """
 
 import math
@@ -17,13 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .exact import IntMatrix, MultCounter, matrix_power
 from .ladder import geodesic_counts
 
 
 class EigensolverError(RuntimeError):
-    """Jacobi iteration failed to reach the target off-diagonal norm."""
+    """The LAPACK eigensolver did not converge on the adjacency matrix."""
 
 
 def oriented_edges(graph):
@@ -95,11 +96,9 @@ def chebyshev_even_from_square(k, x_squared):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All adjacency eigenvalues, sorted descending, with the solve tolerance."""
+    """All adjacency eigenvalues, sorted descending."""
 
     values: tuple
-    tol: float
-    sweeps: int
 
     def __iter__(self):
         return iter(self.values)
@@ -111,26 +110,23 @@ class Spectrum:
         return self.values[i]
 
 
-def adjacency_spectrum(graph, tol=1e-12, max_sweeps=100):
-    """All n eigenvalues of the adjacency matrix by cyclic Jacobi rotations.
+def adjacency_spectrum(graph):
+    """All n eigenvalues of the adjacency matrix, from LAPACK ``eigvalsh``.
 
-    Sweeps until the off-diagonal Frobenius norm drops below tol;
-    raises :class:`EigensolverError` if max_sweeps is exhausted first.
+    Floating point; raises :class:`EigensolverError` if LAPACK does not
+    converge.
     """
-    a = np.array(graph.adjacency.data.tolist(), dtype=np.float64)
-    diag, sweeps = _kernels.jacobi_eigenvalues(a, tol, max_sweeps)
-    if sweeps < 0:
-        raise EigensolverError(
-            f"off-diagonal norm still >= {tol} after {max_sweeps} sweeps"
-        )
-    values = tuple(sorted((float(v) for v in diag), reverse=True))
-    return Spectrum(values, tol, sweeps)
+    try:
+        ascending = np.linalg.eigvalsh(graph.adjacency.data.astype(np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigvalsh failed: {exc}") from exc
+    return Spectrum(tuple(ascending[::-1].tolist()))
 
 
-def expansion_slack_spectral(graph, k, tol=1e-12):
+def expansion_slack_spectral(graph, k):
     """Slack at length k from the spectrum: 2(n-1) - sum T(k, eig/sqrt(q))
     over the nontrivial eigenvalues.  Floating point; cross-check only."""
-    spectrum = adjacency_spectrum(graph, tol=tol)
+    spectrum = adjacency_spectrum(graph)
     rq = math.sqrt(graph.q)
     return 2.0 * (graph.n - 1) - sum(
         chebyshev_scalar(k, lam / rq) for lam in spectrum[1:]
@@ -152,8 +148,8 @@ class SpectralSummary:
     nontrivial_radius: float
 
 
-def spectral_summary(graph, tol=1e-12):
-    spectrum = adjacency_spectrum(graph, tol=tol)
+def spectral_summary(graph):
+    spectrum = adjacency_spectrum(graph)
     q = graph.q
     radius = max(abs(lam) for lam in spectrum[1:])
     mu = radius / math.sqrt(q)

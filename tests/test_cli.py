@@ -117,6 +117,8 @@ def test_oracle_command(capsys):
     assert res["bounds_hold"] is False
     eigs = res["eigenvalues"]
     assert abs(eigs[0] - 3) < 1e-9 and abs(eigs[-1] + 3) < 1e-9
+    assert set(res) == {"eigenvalues", "mu", "spectral_gap", "is_ramanujan",
+                        "bounds_hold_up_to", "bounds_hold"}
 
 
 def test_oracle_degenerate_cycle(capsys):

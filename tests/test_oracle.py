@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import specgap as sg
+from specgap.cli import main
 from specgap.oracle import exact_slack_from_integer_spectrum
 
 from brute import naive_edge_matrix
@@ -106,9 +108,18 @@ def test_spectrum_invariants(corpus):
         assert abs(sum(v * v for v in spec.values) - g.n * (g.q + 1)) < 1e-8
 
 
-def test_eigensolver_budget_exhaustion():
+def test_lapack_failure_is_an_eigensolver_error(monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(sg.EigensolverError):
-        sg.adjacency_spectrum(sg.named_graph("utility"), max_sweeps=0)
+        sg.adjacency_spectrum(sg.named_graph("utility"))
+    assert main(["oracle", "--name", "utility"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 # ---- spectral summary ----
