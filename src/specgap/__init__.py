@@ -22,6 +22,7 @@ from .graphs import (
 from .ladder import (
     SlackValue,
     expansion_slack,
+    expansion_slack_pair,
     geodesic_count,
     ladder_indices,
     ladder_mult_count,
@@ -65,6 +66,7 @@ __all__ = [
     "write_edge_list",
     "SlackValue",
     "expansion_slack",
+    "expansion_slack_pair",
     "geodesic_count",
     "ladder_indices",
     "ladder_mult_count",

@@ -206,7 +206,7 @@ def _cmd_oracle(args):
     started = time.perf_counter()
     graph = _load_graph(args)
     spectrum = adjacency_spectrum(graph)
-    summary = spectral_summary(graph)
+    summary = spectral_summary(graph, spectrum)
     bounds = geodesic_bounds_hold(graph, args.kmax)
     results = {
         "eigenvalues": list(spectrum.values),

@@ -1,12 +1,13 @@
 """Decision procedure: is the normalized nontrivial spectral radius <= 2 + eps?
 
 The test needs only two exact slack values.  For a target accuracy eps,
-pick the even index k = 2*ceil(log(4n-7) / (2*log(1+eps))).  If the slack
-at k or at k+2 is nonnegative, the radius is certified to be at most
-1 + (4n-7)**(1/k) <= 2 + eps.  If both are negative, the ratio of the two
-slacks yields the estimate sqrt(r) + sqrt(1/r), which converges to the
-radius as k grows; the verdict then compares that estimate against
-2 + eps.
+pick the even index k = 2*ceil(log(4n-7) / (2*log(1+eps))); one ladder,
+the one for the odd index k+1, yields the slacks at k and at k+2.  If
+the slack at k or at k+2 is nonnegative, the radius is certified to be
+at most 1 + (4n-7)**(1/k) <= 2 + eps.  If both are negative, the ratio
+of the two slacks yields the estimate sqrt(r) + sqrt(1/r), which
+converges to the radius as k grows; the verdict then compares that
+estimate against 2 + eps.
 
 The estimate can mislead when eps is large (k too small for the ratio to
 have settled), so every report that carries an estimate also carries
@@ -25,7 +26,7 @@ from math import isqrt
 from mpmath import mp
 
 from .graphs import RegularGraph
-from .ladder import SlackValue, expansion_slack, expansion_slacks
+from .ladder import SlackValue, expansion_slack_pair, expansion_slacks
 
 _POWER_OF_TWO = re.compile(r"^2\^(-?\d+)$")
 
@@ -134,17 +135,16 @@ def _decide(slack, slack_next, eps):
 def estimate_expansion(graph, epsilon):
     """Decide whether the normalized nontrivial spectral radius is <= 2 + eps.
 
-    Runs the ladder twice (indices k and k+2 for the derived even k) and
-    decides from exact sign tests; the only floating point in the report
-    is the final estimate.
+    Runs one ladder, which yields the slacks at the derived even k and at
+    k+2, and decides from exact sign tests; the only floating point in
+    the report is the final estimate.
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
     eps = parse_epsilon(epsilon)
     k = required_even_index(graph.n, eps)
     k_next = k + 2
-    slack = expansion_slack(graph, k)
-    slack_next = expansion_slack(graph, k_next)
+    slack, slack_next = expansion_slack_pair(graph, k)
     within, estimate, caveat = _decide(slack, slack_next, eps)
     return EstimateReport(
         epsilon=eps,

@@ -25,16 +25,21 @@ M(j) is a polynomial in the symmetric matrix A, so all of them are
 symmetric, and the last step, which only feeds the trace, is a trace
 contraction trace(X @ Y) = sum(X * Y^T) in O(n^2) operations.  It still
 counts as one product, so a run for index k always counts
-len(ladder_indices(k)) - 1.
+len(ladder_indices(k)) - 1.  The decision procedure needs the traces at
+an even k and at k+2 together; the schedule for k+1 = 2j+1 holds the
+half pair M(j+1), M(j) just before its last step, so one ladder ends
+instead with two trace contractions, the squares M(j)**2 and M(j+1)**2,
+and counts len(ladder_indices(k + 1)) products.
 
 The ladder runs on residues modulo word-size primes, and the Chinese
-remainder theorem rebuilds the one final trace.  The trace is bounded:
+remainder theorem rebuilds each final trace.  The trace is bounded:
 an eigenvalue lam of A has |lam| <= q+1, the matching eigenvalue of M(k)
 is a**k + b**k with a + b = lam and a*b = q, so its modulus is at most
 q**k + 1, and |trace M(k)| <= n (q**k + 1).  The fewest primes whose
 product exceeds 2 n (q**k + 1) determine the trace, lifted into the
-symmetric range.  Residues are float64 values, so each step is one BLAS
-product (dgemm) on a stack of n x n residue matrices, one per prime.
+symmetric range; the run for k and k+2 sizes one prime set for k+2.
+Residues are float64 values, so each step is one BLAS product (dgemm)
+on a stack of n x n residue matrices, one per prime.
 Reduction is delayed: r = x - p*floor(x * (1/p)) leaves r in [-p, 2p),
 so every value a step accumulates is an integer of modulus below
 n (2p)**2 + p, and the primes are chosen from n alone so that this stays
@@ -243,53 +248,119 @@ def _crt(residues, primes):
     return total - modulus if 2 * total > modulus else total
 
 
-def _ladder_block(a, edges, schedule, q, primes, counter, checked):
+def _operands(schedule, i):
+    """Register slots (x, y) whose product builds schedule[i - 1] at step i.
+
+    During step i, slot r holds the matrix for schedule[i + r - 1].  An
+    even target is a square (x == y); an odd target multiplies the half
+    pair (target+1)/2, (target-1)/2, which the schedule keeps adjacent.
+    """
+    target = schedule[i - 1]
+    if target % 2 == 0:
+        x = 1 if target == 2 * schedule[i] else 2
+        return x, x
+    # odd target: schedule ends ..., 2, 1, so i <= steps-3 here
+    x = 2 if target == 2 * schedule[i + 1] - 1 else 1
+    return x, x + 1
+
+
+def _ladder_block(a, edges, schedule, q, primes, finishes, counter, checked):
     """Run the register ladder modulo each prime in ``primes``.
 
     ``edges`` is np.nonzero(a), the positions of the 0/1 matrix A's ones.
 
-    Returns the residues of the final trace, one Python int per prime,
-    and the q-exponent of the final scalar.  The counter (or None) is
-    bumped once per step.
+    Every step but the last forms a matrix.  The last step forms only
+    traces: each finish (x, y) names two register slots of that step, and
+    for M(u), M(v) held there, with |u - v| <= 1 and e = min(u, v), it
+    yields the trace of M(u+v) = M(u) M(v) - q**e M(u-v) as
+    sum(M(u) * M(v)) - q**e trace(M(|u-v|)).  Returns one (residues, e)
+    per finish, the residues one Python int per prime.  The counter (or
+    None) is bumped once per step before the last and once per finish.
     """
     n = a.shape[0]
     p = np.array(primes, dtype=np.float64)[:, None, None]
     inv = 1.0 / p
     diag = np.arange(n)
     # registers: mats[r] holds the residues of the scaled Chebyshev matrix for
-    # schedule[i + r - 1] during iteration i (after the shift); exps[r] is its
+    # schedule[i + r - 1] during step i (after the shift); exps[r] is its
     # scalar's q-exponent.  A's 0/1 entries are their own residues.
     mats = [np.repeat(a[None], len(primes), axis=0), None, None, None]
     exps = [0, 0, 0, 0]
+
+    def exponent(i, x, y):
+        # floor(target / 2), from the operands' exponents
+        return exps[x] + exps[y] + (schedule[i + x - 1] % 2 if x == y else 0)
+
     for i in range(len(schedule) - 1, 0, -1):
         if checked:
             _check_state(schedule[i], mats[0], exps[0], a, q, primes)
         mats[3], mats[2], mats[1] = mats[2], mats[1], mats[0]
         exps[3], exps[2], exps[1] = exps[2], exps[1], exps[0]
-        target = schedule[i - 1]
-        if target % 2 == 0:
-            j = 1 if target == 2 * schedule[i] else 2
-            x = y = mats[j]
-            exps[0] = e = 2 * exps[j] + (schedule[i + j - 1] % 2)
-        else:
-            # odd target: schedule ends ..., 2, 1, so i <= steps-3 here and
-            # registers j, j+1 hold the half pair (target+1)/2, (target-1)/2
-            j = 2 if target == 2 * schedule[i + 1] - 1 else 1
-            x, y = mats[j], mats[j + 1]
-            exps[0] = e = exps[j] + exps[j + 1]
+        if i == 1:
+            break
+        x, y = _operands(schedule, i)
+        exps[0] = e = exponent(i, x, y)
         if counter is not None:
             counter.bump()
         scalar = q**e
-        if i == 1:
-            fix = scalar * (2 * n if target % 2 == 0 else int(a.trace()))
-            sums = _trace_residues(x, y, p, inv)
-            return [(int(s) - fix) % pr for s, pr in zip(sums.tolist(), primes)], e
-        out = np.matmul(x, y)
-        if target % 2 == 0:
+        out = np.matmul(mats[x], mats[y])
+        if x == y:
             out[:, diag, diag] -= [[2 * scalar % pr] for pr in primes]
         else:
             out[:, edges[0], edges[1]] -= [[scalar % pr] for pr in primes]
         mats[0] = _reduce(out, p, inv)
+    results = []
+    for x, y in finishes:
+        if counter is not None:
+            counter.bump()
+        e = exponent(1, x, y)
+        fix = q**e * (2 * n if x == y else int(a.trace()))
+        sums = _trace_residues(mats[x], mats[y], p, inv)
+        results.append(([(int(s) - fix) % pr for s, pr in zip(sums.tolist(), primes)], e))
+    return results
+
+
+def _drive(graph, schedule, finishes, counter, checked):
+    """Run the ladder for ``schedule`` and finish it with ``finishes``.
+
+    Returns one (trace, exponent) per finish (x, y) of
+    :func:`_ladder_block`: the trace of the scaled Chebyshev matrix for
+    index schedule[x] + schedule[y], and the q-exponent floor(index/2) of
+    its scalar.  The schedule needs at least two entries.
+
+    All of it runs modulo the primes of :func:`_moduli` for the largest
+    bound |trace| <= n (q**index + 1) among the finishes, block by
+    block, and each trace's residues are combined once by the CRT.
+    ArithmeticError is raised, before any product, if the primes could
+    not make every step exact or could not determine every trace; each
+    rebuilt trace must lie within its own bound.  Products are counted
+    on ``counter`` once per step, however many prime blocks run it.
+    """
+    q, n = graph.q, graph.n
+    a = graph.adjacency.data.astype(np.float64)
+    indices = [schedule[x] + schedule[y] for x, y in finishes]
+    bound = n * (q ** max(indices) + 1)
+    primes = _moduli(n, bound)
+    _certify(n, bound, primes)
+    per_block = max(1, _BLOCK_ENTRIES // (n * n))
+    edges = np.nonzero(a)
+    residues = [[] for _ in finishes]
+    for start in range(0, len(primes), per_block):
+        block = _ladder_block(a, edges, schedule, q, primes[start:start + per_block], finishes,
+                              counter if start == 0 else None, checked)
+        for acc, (res, _) in zip(residues, block):
+            acc += res
+    out = []
+    # every block ends with the same exponents
+    for index, res, (_, exp) in zip(indices, residues, block):
+        trace = _crt(res, primes)
+        own = n * (q**index + 1)
+        if abs(trace) > own:
+            raise LadderInvariantError(f"trace {trace} at index {index} exceeds its bound {own}")
+        if checked:
+            _check_trace(index, trace, exp, a, q)
+        out.append((trace, exp))
+    return out
 
 
 def _run_ladder(graph, k, counter, checked=False):
@@ -297,18 +368,10 @@ def _run_ladder(graph, k, counter, checked=False):
 
     On return, trace is the trace of the scaled Chebyshev matrix for
     index k and the accompanying scalar is q**exponent with
-    exponent = floor(k/2).  Every step but the last forms a matrix.  The
-    last step forms only the trace: for the operands X, Y of the final
-    identity it returns sum(X * Y^T) - 2 q**e n (even k) or
-    sum(X * Y^T) - q**e trace(A) (odd k), in O(n^2) operations.  That contraction still counts as one product, so
-    exactly len(ladder_indices(k)) - 1 products are counted on
-    ``counter``, once per step however many prime blocks run it.
-
-    All of it runs modulo the primes of :func:`_moduli` for the bound
-    |trace| <= n (q**k + 1), block by block, and the trace residues are
-    combined once by the CRT.  ArithmeticError is raised, before any
-    product, if the primes could not make every step exact or could not
-    determine the trace.
+    exponent = floor(k/2).  The last step of the schedule forms only the
+    trace, in O(n^2) operations (see :func:`_ladder_block`).  That
+    contraction still counts as one product, so exactly
+    len(ladder_indices(k)) - 1 products are counted on ``counter``.
 
     With checked=True, every iteration re-derives the leading register
     from scratch via the three-term recurrence, reduced modulo each
@@ -316,27 +379,34 @@ def _run_ladder(graph, k, counter, checked=False):
     compared with the trace of the recurrence matrix; this costs
     O(k q n^2) extra uncounted work per check.
     """
-    q, n = graph.q, graph.n
     schedule = ladder_indices(k)
-    a = graph.adjacency.data.astype(np.float64)
-    trace, exp = graph.adjacency.trace(), 0  # k = 1 runs no step
-    if len(schedule) > 1:
-        bound = n * (q**k + 1)
-        primes = _moduli(n, bound)
-        _certify(n, bound, primes)
-        per_block = max(1, _BLOCK_ENTRIES // (n * n))
-        edges = np.nonzero(a)
-        residues = []
-        for start in range(0, len(primes), per_block):
-            block, exp = _ladder_block(a, edges, schedule, q, primes[start:start + per_block],
-                                       counter if start == 0 else None, checked)
-            residues += block
-        trace = _crt(residues, primes)
-        if abs(trace) > bound:
-            raise LadderInvariantError(f"trace {trace} at index {k} exceeds its bound {bound}")
-    if checked:
-        _check_trace(schedule[0], trace, exp, a, q)
+    if len(schedule) == 1:  # k = 1 runs no step
+        trace = graph.adjacency.trace()
+        if checked:
+            _check_trace(1, trace, 0, graph.adjacency.data, graph.q)
+        return trace, 0
+    [(trace, exp)] = _drive(graph, schedule, [_operands(schedule, 1)], counter, checked)
     return trace, exp
+
+
+def _run_ladder_pair(graph, k, counter, checked=False):
+    """Traces of the scaled Chebyshev matrices for indices k and k+2, one ladder.
+
+    k must be even and at least 2.  With j = k/2, the schedule for the odd
+    index k+1 = 2j+1 holds the half pair M(j+1), M(j) just before its last
+    step.  Instead of that step, two trace finishes square them:
+    M(2j) = M(j)**2 - 2 q**j I and M(2j+2) = M(j+1)**2 - 2 q**(j+1) I.
+    Returns [(trace_k, exponent), (trace_k+2, exponent)].  Exactly
+    len(ladder_indices(k + 1)) products are counted: one per step before
+    the last and one per finish.  One prime set, sized for index k+2,
+    serves both traces; checked mode verifies every register and both
+    traces.
+    """
+    if k < 2 or k % 2:
+        raise ValueError(f"k must be even and >= 2, got {k}")
+    schedule = ladder_indices(k + 1)
+    # during the last step, slot 1 holds M(j+1) and slot 2 holds M(j)
+    return _drive(graph, schedule, [(2, 2), (1, 1)], counter, checked)
 
 
 def _reference(index, exp, adj_data, q):
@@ -429,6 +499,19 @@ def expansion_slack(graph, k, checked=False):
         raise TypeError("expected a validated RegularGraph")
     trace, _ = _run_ladder(graph, k, MultCounter(), checked=checked)
     return _slack_from_trace(graph, k, trace)
+
+
+def expansion_slack_pair(graph, k, checked=False):
+    """Exact slacks at the even length k and at k+2, from one ladder.
+
+    Equal to (expansion_slack(graph, k), expansion_slack(graph, k + 2)),
+    at about the cost of one of them: both traces come from the half pair
+    of the schedule for k+1.
+    """
+    if not isinstance(graph, RegularGraph):
+        raise TypeError("expected a validated RegularGraph")
+    (trace, _), (trace_next, _) = _run_ladder_pair(graph, k, MultCounter(), checked=checked)
+    return _slack_from_trace(graph, k, trace), _slack_from_trace(graph, k + 2, trace_next)
 
 
 def expansion_slacks(graph, k_max):

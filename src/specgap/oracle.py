@@ -148,8 +148,10 @@ class SpectralSummary:
     nontrivial_radius: float
 
 
-def spectral_summary(graph):
-    spectrum = adjacency_spectrum(graph)
+def spectral_summary(graph, spectrum=None):
+    """Summarise ``spectrum`` (by default, the graph's adjacency spectrum)."""
+    if spectrum is None:
+        spectrum = adjacency_spectrum(graph)
     q = graph.q
     radius = max(abs(lam) for lam in spectrum[1:])
     mu = radius / math.sqrt(q)

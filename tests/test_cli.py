@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import specgap as sg
@@ -119,6 +120,21 @@ def test_oracle_command(capsys):
     assert abs(eigs[0] - 3) < 1e-9 and abs(eigs[-1] + 3) < 1e-9
     assert set(res) == {"eigenvalues", "mu", "spectral_gap", "is_ramanujan",
                         "bounds_hold_up_to", "bounds_hold"}
+
+
+def test_oracle_solves_the_spectrum_once(capsys, monkeypatch):
+    honest = np.linalg.eigvalsh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for name in ("petersen", "utility"):
+        before = len(calls)
+        run_json(capsys, "oracle", "--name", name)
+        assert len(calls) - before == 1, name
 
 
 def test_oracle_degenerate_cycle(capsys):

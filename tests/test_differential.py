@@ -1,7 +1,9 @@
 """Differential tests: three independent routes to the same exact traces.
 
 The Chebyshev ladder (O(log k) products on residues modulo word-size
-primes, trace-only finish, one CRT for the trace), the three-term sweep
+primes, trace-only finish, one CRT for the trace; or one ladder for k+1
+finished with the two squares that give the traces at k and k+2), the
+three-term sweep
 (neighbour-row sums, int64 then Python ints) and trace(W**k) on the
 directed edge matrix must agree on every geodesic-cycle count; where the
 spectrum is integral, the slack must also equal the scalar recomputation
@@ -10,6 +12,7 @@ from the eigenvalues.
 
 import math
 import random
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -19,11 +22,12 @@ from hypothesis import strategies as st
 
 import specgap as sg
 from specgap import ladder
+from specgap.estimator import EstimateReport, _decide, required_even_index
 from specgap.exact import MultCounter
 from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
-    _crt, _moduli, _primes_between, _reduce, _run_ladder, _sweep, chebyshev_sweep,
-    expansion_slacks, geodesic_counts,
+    _crt, _moduli, _primes_between, _reduce, _run_ladder, _run_ladder_pair, _sweep,
+    chebyshev_sweep, expansion_slacks, geodesic_counts,
 )
 from specgap.oracle import exact_slack_from_integer_spectrum
 
@@ -255,3 +259,84 @@ def test_one_prime_per_block_agrees_with_the_oracle(g, k):
     count = sg.geodesic_count_trace(g, k)
     assert expected == (count - g.n * (g.q - 1) if k % 2 == 0 else count), (g.source, k)
     assert counter.count == len(sg.ladder_indices(k)) - 1
+
+
+# ---- one ladder for the pair of traces at k and k+2 ----
+
+
+def _pair_traces(g, k, checked=False):
+    counter = MultCounter()
+    out = _run_ladder_pair(g, k, counter, checked=checked)
+    assert counter.count == len(sg.ladder_indices(k + 1)), (g.source, k)
+    assert [e for _, e in out] == [k // 2, k // 2 + 1]
+    return [trace for trace, _ in out]
+
+
+@settings(max_examples=25, deadline=None)
+@given(regular_graphs(), st.integers(1, 40))
+def test_pair_traces_equal_the_sweep(g, half):
+    k = 2 * half
+    traces = _sweep_traces(g, k + 2)
+    assert _pair_traces(g, k) == [traces[k - 1], traces[k + 1]], (g.source, k)
+    # k = 2: the schedule for 3 is [3, 2, 1], so the finish squares M(1) and M(2)
+    assert _pair_traces(g, 2) == traces[1:4:2], g.source
+    slacks = list(expansion_slacks(g, k + 2))
+    pair = sg.expansion_slack_pair(g, k, checked=True)
+    assert [s.value for s in pair] == [slacks[k - 1].value, slacks[k + 1].value]
+
+
+@settings(max_examples=15, deadline=None)
+@given(regular_graphs(), st.integers(1, 40))
+def test_pair_spans_one_prime_blocks(g, half):
+    k = 2 * half
+    traces = _sweep_traces(g, k + 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ladder, "_BLOCK_ENTRIES", 1)
+        pair = _pair_traces(g, k, checked=True)
+    assert pair == [traces[k - 1], traces[k + 1]], (g.source, k)
+
+
+@settings(max_examples=4, deadline=None)
+@given(multi_block_cases())
+def test_pair_spans_prime_blocks(case):
+    g, k = case
+    k -= k % 2
+    assert len(_moduli(g.n, g.n * (g.q ** (k + 2) + 1))) > ladder._BLOCK_ENTRIES // g.n**2
+    traces = _sweep_traces(g, k + 2)
+    assert _pair_traces(g, k) == [traces[k - 1], traces[k + 1]], (g.source, k)
+
+
+def _table_graphs():
+    return [sg.named_graph(name) for name in ("chvatal", "petersen", "utility")] + [
+        sg.random_regular(24, 2, seed=1), sg.random_regular(20, 3, seed=1)]
+
+
+def test_estimate_equals_two_single_ladders():
+    for g in _table_graphs():
+        for i in range(1, 11):
+            eps = Fraction(1, 2**i)
+            k = required_even_index(g.n, eps)
+            slack, slack_next = sg.expansion_slack(g, k), sg.expansion_slack(g, k + 2)
+            within, estimate, caveat = _decide(slack, slack_next, eps)
+            expected = EstimateReport(eps, k, k + 2, slack, slack_next, within, estimate, caveat)
+            assert sg.estimate_expansion(g, eps) == expected, (g.source, i)
+
+
+def test_estimate_runs_one_ladder(monkeypatch):
+    counters = []
+
+    class Recording(MultCounter):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            counters.append(self)
+
+    monkeypatch.setattr(ladder, "MultCounter", Recording)
+    for g in _table_graphs():
+        for eps in ("2^-3", "2^-8"):
+            counters.clear()
+            k = sg.estimate_expansion(g, eps).k
+            assert len(counters) == 1, (g.source, eps)
+            two = len(sg.ladder_indices(k)) + len(sg.ladder_indices(k + 2)) - 2
+            assert counters[0].count == len(sg.ladder_indices(k + 1)) < two, (g.source, eps)

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
 
 import specgap as sg
 from specgap import ladder
-from specgap.ladder import LadderInvariantError, _check_state, _moduli, _run_ladder
+from specgap.ladder import (
+    LadderInvariantError, _check_state, _moduli, _run_ladder, _run_ladder_pair,
+)
 from specgap.exact import MultCounter, Quadratic
 
 from brute import brute_geodesic_cycles
@@ -61,14 +64,57 @@ def _schedule_structure_ok(k):
     return length == 2 * (k.bit_length() - 1) - low_bit + 1
 
 
+def _schedules_ok(ks, schedules):
+    """_schedule_structure_ok for each k in ks, vectorised over its schedule."""
+    ks = np.asarray(ks, dtype=np.int64)
+    lens = np.fromiter(map(len, schedules), dtype=np.int64, count=len(schedules))
+    flat = np.fromiter(chain.from_iterable(schedules), dtype=np.int64, count=int(lens.sum()))
+    ends = np.cumsum(lens)
+    owner = np.repeat(np.arange(len(ks)), lens)
+    # entries after each position within its own schedule, and the next three
+    left = ends[owner] - np.arange(flat.size) - 1
+    after = [np.concatenate([flat[d:], np.zeros(d, dtype=np.int64)]) for d in (1, 2, 3)]
+    half, hi, lo = flat // 2, (flat + 1) // 2, (flat - 1) // 2
+    halved = ((left >= 1) & (after[0] == half)) | ((left >= 2) & (after[1] == half))
+    paired = ((left >= 2) & (after[0] == hi) & (after[1] == lo)) | (
+        (left >= 3) & (after[1] == hi) & (after[2] == lo))
+    entry_ok = (flat <= 1) | np.where(flat % 2 == 0, halved, paired)
+    ok = (lens > 0) & (np.bincount(owner[~entry_ok], minlength=len(ks)) == 0)
+    first, last = np.minimum(ends - lens, flat.size - 1), np.maximum(ends - 1, 0)
+    ok &= (flat[first] == ks) & (flat[last] == 1)
+    bits = np.frexp(ks.astype(np.float64))[1]  # bit_length, exact below 2**53
+    low_bit = np.frexp((ks & -ks).astype(np.float64))[1] - 1
+    return ok & (lens == 2 * (bits - 1) - low_bit + 1)
+
+
 def test_schedule_structure_small_range():
-    assert all(_schedule_structure_ok(k) for k in range(1, 10_001))
+    ks = range(1, 10_001)
+    assert all(_schedule_structure_ok(k) for k in ks)
+    assert _schedules_ok(ks, [sg.ladder_indices(k) for k in ks]).all()
+
+
+def test_vectorised_structure_check_flags_broken_schedules():
+    broken = {
+        12: [12, 6, 3, 2, 2],          # does not end at 1
+        9: [9, 5, 4, 3, 2, 1],         # 4 is never halved
+        11: [11, 6, 4, 3, 2, 2, 1],    # 11 lacks its half pair (6, 5)
+        6: [6, 3, 2, 1, 1],            # one entry too many for the length formula
+        7: [8, 4, 2, 1],               # does not start at k
+        5: [],
+    }
+    ks = [1, *broken, 13]
+    schedules = [[1], *broken.values(), sg.ladder_indices(13)]
+    assert _schedules_ok(ks, schedules).tolist() == [True] + [False] * len(broken) + [True]
+    assert [_schedule_structure_ok(k) for k in (1, 13)] == [True, True]
 
 
 def test_schedule_structure_to_one_million():
-    # pure-integer scan; halving structure and the length formula
-    bad = [k for k in range(10_001, 1_000_001) if not _schedule_structure_ok(k)]
-    assert bad == []
+    # halving structure and the length formula, in chunks of the k range
+    step = 20_000
+    for lo in range(10_001, 1_000_001, step):
+        ks = range(lo, min(lo + step, 1_000_001))
+        ok = _schedules_ok(ks, list(map(sg.ladder_indices, ks)))
+        assert ok.all(), [k for k, good in zip(ks, ok) if not good][:10]
 
 
 # ---- geodesic counts ----
@@ -229,3 +275,68 @@ def test_checked_mode_covers_the_trace_only_finish(monkeypatch):
     assert wrong != sg.geodesic_count_trace(g, 12) - g.n * (g.q - 1)
     with pytest.raises(LadderInvariantError, match="final trace"):
         _run_ladder(g, 12, MultCounter(), checked=True)
+
+
+def test_pair_needs_an_even_index():
+    g = sg.named_graph("utility")
+    for k in (0, 1, 3):
+        with pytest.raises(ValueError, match="even"):
+            _run_ladder_pair(g, k, MultCounter())
+
+
+# k = 10 runs the schedule for 11, [11, 6, 5, 3, 2, 2, 1], without its last
+# step, and finishes with the squares of M(5) (trace at 10) and of M(6)
+# (trace at 12).  Corrupt one residue of either half before the finish:
+# in the register, where checked mode compares it with the sweep, or in
+# the operand of its finish, where checked mode compares the trace.
+PAIR_FINISHES = [(0, 5), (1, 6)]
+
+
+def _pair(g, checked=False):
+    return [trace for trace, _ in _run_ladder_pair(g, 10, MultCounter(), checked=checked)]
+
+
+@pytest.mark.parametrize("which,index", PAIR_FINISHES)
+def test_checked_mode_covers_both_pair_registers(monkeypatch, which, index):
+    g = sg.named_graph("utility")
+    truth = _pair(g)
+    steps = len(sg.ladder_indices(11)) - 2
+    honest = ladder._reduce
+    made = []
+
+    def corrupted(x, p, inv):
+        out = honest(x, p, inv)
+        if out.ndim == 3:  # a step's matrix stack, not the finish's row sums
+            made.append(1)
+            # the block's last two steps build M(5), then M(6)
+            if len(made) % steps == (steps - 1 + which) % steps:
+                out[0, 0, 0] += 1
+        return out
+
+    monkeypatch.setattr(ladder, "_reduce", corrupted)
+    wrong = _pair(g)
+    assert wrong[which] != truth[which] and wrong[1 - which] == truth[1 - which]
+    with pytest.raises(LadderInvariantError, match=f"register mismatch at index {index} "):
+        _pair(g, checked=True)
+
+
+@pytest.mark.parametrize("which,index", PAIR_FINISHES)
+def test_checked_mode_covers_both_squaring_finishes(monkeypatch, which, index):
+    g = sg.named_graph("utility")
+    truth = _pair(g)
+    honest = ladder._trace_residues
+    calls = []
+
+    def corrupted(x, y, p, inv):
+        calls.append(1)
+        if (len(calls) - 1) % 2 == which:  # finishes run M(5)**2, then M(6)**2
+            x = x.copy()
+            x[0, 0, 0] += 1
+            y = x
+        return honest(x, y, p, inv)
+
+    monkeypatch.setattr(ladder, "_trace_residues", corrupted)
+    wrong = _pair(g)
+    assert wrong[which] != truth[which] and wrong[1 - which] == truth[1 - which]
+    with pytest.raises(LadderInvariantError, match=f"final trace .* at index {2 * index},"):
+        _pair(g, checked=True)

@@ -140,6 +140,15 @@ def test_summary_chvatal():
     assert s.is_ramanujan
 
 
+def test_summary_of_a_given_spectrum():
+    g = sg.named_graph("petersen")
+    spectrum = sg.adjacency_spectrum(g)
+    assert sg.spectral_summary(g, spectrum) == sg.spectral_summary(g)
+    # the summary reads the spectrum it is given
+    shifted = sg.Spectrum((3.0, 2.5) + spectrum.values[2:])
+    assert abs(sg.spectral_summary(g, shifted).nontrivial_radius - 2.5) < 1e-12
+
+
 def test_summary_k4():
     s = sg.spectral_summary(sg.named_graph("complete(4)"))
     assert abs(s.mu - 1 / math.sqrt(2)) < 1e-9
