@@ -7,10 +7,10 @@ that signs can be decided without ever rounding.  Floating point appears
 only in the rendering helpers.
 
 :class:`IntMatrix` products are plain numpy object-dtype products, which
-multiply Python ints directly.  They serve the edge-matrix oracle as an
-independent reference; the Chebyshev ladder in :mod:`specgap.ladder`
-runs on residues modulo word-size primes instead and never forms an
-``IntMatrix`` product.
+multiply Python ints directly.  They now serve only the edge-matrix
+oracle (and the tests) as an independent reference: graphs store their
+adjacency as an int8 array, and the Chebyshev ladder in
+:mod:`specgap.ladder` runs on residues modulo word-size primes.
 """
 
 import math

@@ -2,7 +2,9 @@
 
 Every graph handled by this package is a connected (q+1)-regular simple
 undirected graph on n >= 2 vertices with q >= 1.  Construction always goes
-through :func:`validate`, so downstream code can rely on those facts.
+through :func:`validate`, so downstream code can rely on those facts.  The
+adjacency is stored once, as a read-only C-contiguous ``np.int8`` 0/1
+array, and every check runs on it with numpy.
 
 Edge-list file format (UTF-8 text): lines starting with '#' are comments,
 every data line is "u v" with 0 <= u < v, one undirected edge per line,
@@ -11,11 +13,8 @@ whitespace separated.  The vertex count is inferred as 1 + max index.
 
 import random
 import re
-from collections import deque
 
 import numpy as np
-
-from .exact import IntMatrix
 
 
 class GraphValidationError(ValueError):
@@ -38,7 +37,9 @@ class GraphGenerationError(RuntimeError):
 class RegularGraph:
     """Validated connected (q+1)-regular simple graph with a dense 0/1 adjacency.
 
-    Instances are immutable; build them with :func:`validate`,
+    ``adjacency`` is a read-only C-contiguous ``np.int8`` array; cast it
+    (say, ``astype(np.float64)``) before multiplying, as int8 products
+    overflow.  Instances are immutable; build them with :func:`validate`,
     :func:`named_graph`, :func:`random_regular` or :func:`parse_edge_list`.
     """
 
@@ -56,22 +57,16 @@ class RegularGraph:
 
     def edges(self):
         """Sorted list of undirected edges (u, v) with u < v."""
-        a = self.adjacency.data
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if a[u, v] == 1
-        ]
+        return list(map(tuple, np.argwhere(np.triu(self.adjacency)).tolist()))
 
     def neighbors(self, u):
-        a = self.adjacency.data
-        return [v for v in range(self.n) if a[u, v] == 1]
+        return np.flatnonzero(self.adjacency[u]).tolist()
 
     def __eq__(self, other):
         if not isinstance(other, RegularGraph):
             return NotImplemented
-        return self.n == other.n and self.q == other.q and self.adjacency == other.adjacency
+        return (self.n == other.n and self.q == other.q
+                and np.array_equal(self.adjacency, other.adjacency))
 
     __hash__ = None
 
@@ -79,85 +74,87 @@ class RegularGraph:
         return f"RegularGraph(n={self.n}, degree={self.degree}, source={self.source!r})"
 
 
-def _is_connected(rows, n):
-    seen = [False] * n
+def _is_connected(a, q):
+    """Breadth-first search from vertex 0 over the (n, q+1) neighbour table
+    of the (q+1)-regular 0/1 matrix ``a``, one frontier per level."""
+    n = a.shape[0]
+    table = np.nonzero(a)[1].reshape(n, q + 1)
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in range(n):
-            if rows[u][v] and not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        fresh = np.zeros(n, dtype=bool)
+        fresh[table[frontier]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return bool(seen.all())
 
 
 def validate(candidate, source="validated"):
     """Check a square 0/1 matrix and wrap it as a :class:`RegularGraph`.
 
-    Accepts a list of rows, a numpy array, or an :class:`IntMatrix`.
-    The degree is derived from the first row sum; q = degree - 1.
+    Accepts a list of rows or a numpy array (no longer an ``IntMatrix``).
+    An entry is binary iff it equals 0 or 1 and is not a bool, so bool
+    arrays fail and 0.0/1.0 pass.  Errors name the first offending entry
+    in row-major order.  The degree is the first row sum; q = degree - 1.
+    The graph gets its own read-only int8 copy of the matrix.
     """
-    if isinstance(candidate, IntMatrix):
-        rows = candidate.data.tolist()
-    elif isinstance(candidate, np.ndarray):
+    if isinstance(candidate, np.ndarray):
         if candidate.ndim != 2 or candidate.shape[0] != candidate.shape[1]:
             raise GraphValidationError("not-square", "adjacency matrix must be square")
-        rows = candidate.tolist()
+        n = candidate.shape[0]
+        rows = None if candidate.dtype.kind in "biufc" else candidate.tolist()
     else:
         rows = [list(r) for r in candidate]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise GraphValidationError("not-square", "adjacency matrix must be square")
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise GraphValidationError("not-square", "adjacency matrix must be square")
     if n < 2:
         raise GraphValidationError("too-few-vertices", f"need at least 2 vertices, got {n}")
-    for i in range(n):
-        for j in range(n):
-            v = rows[i][j]
-            if isinstance(v, bool) or v not in (0, 1):
-                raise GraphValidationError(
-                    "not-binary", f"entry ({i},{j}) is {v!r}, expected 0 or 1"
-                )
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise GraphValidationError(
-                "nonzero-diagonal", f"vertex {i} carries a self-loop"
-            )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise GraphValidationError(
-                    "not-symmetric", f"entries ({i},{j}) and ({j},{i}) differ"
-                )
-    degree = sum(rows[0])
-    for i in range(1, n):
-        d = sum(rows[i])
-        if d != degree:
-            raise GraphValidationError(
-                "irregular", f"vertex {i} has degree {d}, vertex 0 has degree {degree}"
-            )
+    if rows is None:
+        # a numpy bool is no more binary than a Python one
+        bad = (candidate != 0) & (candidate != 1) | (candidate.dtype.kind == "b")
+        ones = candidate == 1
+    else:
+        bad = np.array([[isinstance(v, bool) or v not in (0, 1) for v in r] for r in rows])
+        ones = np.array([[v == 1 for v in r] for r in rows])
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        v = candidate[i, j].item() if rows is None else rows[i][j]
+        raise GraphValidationError("not-binary", f"entry ({i},{j}) is {v!r}, expected 0 or 1")
+    a = np.ascontiguousarray(ones, dtype=np.int8)
+    loops = np.flatnonzero(a.diagonal())
+    if loops.size:
+        raise GraphValidationError("nonzero-diagonal", f"vertex {loops[0]} carries a self-loop")
+    asymmetric = np.triu(a != a.T)
+    if asymmetric.any():
+        i, j = np.argwhere(asymmetric)[0].tolist()
+        raise GraphValidationError("not-symmetric", f"entries ({i},{j}) and ({j},{i}) differ")
+    degrees = a.sum(axis=1)
+    degree = int(degrees[0])
+    irregular = np.flatnonzero(degrees != degree)
+    if irregular.size:
+        i = irregular[0]
+        raise GraphValidationError(
+            "irregular", f"vertex {i} has degree {degrees[i]}, vertex 0 has degree {degree}"
+        )
     q = degree - 1
     if q < 1:
         raise GraphValidationError(
             "degree-too-small", f"degree must be at least 2, got {degree}"
         )
-    if not _is_connected(rows, n):
+    if not _is_connected(a, q):
         raise GraphValidationError("disconnected", "graph is not connected")
-    data = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            data[i, j] = int(rows[i][j])
-    return RegularGraph(n, q, IntMatrix(data), source=source)
+    a.flags.writeable = False
+    return RegularGraph(n, q, a, source=source)
 
 
 def _from_edges(n, edges, source):
-    rows = [[0] * n for _ in range(n)]
-    for u, v in edges:
-        rows[u][v] = 1
-        rows[v][u] = 1
-    return validate(rows, source=source)
+    a = np.zeros((n, n), dtype=np.int8)
+    u, v = np.array(edges, dtype=np.intp).T
+    a[u, v] = a[v, u] = 1
+    return validate(a, source=source)
 
 
 def _utility():
@@ -254,17 +251,12 @@ def random_regular(n, q, seed, max_attempts=3000):
     for _ in range(max_attempts):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
-        rows = [[0] * n for _ in range(n)]
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or rows[u][v]:
-                ok = False
-                break
-            rows[u][v] = 1
-            rows[v][u] = 1
-        if ok and _is_connected(rows, n):
-            return validate(rows, source=f"random(n={n}, q={q}, seed={seed})")
+        u, v = np.array(stubs).reshape(-1, 2).T
+        a = np.zeros((n, n), dtype=np.int8)
+        a[u, v] = a[v, u] = 1
+        # a loop or a repeated edge leaves fewer than n*d cells set
+        if np.count_nonzero(a) == n * d and _is_connected(a, q):
+            return validate(a, source=f"random(n={n}, q={q}, seed={seed})")
     raise GraphGenerationError(
         f"no simple connected graph found in {max_attempts} pairing attempts (n={n}, q={q})"
     )

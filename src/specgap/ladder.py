@@ -104,8 +104,8 @@ def ladder_indices(k):
     return out
 
 
-def _sweep(adj_data, q):
-    """Yield M(0), M(1), M(2), ... for the symmetric 0/1 matrix adj_data.
+def _sweep(adj, q):
+    """Yield M(0), M(1), M(2), ... for the symmetric 0/1 matrix adj.
 
     Each step is M(j+1) = A M(j) - q M(j-1), with A M(j) summed from the
     q+1 neighbour rows of each row.  Entries stay int64 while the bound
@@ -113,7 +113,7 @@ def _sweep(adj_data, q):
     2**62, then move to Python ints (object dtype) for good.  Yields raw
     arrays, int64 or object; they must not be modified.
     """
-    a = np.asarray(adj_data, dtype=np.int64)
+    a = np.asarray(adj, dtype=np.int64)
     n = a.shape[0]
     # neighbours[c, i] is the c-th neighbour of row i
     neighbours = np.nonzero(a)[1].reshape(n, q + 1).T
@@ -148,7 +148,7 @@ def chebyshev_sweep(graph):
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    for m in islice(_sweep(graph.adjacency.data, graph.q), 1, None):
+    for m in islice(_sweep(graph.adjacency, graph.q), 1, None):
         yield _exact_trace(m)
 
 
@@ -337,7 +337,7 @@ def _drive(graph, schedule, finishes, counter, checked):
     on ``counter`` once per step, however many prime blocks run it.
     """
     q, n = graph.q, graph.n
-    a = graph.adjacency.data.astype(np.float64)
+    a = graph.adjacency.astype(np.float64)
     indices = [schedule[x] + schedule[y] for x, y in finishes]
     bound = n * (q ** max(indices) + 1)
     primes = _moduli(n, bound)
@@ -381,9 +381,9 @@ def _run_ladder(graph, k, counter, checked=False):
     """
     schedule = ladder_indices(k)
     if len(schedule) == 1:  # k = 1 runs no step
-        trace = graph.adjacency.trace()
+        trace = int(graph.adjacency.trace())
         if checked:
-            _check_trace(1, trace, 0, graph.adjacency.data, graph.q)
+            _check_trace(1, trace, 0, graph.adjacency, graph.q)
         return trace, 0
     [(trace, exp)] = _drive(graph, schedule, [_operands(schedule, 1)], counter, checked)
     return trace, exp
@@ -409,24 +409,24 @@ def _run_ladder_pair(graph, k, counter, checked=False):
     return _drive(graph, schedule, [(2, 2), (1, 1)], counter, checked)
 
 
-def _reference(index, exp, adj_data, q):
+def _reference(index, exp, adj, q):
     """M(index) read off the sweep, after checking the scalar exponent."""
     if exp != index // 2:
         raise LadderInvariantError(
             f"scalar exponent {exp} at index {index}, expected {index // 2}"
         )
-    return next(islice(_sweep(adj_data, q), index, None))
+    return next(islice(_sweep(adj, q), index, None))
 
 
-def _check_state(index, stack, exp, adj_data, q, primes):
-    expect = _reference(index, exp, adj_data, q)
+def _check_state(index, stack, exp, adj, q, primes):
+    expect = _reference(index, exp, adj, q)
     for residues, p in zip(stack, primes):
         if not np.array_equal(residues.astype(np.int64) % p, (expect % p).astype(np.int64)):
             raise LadderInvariantError(f"register mismatch at index {index} modulo {p}")
 
 
-def _check_trace(index, trace, exp, adj_data, q):
-    expect = _exact_trace(_reference(index, exp, adj_data, q))
+def _check_trace(index, trace, exp, adj, q):
+    expect = _exact_trace(_reference(index, exp, adj, q))
     if trace != expect:
         raise LadderInvariantError(
             f"final trace {trace} at index {index}, expected {expect}"

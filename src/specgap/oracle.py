@@ -117,7 +117,7 @@ def adjacency_spectrum(graph):
     converge.
     """
     try:
-        ascending = np.linalg.eigvalsh(graph.adjacency.data.astype(np.float64))
+        ascending = np.linalg.eigvalsh(graph.adjacency.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigvalsh failed: {exc}") from exc
     return Spectrum(tuple(ascending[::-1].tolist()))

@@ -144,7 +144,7 @@ def test_int64_boundary(name, k):
     assert len(_moduli(g.n, g.n * (g.q**k + 1))) > 1
     trace = _ladder_trace(g, k)
 
-    dtypes = [m.dtype for m in islice(_sweep(g.adjacency.data, g.q), k + 1)]
+    dtypes = [m.dtype for m in islice(_sweep(g.adjacency, g.q), k + 1)]
     switch = dtypes.index(np.dtype(object))
     assert all(d == np.int64 for d in dtypes[:switch]) and set(dtypes[switch:]) == {np.dtype(object)}
 

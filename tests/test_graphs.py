@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import specgap as sg
 from specgap import graphs
 from specgap.graphs import GraphValidationError
+
+from conftest import RANDOM_SPECS
 
 
 def _reason(excinfo):
@@ -19,12 +23,25 @@ def test_validate_utility():
     assert (g.n, g.q) == (6, 2)
 
 
-def test_validate_accepts_numpy_and_intmatrix():
+def test_validate_accepts_numpy_and_own_adjacency():
     g = sg.named_graph("cube")
     assert (g.n, g.q) == (8, 2)
-    again = sg.validate(np.array(g.adjacency.data.tolist()))
+    again = sg.validate(np.array(g.adjacency.tolist()))
     assert again == g
     assert sg.validate(g.adjacency) == g
+
+
+def test_adjacency_is_read_only_int8():
+    g = sg.named_graph("petersen")
+    assert g.adjacency.dtype == np.int8
+    assert g.adjacency.flags.c_contiguous and not g.adjacency.flags.writeable
+    with pytest.raises(ValueError):
+        g.adjacency[0, 1] = 0
+    # validate copies: the caller's array stays writable and unshared
+    rows = np.array(g.adjacency, dtype=np.int64)
+    h = sg.validate(rows)
+    rows[0, 1] = 0
+    assert h == g and rows.flags.writeable
 
 
 def test_path_graph_is_irregular():
@@ -34,30 +51,102 @@ def test_path_graph_is_irregular():
     assert _reason(e) == "irregular"
 
 
-@pytest.mark.parametrize(
-    "rows,reason",
-    [
-        ([[0, 1], [1, 0]], "degree-too-small"),
-        ([[1]], "too-few-vertices"),
-        ([[0, 1, 1], [1, 0, 1], [0, 1, 0]], "not-symmetric"),
-        ([[1, 1, 0], [1, 0, 1], [0, 1, 1]], "nonzero-diagonal"),
-        ([[0, 2, 0], [2, 0, 0], [0, 0, 0]], "not-binary"),
-        ([[0, 1], [1, 0], [0, 0]], "not-square"),
-    ],
-)
+def _two_triangles():
+    rows = [[0] * 6 for _ in range(6)]
+    for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
+        rows[a][b] = rows[b][a] = 1
+    return rows
+
+
+_REASON_CASES = [
+    ([[0, 1], [1, 0]], "degree-too-small"),
+    ([[1]], "too-few-vertices"),
+    ([[0, 1, 1], [1, 0, 1], [0, 1, 0]], "not-symmetric"),
+    ([[1, 1, 0], [1, 0, 1], [0, 1, 1]], "nonzero-diagonal"),
+    ([[0, 2, 0], [2, 0, 0], [0, 0, 0]], "not-binary"),
+    ([[0, 1], [1, 0], [0, 0]], "not-square"),
+    ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], "irregular"),
+    (_two_triangles(), "disconnected"),
+]
+
+# a Python bool is not binary, though numpy would read it as 1
+_TRUE_TRIANGLE = [[0, True, True], [True, 0, True], [True, True, 0]]
+
+
+@pytest.mark.parametrize("rows,reason", _REASON_CASES + [(_TRUE_TRIANGLE, "not-binary")])
 def test_validation_reasons(rows, reason):
     with pytest.raises(GraphValidationError) as e:
         sg.validate(rows)
     assert _reason(e) == reason
 
 
-def test_disconnected_rejected():
-    # two disjoint triangles
-    rows = [[0] * 6 for _ in range(6)]
-    for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
-        rows[a][b] = rows[b][a] = 1
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64, bool])
+@pytest.mark.parametrize("rows,reason", _REASON_CASES)
+def test_validation_reasons_numpy(rows, reason, dtype):
+    # a bool array is never binary, whatever its shape allows
+    if dtype is bool and reason not in ("not-square", "too-few-vertices"):
+        reason = "not-binary"
     with pytest.raises(GraphValidationError) as e:
-        sg.validate(rows)
+        sg.validate(np.array(rows, dtype=dtype))
+    assert _reason(e) == reason
+
+
+def test_validation_accepts_float_entries():
+    g = sg.named_graph("utility")
+    assert sg.validate(np.array(g.adjacency, dtype=np.float64)) == g
+    assert sg.validate([[float(v) for v in r] for r in g.adjacency.tolist()]) == g
+
+
+@pytest.mark.parametrize(
+    "candidate,message",
+    [
+        ([[0, 1, 1], [1, 0, -1], [1, 2, 0]], "entry (1,2) is -1, expected 0 or 1"),
+        (np.array([[0, 1, 1], [1, 0, 3], [1, 2, 0]], dtype=np.int8), "entry (1,2) is 3, expected 0 or 1"),
+        (np.array([[0, 1, 1], [1, 0, 1], [1, 0.5, 0]]), "entry (2,1) is 0.5, expected 0 or 1"),
+        (np.ones((3, 3), dtype=bool), "entry (0,0) is True, expected 0 or 1"),
+        ([[0, 1, 1], [1, 0, 1], [1, True, 0]], "entry (2,1) is True, expected 0 or 1"),
+        (np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 0]]),
+         "entries (1,2) and (2,1) differ"),
+        (np.array([[0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 1], [1, 0, 1, 0]], dtype=np.int8),
+         "vertex 1 has degree 2, vertex 0 has degree 3"),
+    ],
+)
+def test_validation_names_first_offender(candidate, message):
+    with pytest.raises(GraphValidationError) as e:
+        sg.validate(candidate)
+    assert str(e.value) == message
+
+
+def test_disconnected_rejected():
+    with pytest.raises(GraphValidationError) as e:
+        sg.validate(_two_triangles())
+    assert _reason(e) == "disconnected"
+
+
+def _cycle_edges(k, offset=0):
+    return [(offset + i, offset + i + 1) for i in range(k - 1)] + [(offset, offset + k - 1)]
+
+
+def test_deep_bfs_long_cycle_is_connected():
+    g = sg.named_graph("cycle(2000)")
+    assert (g.n, g.q) == (2000, 1)
+    assert g.neighbors(1000) == [999, 1001]
+
+
+def test_deep_bfs_two_long_cycles_are_disconnected():
+    a = np.zeros((2000, 2000), dtype=np.int8)
+    u, v = np.array(_cycle_edges(1000) + _cycle_edges(1000, 1000)).T
+    a[u, v] = a[v, u] = 1
+    with pytest.raises(GraphValidationError) as e:
+        sg.validate(a)
+    assert _reason(e) == "disconnected"
+
+
+def test_disconnected_edge_list_rejected():
+    edges = sorted(_cycle_edges(300) + _cycle_edges(300, 300))
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    with pytest.raises(GraphValidationError) as e:
+        sg.parse_edge_list(text)
     assert _reason(e) == "disconnected"
 
 
@@ -84,7 +173,7 @@ def test_unknown_name():
 
 def test_corpus_structural_invariants(corpus):
     for g in corpus:
-        data = g.adjacency.data
+        data = g.adjacency
         for i in range(g.n):
             assert data[i, i] == 0
             assert sum(data[i, j] for j in range(g.n)) == g.degree
@@ -105,6 +194,31 @@ def test_random_regular_deterministic():
     assert a == b
     c = sg.random_regular(12, 2, seed=43)
     assert a != c or a.edges() == c.edges()
+
+
+# SHA-256 of write_edge_list(random_regular(n, q, seed)), frozen from the
+# list-based generator; the frozen-seed corpus relies on these graphs
+_PINNED_DIGESTS = {
+    (8, 1, 11): "3f6df0a3cb4d2be4059a6c8c69ae64c729f70c38ce7c6e1e2f274da30faed4fa",
+    (10, 2, 3): "5f27be367d3ec42150faba5bb11d88a6375bbf07f43204ed509dfdb2813eb2b7",
+    (12, 2, 5): "9d31a0e468e549938fc733da0abed405f5c1025a977c8ced6536e40a7fbe4e2c",
+    (14, 3, 2): "80b6ef87a99288586651abbb280f577b1a30ad393b58677140574e78ecf2f5c4",
+    (9, 3, 4): "19aacad48b2ea48a4f59e8e7dea3d62394bc5317b747142341d4eae995f21537",
+    (14, 1, 9): "2b3dc04f23a851935c849ca81a32f14e421c621446c298dbcbd80a28495b5a06",
+    (60, 2, 1): "9651eb8bf07dc2a0f8ad0c400d87b26da319035f3b8c77da804c0bedc6b5ebe0",
+    (100, 2, 7): "3a10d1cfe199d12543f2ae6a518fd8f3fe443c56325bb94e51b02bdad1fe7c4a",
+    (50, 4, 3): "fcd90dea211b81fb1cbe8c41d07dc88f3ffa260594e53d3458c56cbe779749c7",
+}
+
+
+def test_pinned_digests_cover_the_corpus():
+    assert set(RANDOM_SPECS) <= set(_PINNED_DIGESTS)
+
+
+@pytest.mark.parametrize("spec", list(_PINNED_DIGESTS), ids=str)
+def test_random_regular_is_pinned(spec):
+    text = sg.write_edge_list(sg.random_regular(*spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_DIGESTS[spec]
 
 
 def test_random_regular_parity_error():

@@ -244,7 +244,7 @@ def test_checked_mode_detects_corrupt_state():
     g = sg.named_graph("chvatal")
     primes = _moduli(g.n, g.n * (g.q**60 + 1))
     assert len(primes) > 1
-    a = g.adjacency.data.astype(np.float64)
+    a = g.adjacency.astype(np.float64)
     stack = np.repeat(a[None], len(primes), axis=0)  # residues of M(1) = A
     with pytest.raises(LadderInvariantError, match="exponent"):
         _check_state(4, stack, 1, a, g.q, primes)

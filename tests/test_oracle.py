@@ -108,6 +108,14 @@ def test_spectrum_invariants(corpus):
         assert abs(sum(v * v for v in spec.values) - g.n * (g.q + 1)) < 1e-8
 
 
+def test_spectrum_is_bit_identical_to_eigvalsh_on_the_edges(corpus):
+    for g in corpus:
+        a = np.zeros((g.n, g.n))
+        for u, v in g.edges():
+            a[u, v] = a[v, u] = 1.0
+        assert sg.adjacency_spectrum(g).values == tuple(np.linalg.eigvalsh(a)[::-1].tolist())
+
+
 def test_lapack_failure_is_an_eigensolver_error(monkeypatch, capsys):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
