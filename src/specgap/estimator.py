@@ -18,17 +18,19 @@ slack proves the radius exceeds 2, while an all-nonnegative prefix is
 evidence, not proof, that the graph is Ramanujan-quality.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-
-from mpmath import mp
 
 from .graphs import RegularGraph
 from .ladder import SlackValue, expansion_slack_pair, expansion_slacks
 
 _POWER_OF_TWO = re.compile(r"^2\^(-?\d+)$")
+# required_even_index refuses a larger t: no ladder could run at such an
+# index, and below it the float guess (good to about 2**-50 relative) leaves
+# the exact search a few dozen comparisons at most
+_MAX_HALF_INDEX = 2**62
 
 
 def parse_epsilon(value):
@@ -55,12 +57,59 @@ def parse_epsilon(value):
     return eps
 
 
-def required_even_index(n, epsilon):
-    """k = 2*ceil(log(4n-7) / (2*log(1+eps))), reproducibly.
+def _truncate(lo, hi, shift, bits):
+    # drop low bits from both bounds: lo rounds down, hi rounds up
+    d = max(0, hi.bit_length() - bits)
+    return lo >> d, -(-hi >> d), shift + d
 
-    Evaluated at 60 decimal digits; if the ratio lands within 1e-9 of an
-    integer the evaluation is redone at 240 digits before taking the
-    ceiling, so the result does not depend on floating-point luck.
+
+def _power_bounds(x, e, bits):
+    """(lo, hi, s) with lo * 2**s <= x**e <= hi * 2**s, for integers x >= 1, e >= 0.
+
+    Square-and-multiply on lower and upper bounds kept to about ``bits``
+    bits; once ``bits`` covers x**e, lo == hi == x**e and s == 0.
+    """
+    lo = hi = 1
+    shift = 0
+    base_lo = base_hi = x
+    base_shift = 0
+    while True:
+        if e & 1:
+            lo, hi, shift = _truncate(lo * base_lo, hi * base_hi, shift + base_shift, bits)
+        e >>= 1
+        if not e:
+            return lo, hi, shift
+        base_lo, base_hi, base_shift = _truncate(
+            base_lo * base_lo, base_hi * base_hi, 2 * base_shift, bits
+        )
+
+
+def _at_least(num, den, e, a):
+    """Whether num**e >= a * den**e, from integer bounds on both powers.
+
+    Bounds of 64 bits settle it unless the two sides nearly agree; each
+    retry doubles the bits, and once the bits cover the powers the bounds
+    are the powers themselves, so the answer is always exact.
+    """
+    bits = 64
+    while True:
+        n_lo, n_hi, n_shift = _power_bounds(num, e, bits)
+        d_lo, d_hi, d_shift = _power_bounds(den, e, bits)
+        low = min(n_shift, d_shift)
+        if n_lo << (n_shift - low) >= a * d_hi << (d_shift - low):
+            return True
+        if n_hi << (n_shift - low) < a * d_lo << (d_shift - low):
+            return False
+        bits *= 2
+
+
+def required_even_index(n, epsilon):
+    """k = 2*ceil(log(4n-7) / (2*log(1+eps))), exactly.
+
+    That is k = 2t for the least integer t >= 0 with (1+eps)**(2t) >= 4n-7.
+    A float logarithm guesses t; integer comparisons of num**(2t) with
+    (4n-7) * den**(2t), where 1+eps = num/den, then bracket and bisect
+    to the least t that passes, so the result does not depend on rounding.
     """
     a = 4 * n - 7
     if a < 1:
@@ -68,16 +117,31 @@ def required_even_index(n, epsilon):
     eps = parse_epsilon(epsilon)
     num, den = (1 + eps).numerator, (1 + eps).denominator
 
-    def _ratio(dps):
-        with mp.workdps(dps):
-            x = mp.log(a) / (2 * (mp.log(num) - mp.log(den)))
-            near = abs(x - mp.nint(x)) < mp.mpf("1e-9")
-            return int(mp.ceil(x)), near
+    def reaches(t):
+        return t >= 0 and _at_least(num, den, 2 * t, a)
 
-    t, near_integer = _ratio(60)
-    if near_integer:
-        t, _ = _ratio(240)
-    return 2 * t
+    try:
+        rate = math.log1p(eps)
+    except OverflowError:  # eps beyond the float range: t is 0 or 1
+        rate = math.inf
+    ratio = math.log(a) / (2 * rate) if rate > 0 else math.inf
+    if ratio > _MAX_HALF_INDEX:
+        raise ValueError(f"epsilon {eps} is too small: the index would exceed 2**63")
+    guess = math.ceil(ratio)
+    # gallop to a bracket, reaches(high) and not reaches(low), then bisect
+    low, high, step = guess - 1, guess, 1
+    while not reaches(high):
+        low, high, step = high, high + step, 2 * step
+    step = 1
+    while reaches(low):
+        low, high, step = low - step, low, 2 * step
+    while high - low > 1:
+        mid = (low + high) // 2
+        if reaches(mid):
+            high = mid
+        else:
+            low = mid
+    return 2 * high
 
 
 def slack_ratio_estimate(first, second):
@@ -91,7 +155,7 @@ def slack_ratio_estimate(first, second):
         raise ValueError("slack ratio must be positive (both values negative)")
     a, b = r.numerator, r.denominator
     # sqrt(r) + sqrt(1/r) == (a+b)/sqrt(a*b)
-    root = isqrt((a * b) << 120)
+    root = math.isqrt((a * b) << 120)
     return float(Fraction((a + b) << 60, root))
 
 

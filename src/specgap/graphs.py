@@ -1,10 +1,11 @@
 """Connected regular simple graphs: validation, named examples, generation, IO.
 
 Every graph handled by this package is a connected (q+1)-regular simple
-undirected graph on n >= 2 vertices with q >= 1.  Construction always goes
-through :func:`validate`, so downstream code can rely on those facts.  The
-adjacency is stored once, as a read-only C-contiguous ``np.int8`` 0/1
-array, and every check runs on it with numpy.
+undirected graph on 2 <= n <= MAX_VERTICES vertices with q >= 1.
+Construction always goes through :func:`validate`, so downstream code
+can rely on those facts.  The adjacency is stored once, as a read-only
+C-contiguous ``np.int8`` 0/1 array, and every check runs on it with
+numpy.
 
 Edge-list file format (UTF-8 text): lines starting with '#' are comments,
 every data line is "u v" with 0 <= u < v, one undirected edge per line,
@@ -16,18 +17,30 @@ import re
 
 import numpy as np
 
+# the most vertices a graph may have: its dense adjacency and the ladder's
+# residue stacks grow with n**2, so larger requests are refused up front
+MAX_VERTICES = 2**13
+
 
 class GraphValidationError(ValueError):
     """Raised when a candidate adjacency matrix is not a valid graph.
 
     ``reason`` is a stable machine-readable code, one of: not-square,
     not-binary, not-symmetric, nonzero-diagonal, irregular, disconnected,
-    too-few-vertices, degree-too-small.
+    too-few-vertices, too-many-vertices, degree-too-small.
     """
 
     def __init__(self, reason, message):
         super().__init__(message)
         self.reason = reason
+
+
+def _check_order(n):
+    """Refuse a vertex count above MAX_VERTICES, before anything of size n**2 exists."""
+    if n > MAX_VERTICES:
+        raise GraphValidationError(
+            "too-many-vertices", f"{n} vertices exceed the limit of {MAX_VERTICES}"
+        )
 
 
 class GraphGenerationError(RuntimeError):
@@ -98,16 +111,20 @@ def validate(candidate, source="validated"):
     An entry is binary iff it equals 0 or 1 and is not a bool, so bool
     arrays fail and 0.0/1.0 pass.  Errors name the first offending entry
     in row-major order.  The degree is the first row sum; q = degree - 1.
-    The graph gets its own read-only int8 copy of the matrix.
+    The graph gets its own read-only int8 copy of the matrix.  More than
+    MAX_VERTICES vertices are refused (too-many-vertices) before any
+    n x n array is made.
     """
     if isinstance(candidate, np.ndarray):
         if candidate.ndim != 2 or candidate.shape[0] != candidate.shape[1]:
             raise GraphValidationError("not-square", "adjacency matrix must be square")
         n = candidate.shape[0]
+        _check_order(n)
         rows = None if candidate.dtype.kind in "biufc" else candidate.tolist()
     else:
         rows = [list(r) for r in candidate]
         n = len(rows)
+        _check_order(n)
         if any(len(r) != n for r in rows):
             raise GraphValidationError("not-square", "adjacency matrix must be square")
     if n < 2:
@@ -151,6 +168,7 @@ def validate(candidate, source="validated"):
 
 
 def _from_edges(n, edges, source):
+    _check_order(n)
     a = np.zeros((n, n), dtype=np.int8)
     u, v = np.array(edges, dtype=np.intp).T
     a[u, v] = a[v, u] = 1
@@ -198,12 +216,14 @@ def _complete(k):
         raise GraphValidationError(
             "degree-too-small", f"complete({k}) is not at least 2-regular"
         )
+    _check_order(k)
     return _from_edges(k, [(u, v) for u in range(k) for v in range(u + 1, k)], f"complete({k})")
 
 
 def _cycle(k):
     if k < 3:
         raise GraphValidationError("too-few-vertices", f"cycle({k}) needs k >= 3")
+    _check_order(k)
     edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
     return _from_edges(k, edges, f"cycle({k})")
 
@@ -247,6 +267,7 @@ def random_regular(n, q, seed, max_attempts=3000):
         raise ValueError(f"need n >= q+2 = {q + 2} for a simple {d}-regular graph, got n={n}")
     if (n * d) % 2 != 0:
         raise ValueError(f"n*(q+1) = {n * d} is odd; no {d}-regular graph on {n} vertices")
+    _check_order(n)
     rng = random.Random(seed)
     for _ in range(max_attempts):
         stubs = [v for v in range(n) for _ in range(d)]

@@ -32,22 +32,71 @@ instead with two trace contractions, the squares M(j)**2 and M(j+1)**2,
 and counts len(ladder_indices(k + 1)) products.
 
 The ladder runs on residues modulo word-size primes, and the Chinese
-remainder theorem rebuilds each final trace.  The trace is bounded:
-an eigenvalue lam of A has |lam| <= q+1, the matching eigenvalue of M(k)
-is a**k + b**k with a + b = lam and a*b = q, so its modulus is at most
-q**k + 1, and |trace M(k)| <= n (q**k + 1).  The fewest primes whose
-product exceeds 2 n (q**k + 1) determine the trace, lifted into the
-symmetric range; the run for k and k+2 sizes one prime set for k+2.
-Residues are float64 values, so each step is one BLAS product (dgemm)
-on a stack of n x n residue matrices, one per prime.
-Reduction is delayed: r = x - p*floor(x * (1/p)) leaves r in [-p, 2p),
-so every value a step accumulates is an integer of modulus below
-n (2p)**2 + p, and the primes are chosen from n alone so that this stays
-below 2**53, where float64 arithmetic on integers is exact.  Both
-inequalities are checked before anything is computed.  The primes run
-in blocks of 2**14 // n**2 (at least one), so one stack holds at most
-2**14 entries unless a single n x n matrix is larger; a step keeps about
-five stacks alive, so the working set stays near 640 KiB.
+remainder theorem rebuilds each final trace.
+
+Bounds.  An eigenvalue lam of A has |lam| <= q+1.  The matching
+eigenvalue of M(t) is a**t + b**t with a + b = lam and a*b = q.  If
+|lam| <= 2 sqrt(q), then |a| = |b| = sqrt(q) and its modulus is at most
+2 q**(t/2) <= q**t + 1.  Otherwise a and b are real of one sign, and the
+larger modulus x = |a| satisfies x + q/x = |lam| <= q + 1, so
+sqrt(q) <= x <= q; x**t + (q/x)**t grows on that range, so the modulus
+is again at most q**t + 1.  Hence |trace M(t)| <= n (q**t + 1), and, M(t)
+being symmetric, every entry satisfies |M(t)_uv| <= ||M(t)||_2 <= q**t + 1.
+
+Primes.  The fewest primes, largest first below a limit set by n, whose
+product exceeds 2 n (q**k + 1) determine the trace at index k, lifted
+into the symmetric range; the run for k and k+2 sizes one set for k+2.
+The ladder itself never needs that many: every matrix it forms is M(t)
+with t at most top, the larger operand index of the finishes (ceil(k/2)
+for one k, j+1 for the pair), so the ladder runs on the shortest prefix
+of the set whose product exceeds 4 (q**top + 1), about half the primes,
+rounded up to whole prime blocks.  A request whose primes all fit in one
+block extends to nothing.  Nor does one where extending would cost more
+multiply-adds than it saves: one extended prime costs about r n(n+1)
+per operand for a prefix of r primes, one laddered prime n**3 per step,
+so the prefix may hold at most steps n**2 / ((n+1) operands) primes.
+That keeps small graphs at small eps, where the prefix runs to hundreds
+of primes, on the whole set.
+
+Products.  Residues are float64 values, so each step is one BLAS product
+(dgemm) on a stack of n x n residue matrices, one per prime.  Reduction
+is delayed: r = x - p*floor(x * (1/p)) leaves r in [-p, 2p), so every
+value a step accumulates is an integer of modulus below n (2p)**2 + p,
+and the prime limit keeps that below 2**53, where float64 arithmetic on
+integers is exact.  Each step's scalar correction, 2 q**e I or q**e A,
+comes from residues of q**e built once for all the ladder's primes
+(:func:`_scalars`).  The primes run in blocks of 2**14 // n**2 (at least
+one), so one stack holds at most 2**14 entries unless a single n x n
+matrix is larger; a step keeps about five stacks alive, so the working
+set stays near 640 KiB.
+
+Storage.  At its last step each block writes the canonical residues, in
+[0, p), of every distinct finish operand's upper triangle (M(t) is
+symmetric) into an int32 array of n(n+1)/2 entries per ladder prime,
+zero-padded to whole rows of n entries; a square stores its operand once.
+That is 2 n**2 bytes per ladder prime and operand: 1.4 MiB for the pair
+at n = 100 with 35 ladder primes.
+
+Base extension.  With P the product of the r ladder primes p_i and v_i
+an operand entry x modulo p_i, y_i = v_i (P/p_i)**-1 mod p_i gives
+sum_i y_i P/p_i = x + alpha P, so sum_i y_i/p_i = alpha + x/P with
+|x/P| < 1/4.  The wrap count alpha is read off in fixed point,
+sum_i y_i floor(2**s/p_i) < r 2**s, with 2**s >= 8 sum_i p_i so that the
+truncation stays below 1/8; a fractional part outside the window that
+leaves raises LadderInvariantError.  Then x mod e = sum_i y_i (P/p_i mod
+e) - alpha (P mod e) for every other prime e of the set, one dgemm of y
+with the high and low halves of the constants P/p_i mod e (Shenoy and
+Kumaresan, IEEE Trans. Computers 1989; Kawamura et al., EUROCRYPT
+2000).  Every float64 value stays an exact integer below 2**53;
+:func:`_certify` checks the bounds that ensure it, and the ladder runs
+on the whole set where they fail.
+
+Finish.  For every prime, the finish for operands X, Y contracts
+trace(X @ Y) = sum(w X Y) over the triangle, with weight w = 1 on the
+diagonal and 2 above it, in rows of n entries.  The triangle runs in
+chunks of about 2**14 residues, each extended and contracted at once,
+so the extended residues are never stored.  One CRT per trace follows,
+on weights built once for all traces of the run.
 
 Consumers that want every k in 1..K use one sweep of the three-term
 recurrence M(j+1) = A M(j) - q M(j-1) instead (:func:`chebyshev_sweep`).
@@ -210,12 +259,57 @@ def _moduli(n, bound):
         width *= 4
 
 
-def _certify(n, bound, primes):
-    """Raise unless the moduli make every step exact and determine the trace."""
+def _ladder_size(primes, entry, per_block, most):
+    """How many of ``primes`` the ladder runs on.
+
+    The shortest prefix whose product exceeds 4*entry, rounded up to
+    whole blocks of ``per_block`` primes; the whole set if that leaves
+    nothing to extend to, if the prefix is longer than ``most`` (the
+    extension would cost more than it saves), or if the base extension
+    would not be exact.
+    """
+    size, product = 0, 1
+    while size < len(primes) and product <= 4 * entry:
+        product *= primes[size]
+        size += 1
+    size = min(len(primes), -(-size // per_block) * per_block)
+    return size if size <= most and _extension_bits(primes, size) else len(primes)
+
+
+def _extension_bits(primes, size):
+    """(s, h) for extending from primes[:size] to the rest; None if inexact.
+
+    The wrap count is read off sum_i y_i floor(2**s / p_i), with 2**s the
+    least power of two at or above 8 sum_i p_i; the cofactors P/p_i mod e
+    are split at bit h, half the bits of the largest prime of the set.
+    Extending from r primes keeps every float64 value an exact integer
+    below 2**53 if (r + 1) 2**s <= 2**53 (the wrap sum plus a half) and
+    r 2**h max(primes) <= 2**53 (the dgemm of y with either half of the
+    cofactors); otherwise None.  With nothing to extend to, (0, 0).
+    """
+    if size == len(primes):
+        return 0, 0
+    s = (8 * sum(primes[:size]) - 1).bit_length()
+    h = (max(primes).bit_length() + 1) // 2
+    if (size + 1) << s > _EXACT or (size * max(primes)) << h > _EXACT:
+        return None
+    return s, h
+
+
+def _certify(n, bound, primes, entry, size):
+    """Raise unless the moduli make every step exact and determine the trace.
+
+    The ladder's primes[:size] must also determine every operand entry,
+    bounded by ``entry``, with the margin the base extension needs.
+    """
     if any(n * (2 * p) ** 2 + p >= _EXACT for p in primes):
         raise ArithmeticError(f"a modulus is too large for exact products of order {n}")
     if math.prod(primes) <= 2 * bound:
         raise ArithmeticError(f"moduli do not determine a trace bounded by {bound}")
+    if math.prod(primes[:size]) <= 4 * entry:
+        raise ArithmeticError(f"ladder moduli do not determine entries bounded by {entry}")
+    if _extension_bits(primes, size) is None:
+        raise ArithmeticError(f"base extension from {size} moduli would not be exact")
 
 
 def _reduce(x, p, inv):
@@ -227,25 +321,141 @@ def _reduce(x, p, inv):
     return x
 
 
-def _trace_residues(x, y, p, inv):
-    """Per prime, an integer congruent to trace(X @ Y) mod p.
+def _canonical(x, p, inv):
+    """x mod p in place, into [0, p); x holds integers below 2**51 in modulus.
 
-    Ladder residues are symmetric mod p, so trace(X @ Y) = sum(X * Y).
-    Row sums stay below n (2p)**2, and after one reduction their sum
-    stays below 2pn, so every value is exact.
+    (x + 1/2)/p lies at least 1/(2p) from every integer, and for
+    |x| < 2**51 the rounding errors of (x + 1/2) * fl(1/p) stay below
+    that, so its floor is exact.
     """
-    return _reduce(np.einsum("bij,bij->bi", x, y), p[:, :, 0], inv[:, :, 0]).sum(axis=1)
+    t = x + 0.5
+    t *= inv
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
 
 
-def _crt(residues, primes):
-    """The integer in (-P/2, P/2] congruent to each residue, P = prod(primes)."""
+def _scan(x, m):
+    """Running products down the rows of x modulo m, in O(log len(x)) steps.
+
+    x holds int64 residues below m, with m < 2**26 broadcast along the
+    rows, so every product is below 2**52.
+    """
+    x = x.copy()
+    d = 1
+    while d < len(x):
+        x[d:] = x[d:] * x[:-d] % m
+        d *= 2
+    return x
+
+
+def _extender(primes, size, inverses, width):
+    """Base extension from the ladder's primes[:size] to primes[size:].
+
+    ``inverses`` holds (Q/p)**-1 mod p for each prime p of the set, Q the
+    product of all of them (the CRT's).  Returns extend(v): v is a
+    (size, m) float64 array, m <= ``width``, of the canonical residues of
+    m integers x with |x| < P/4, P = prod(primes[:size]), and extend(v)
+    is the (len(primes) - size, m) float64 array of their canonical
+    residues modulo each extension prime.  It raises LadderInvariantError
+    if some x breaks that bound so far that the wrap count's fractional
+    part leaves its window.  Needs _extension_bits(primes, size) to be
+    (s, h), not None.
+
+    The constants: the cofactors P/p_i modulo each extension prime e come
+    from running products of p_i mod e taken from either end, in
+    O(log size) vectorised int64 steps (:func:`_scan`), and P mod e is
+    the last running product; (P/p_i)**-1 = (Q/p_i)**-1 (Q/P) mod p_i.
+    In extend, with r = size and every prime below p_max < 2**26:
+    v (P/p_i)**-1 < p_max**2 < 2**52; the wrap sum plus a half is below
+    (r + 1) 2**s; each half of the cofactors' hi/lo split is below 2**h
+    and y below p_max, so the dgemm sums to below r 2**h p_max;
+    :func:`_extension_bits` checks these two.  After the reduction the
+    recombination stays below (2**(h+1) + r + 3) p_max, under 2**40.
+    """
+    s, h = _extension_bits(primes, size)
+    ladder = np.array(primes[:size], dtype=np.int64)
+    others = np.array(primes[size:], dtype=np.int64)
+    rest = math.prod(primes[size:])
+    inv = [i * (rest % p) % p for i, p in zip(inverses, primes[:size])]
+    # P/p_i mod e, from running products of p_i mod e from either end
+    factors = ladder[:, None] % others
+    prefix, suffix = _scan(factors, others), _scan(factors[::-1], others)[::-1]
+    cofactor = np.ones_like(factors)
+    cofactor[1:] = prefix[:-1]
+    cofactor[:-1] = cofactor[:-1] * suffix[1:] % others
+    # the cofactors' high and low halves, stacked: one dgemm with y gives
+    # both partial sums
+    basis = np.concatenate((cofactor.T >> h, cofactor.T & ((1 << h) - 1))).astype(np.float64)
+    wrap = prefix[-1].astype(np.float64)[:, None]  # P mod e
+    fraction = ((1 << s) // ladder).astype(np.float64)  # floor(2**s / p_i)
+
+    def full(column):
+        # elementwise steps run fastest on operands of one contiguous shape
+        return np.ascontiguousarray(np.broadcast_to(np.array(column, dtype=np.float64)[:, None],
+                                                    (len(column), width)))
+
+    inv, lp, ep = full(inv), full(ladder), full(others)
+    ep2 = np.concatenate((ep, ep))
+    linv, einv, einv2 = 1.0 / lp, 1.0 / ep, 1.0 / ep2
+    one, half, split = 2.0**s, 2.0 ** (s - 1), 2.0**h
+    count = len(others)
+    # |x|/P < 1/4 and a truncation below 2**(s-3) keep the fractional part
+    # of the wrap sum plus a half strictly inside (2**(s-3), 3 * 2**(s-2))
+    low, high = 2.0 ** (s - 3), 3 * 2.0 ** (s - 2)
+
+    def extend(v):
+        m = v.shape[1]
+        y = _canonical(v * inv[:, :m], lp[:, :m], linv[:, :m])
+        t = fraction @ y + half
+        alpha = np.floor(t * (1.0 / one))
+        t -= alpha * one
+        if ((t <= low) | (t >= high)).any():
+            raise LadderInvariantError(
+                "an operand entry lies outside the bound its moduli were sized for"
+            )
+        halves = _reduce(basis @ y, ep2[:, :m], einv2[:, :m])
+        z = halves[:count] * split
+        z += halves[count:]
+        z -= alpha * wrap
+        return _canonical(z, ep[:, :m], einv[:, :m])
+
+    return extend
+
+
+def _contract(x, y, w, p, inv):
+    """Per prime, an integer congruent to sum(w * x * y) mod p.
+
+    x, y are (primes, g * n) canonical residues and w is (g, n), 1 on the
+    triangle's diagonal, 2 above it and 0 in its padding.  Each row of n
+    products sums to below 2 n p**2 < n (2p)**2, and after one reduction
+    the g row sums stay below 2gp, so every value is exact.
+    """
+    g, n = w.shape
+    rows = np.einsum("igc,igc,gc->ig", x.reshape(-1, g, n), y.reshape(-1, g, n), w)
+    return _reduce(rows, p, inv).sum(axis=1)
+
+
+def _crt_basis(primes):
+    """Q = prod(primes) and, per prime p, the cofactor Q/p and (Q/p)**-1 mod p."""
     modulus = math.prod(primes)
-    total = 0
-    for r, p in zip(residues, primes):
-        rest = modulus // p
-        total += r * rest * pow(rest, -1, p)
-    total %= modulus
-    return total - modulus if 2 * total > modulus else total
+    cofactors = [modulus // p for p in primes]
+    return modulus, cofactors, [pow(c, -1, p) for c, p in zip(cofactors, primes)]
+
+
+def _crt(rows, primes, basis):
+    """Per row of residues, the integer in (-Q/2, Q/2] congruent to each.
+
+    ``basis`` is _crt_basis(primes), built once for all rows.
+    """
+    modulus, cofactors, inverses = basis
+    out = []
+    for residues in rows:
+        total = sum(r * i % p * c for r, p, c, i in zip(residues, primes, cofactors, inverses))
+        total %= modulus
+        out.append(total - modulus if 2 * total > modulus else total)
+    return out
 
 
 def _operands(schedule, i):
@@ -264,102 +474,194 @@ def _operands(schedule, i):
     return x, x + 1
 
 
-def _ladder_block(a, edges, schedule, q, primes, finishes, counter, checked):
+def _exponent(schedule, exps, i, x, y):
+    """floor(target / 2) for the product of slots x, y at step i, from their exponents."""
+    return exps[x] + exps[y] + (schedule[i + x - 1] % 2 if x == y else 0)
+
+
+def _scalars(schedule, q, primes):
+    """The scalar corrections of the ladder's steps, modulo each prime.
+
+    Runs the register file on q-exponents and on the residues of the
+    scalars q**e, vectorised over ``primes`` in int64.  Returns
+    (steps, exps): steps[i], for each step i that forms a matrix, is
+    (e, c) with e the q-exponent of the scalar made at step i and c the
+    canonical residues of what that step subtracts, 2 q**e for a square
+    and q**e otherwise; exps are the registers' exponents at the last
+    step.  Every product is below p * max(p, q), far below 2**63.
+    """
+    p = np.array(primes, dtype=np.int64)
+    exps = [0, 0, 0, 0]
+    pows = [np.ones(len(primes), dtype=np.int64), None, None, None]
+    steps = {}
+    for i in range(len(schedule) - 1, 1, -1):
+        exps[3], exps[2], exps[1] = exps[2], exps[1], exps[0]
+        pows[3], pows[2], pows[1] = pows[2], pows[1], pows[0]
+        x, y = _operands(schedule, i)
+        exps[0] = e = _exponent(schedule, exps, i, x, y)
+        pows[0] = pows[x] * pows[y] % p
+        if e > exps[x] + exps[y]:
+            pows[0] = pows[0] * q % p
+        steps[i] = e, (2 * pows[0] % p if x == y else pows[0])
+    exps[3], exps[2], exps[1] = exps[2], exps[1], exps[0]
+    return steps, exps
+
+
+def _ladder_block(a, edges, schedule, q, primes, steps, out, triangle, counter, checked):
     """Run the register ladder modulo each prime in ``primes``.
 
-    ``edges`` is np.nonzero(a), the positions of the 0/1 matrix A's ones.
-
-    Every step but the last forms a matrix.  The last step forms only
-    traces: each finish (x, y) names two register slots of that step, and
-    for M(u), M(v) held there, with |u - v| <= 1 and e = min(u, v), it
-    yields the trace of M(u+v) = M(u) M(v) - q**e M(u-v) as
-    sum(M(u) * M(v)) - q**e trace(M(|u-v|)).  Returns one (residues, e)
-    per finish, the residues one Python int per prime.  The counter (or
-    None) is bumped once per step before the last and once per finish.
+    ``edges`` is np.nonzero(a), the positions of the 0/1 matrix A's ones,
+    and ``steps`` gives each step's scalar exponent and correction
+    residues for these primes (:func:`_scalars`).  Every step but the
+    last forms a matrix.  At the last step, for each register slot x in
+    ``out``, the canonical residues of the upper triangle (``triangle``,
+    its row and column indices in row-major order) of the matrix it
+    holds are written into out[x], an int32 (len(primes), >= n(n+1)/2)
+    array.  The counter (or None) is bumped once per step before the
+    last.
     """
-    n = a.shape[0]
     p = np.array(primes, dtype=np.float64)[:, None, None]
     inv = 1.0 / p
-    diag = np.arange(n)
+    diag = np.arange(a.shape[0])
     # registers: mats[r] holds the residues of the scaled Chebyshev matrix for
-    # schedule[i + r - 1] during step i (after the shift); exps[r] is its
-    # scalar's q-exponent.  A's 0/1 entries are their own residues.
+    # schedule[i + r - 1] during step i (after the shift); made is the
+    # q-exponent of mats[0]'s scalar.  A's 0/1 entries are their own residues.
     mats = [np.repeat(a[None], len(primes), axis=0), None, None, None]
-    exps = [0, 0, 0, 0]
-
-    def exponent(i, x, y):
-        # floor(target / 2), from the operands' exponents
-        return exps[x] + exps[y] + (schedule[i + x - 1] % 2 if x == y else 0)
-
+    made = 0
     for i in range(len(schedule) - 1, 0, -1):
         if checked:
-            _check_state(schedule[i], mats[0], exps[0], a, q, primes)
+            _check_state(schedule[i], mats[0], made, a, q, primes)
         mats[3], mats[2], mats[1] = mats[2], mats[1], mats[0]
-        exps[3], exps[2], exps[1] = exps[2], exps[1], exps[0]
         if i == 1:
             break
         x, y = _operands(schedule, i)
-        exps[0] = e = exponent(i, x, y)
+        made, correction = steps[i]
         if counter is not None:
             counter.bump()
-        scalar = q**e
-        out = np.matmul(mats[x], mats[y])
+        step = np.matmul(mats[x], mats[y])
         if x == y:
-            out[:, diag, diag] -= [[2 * scalar % pr] for pr in primes]
+            step[:, diag, diag] -= correction[:, None]
         else:
-            out[:, edges[0], edges[1]] -= [[scalar % pr] for pr in primes]
-        mats[0] = _reduce(out, p, inv)
-    results = []
-    for x, y in finishes:
-        if counter is not None:
-            counter.bump()
-        e = exponent(1, x, y)
-        fix = q**e * (2 * n if x == y else int(a.trace()))
-        sums = _trace_residues(mats[x], mats[y], p, inv)
-        results.append(([(int(s) - fix) % pr for s, pr in zip(sums.tolist(), primes)], e))
-    return results
+            step[:, edges[0], edges[1]] -= correction[:, None]
+        mats[0] = _reduce(step, p, inv)
+    for x, store in out.items():
+        upper = mats[x][:, triangle[0], triangle[1]]
+        store[:, :upper.shape[1]] = _canonical(upper, p[:, :, 0], inv[:, :, 0])
+
+
+def _finish(store, finishes, primes, size, weights, inverses, references):
+    """Per finish (x, y), per prime, an integer congruent to trace(X @ Y).
+
+    ``store`` maps each slot to the int32 triangles of its operand modulo
+    primes[:size], in rows of n entries, and ``weights`` is the (rows, n)
+    contraction weight.  Row groups of about _BLOCK_ENTRIES residues run
+    in turn: each is extended to primes[size:] (``inverses`` as for
+    :func:`_extender`), checked against ``references`` (slot -> padded
+    triangle of the sweep's matrix) when given, and contracted for every
+    prime.  Returns one float64 array of integers below 2**51 per finish.
+    """
+    p = np.array(primes, dtype=np.float64)[:, None]
+    inv = 1.0 / p
+    rows, n = weights.shape
+    group = max(1, _BLOCK_ENTRIES // (len(primes) * n))
+    extend = _extender(primes, size, inverses, group * n) if size < len(primes) else None
+    extension = np.array(primes[size:], dtype=np.int64)[:, None]
+    totals = [np.zeros(len(primes)) for _ in finishes]
+    for start in range(0, rows, group):
+        cols = slice(start * n, (start + group) * n)
+        chunk = {}
+        for x, tri in store.items():
+            chunk[x] = v = tri[:, cols].astype(np.float64)
+            if extend is None:
+                continue
+            z = extend(v)
+            if references is not None:
+                bad = np.flatnonzero((z != references[x][cols] % extension).any(axis=1))
+                if bad.size:
+                    raise LadderInvariantError(
+                        f"extended residue mismatch in slot {x} modulo {primes[size + bad[0]]}"
+                    )
+            chunk[x] = np.concatenate((v, z))
+        for total, (x, y) in zip(totals, finishes):
+            total += _contract(chunk[x], chunk[y], weights[start:start + group], p, inv)
+    return totals
 
 
 def _drive(graph, schedule, finishes, counter, checked):
     """Run the ladder for ``schedule`` and finish it with ``finishes``.
 
-    Returns one (trace, exponent) per finish (x, y) of
-    :func:`_ladder_block`: the trace of the scaled Chebyshev matrix for
-    index schedule[x] + schedule[y], and the q-exponent floor(index/2) of
-    its scalar.  The schedule needs at least two entries.
+    Returns one (trace, exponent) per finish (x, y), a pair of register
+    slots at the last step: the trace of the scaled Chebyshev matrix for
+    index schedule[x] + schedule[y] (M(u) M(v) - q**e M(u - v) with
+    |u - v| <= 1 and e = min(u, v)), and the q-exponent floor(index/2)
+    of its scalar.  The schedule needs at least two entries.
 
-    All of it runs modulo the primes of :func:`_moduli` for the largest
-    bound |trace| <= n (q**index + 1) among the finishes, block by
-    block, and each trace's residues are combined once by the CRT.
+    The traces are determined modulo the primes of :func:`_moduli` for
+    the largest bound |trace| <= n (q**index + 1) among the finishes.
+    The ladder runs, block by block, on the prefix of them that
+    :func:`_ladder_size` picks for the largest operand index; the
+    finish extends the operands to the other primes, contracts every
+    trace modulo all of them, and one CRT per trace follows.
     ArithmeticError is raised, before any product, if the primes could
-    not make every step exact or could not determine every trace; each
-    rebuilt trace must lie within its own bound.  Products are counted
-    on ``counter`` once per step, however many prime blocks run it.
+    not make every step exact or could not determine every trace and
+    operand entry; each rebuilt trace must lie within its own bound.
+    Products are counted on ``counter`` once per step, however many
+    prime blocks run it, and once per finish.
     """
     q, n = graph.q, graph.n
     a = graph.adjacency.astype(np.float64)
     indices = [schedule[x] + schedule[y] for x, y in finishes]
     bound = n * (q ** max(indices) + 1)
     primes = _moduli(n, bound)
-    _certify(n, bound, primes)
     per_block = max(1, _BLOCK_ENTRIES // (n * n))
+    slots = sorted({x for finish in finishes for x in finish})
+    entry = q ** max(schedule[x] for x in slots) + 1
+    # extending one prime from r costs 2 r n(n+1)/2 multiply-adds per operand
+    # (the dgemm with both halves of the cofactors); the ladder spends n**3 per
+    # prime and step it forms, so extend only when that saves work
+    most = (len(schedule) - 2) * n**2 // ((n + 1) * len(slots))
+    size = _ladder_size(primes, entry, per_block, most)
+    _certify(n, bound, primes, entry, size)
+    # the operands' upper triangles, zero-padded to whole rows of n entries
+    upper = np.arange(n)
+    triangle = np.nonzero(upper[:, None] <= upper)
+    width = n * ((n + 2) // 2)
+    store = {x: np.zeros((size, width), dtype=np.int32) for x in slots}
     edges = np.nonzero(a)
-    residues = [[] for _ in finishes]
-    for start in range(0, len(primes), per_block):
-        block = _ladder_block(a, edges, schedule, q, primes[start:start + per_block], finishes,
-                              counter if start == 0 else None, checked)
-        for acc, (res, _) in zip(residues, block):
-            acc += res
+    steps, exps = _scalars(schedule, q, primes[:size])
+    for start in range(0, size, per_block):
+        block = slice(start, start + per_block)
+        _ladder_block(a, edges, schedule, q, primes[block],
+                      {i: (e, c[block]) for i, (e, c) in steps.items()},
+                      {x: tri[block] for x, tri in store.items()}, triangle,
+                      counter if start == 0 else None, checked)
+    references = None
+    if checked:
+        references = {}
+        for x in slots:
+            upper = _reference(schedule[x], exps[x], graph.adjacency, q)[triangle]
+            references[x] = np.zeros(width, dtype=upper.dtype)
+            references[x][:upper.size] = upper
+    weights = np.zeros(width)
+    weights[:len(triangle[0])] = 2.0 - (triangle[0] == triangle[1])
+    basis = _crt_basis(primes)
+    totals = _finish(store, finishes, primes, size, weights.reshape(-1, n), basis[2], references)
+    exponents, rows = [], []
+    for (x, y), total in zip(finishes, totals):
+        if counter is not None:
+            counter.bump()
+        e = _exponent(schedule, exps, 1, x, y)
+        fix = q**e * (2 * n if x == y else int(a.trace()))
+        exponents.append(e)
+        rows.append([(int(t) - fix % p) % p for t, p in zip(total.tolist(), primes)])
     out = []
-    # every block ends with the same exponents
-    for index, res, (_, exp) in zip(indices, residues, block):
-        trace = _crt(res, primes)
+    for index, e, trace in zip(indices, exponents, _crt(rows, primes, basis)):
         own = n * (q**index + 1)
         if abs(trace) > own:
             raise LadderInvariantError(f"trace {trace} at index {index} exceeds its bound {own}")
         if checked:
-            _check_trace(index, trace, exp, a, q)
-        out.append((trace, exp))
+            _check_trace(index, trace, e, a, q)
+        out.append((trace, e))
     return out
 
 

@@ -26,7 +26,8 @@ from specgap.estimator import EstimateReport, _decide, required_even_index
 from specgap.exact import MultCounter
 from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
-    _crt, _moduli, _primes_between, _reduce, _run_ladder, _run_ladder_pair, _sweep,
+    LadderInvariantError, _canonical, _certify, _crt, _crt_basis, _extender, _extension_bits,
+    _ladder_size, _moduli, _primes_between, _reduce, _run_ladder, _run_ladder_pair, _sweep,
     chebyshev_sweep, expansion_slacks, geodesic_counts,
 )
 from specgap.oracle import exact_slack_from_integer_spectrum
@@ -183,6 +184,20 @@ def test_moduli_are_exact_and_determine_the_trace(n):
             assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
             # pairwise coprime, as the CRT needs
             assert all(math.gcd(p, math.prod(primes[:i])) == 1 for i, p in enumerate(primes))
+            # the ladder's prefix: the fewest primes, in whole blocks, that
+            # pin down every operand entry with the extension's margin
+            entry = q ** ((k + 1) // 2) + 1
+            for per_block in (1, max(1, 2**14 // n**2)):
+                size = _ladder_size(primes, entry, per_block, len(primes))
+                _certify(n, bound, primes, entry, size)
+                fewest = next(i for i in range(1, len(primes) + 1)
+                              if math.prod(primes[:i]) > 4 * entry)
+                assert math.prod(primes[:fewest - 1]) <= 4 * entry
+                assert size == len(primes) or size == -(-fewest // per_block) * per_block
+                if size < len(primes):
+                    s, h = _extension_bits(primes, size)
+                    assert 2**s >= 8 * sum(primes[:size]) > 2 ** (s - 1)
+                    assert (size + 1) * 2**s <= 2**53 and size * 2**h * primes[0] <= 2**53
 
 
 def test_reduction_is_exact_at_the_accumulation_bound():
@@ -202,7 +217,7 @@ def test_crt_lifts_into_the_symmetric_range():
     primes = _moduli(20, 2**100)
     half = math.prod(primes) // 2
     for value in (0, 1, -1, 2**100, -(2**100), half, -half + 1):
-        assert _crt([value % p for p in primes], primes) == value
+        assert _crt([[value % p for p in primes]], primes, _crt_basis(primes)) == [value]
 
 
 def test_a_modulus_set_one_prime_short_raises(monkeypatch):
@@ -215,6 +230,15 @@ def test_a_modulus_set_one_prime_short_raises(monkeypatch):
     # a modulus above the exactness limit is refused as well
     monkeypatch.setattr(ladder, "_moduli", lambda n, bound: [2**26 + 15] + honest(n, bound))
     with pytest.raises(ArithmeticError, match="too large"):
+        _run_ladder(g, 131, MultCounter())
+    monkeypatch.setattr(ladder, "_moduli", honest)
+    # a ladder prefix one prime short of the operands' entries is refused
+
+    def short(primes, entry, per_block, most):
+        return next(i for i in range(len(primes)) if math.prod(primes[:i + 1]) > 4 * entry)
+
+    monkeypatch.setattr(ladder, "_ladder_size", short)
+    with pytest.raises(ArithmeticError, match="ladder moduli do not determine entries"):
         _run_ladder(g, 131, MultCounter())
 
 
@@ -340,3 +364,156 @@ def test_estimate_runs_one_ladder(monkeypatch):
             assert len(counters) == 1, (g.source, eps)
             two = len(sg.ladder_indices(k)) + len(sg.ladder_indices(k + 2)) - 2
             assert counters[0].count == len(sg.ladder_indices(k + 1)) < two, (g.source, eps)
+
+
+# ---- base extension from the ladder's primes to the trace's ----
+
+
+def _extension_case(n, q, t):
+    """Primes for traces of index 2t at order n, and the ladder's prefix for entries of index t."""
+    primes = _moduli(n, n * (q ** (2 * t) + 1))
+    entry = q**t + 1
+    return primes, _ladder_size(primes, entry, 1, len(primes)), entry
+
+
+def _extend(primes, size, values):
+    extend = _extender(primes, size, _crt_basis(primes)[2], len(values))
+    ladder_primes = np.array(primes[:size], dtype=np.int64)[:, None]
+    v = (np.array(values, dtype=object)[None, :] % ladder_primes).astype(np.float64)
+    return extend(v)
+
+
+@pytest.mark.parametrize("n", [3, 150, 4096])
+def test_extension_is_exact_across_the_entry_bound(n):
+    rng = random.Random(n)
+    for q, t in ((2, 200), (3, 90), (7, 40)):
+        primes, size, bound = _extension_case(n, q, t)
+        assert 1 < size < len(primes)
+        values = [-bound, -bound + 1, -1, 0, 1, bound - 1, bound]
+        values += [rng.randint(-bound, bound) for _ in range(40)]
+        z = _extend(primes, size, values)
+        for row, e in zip(z.tolist(), primes[size:]):
+            assert row == [v % e for v in values], (n, q, t, e)
+
+
+def test_extension_is_exact_at_the_wrap_sum_bound():
+    # the largest ladder prefix whose wrap sum (r + 1) 2**s stays within
+    # 2**53, at the largest primes there are (n = 3); the dgemm bound
+    # r 2**h p_max is far looser there
+    primes = _moduli(3, 2**140_000)
+    low, high = 1, len(primes) - 1
+    assert _extension_bits(primes, low) and not _extension_bits(primes, high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if _extension_bits(primes, mid) else (low, mid)
+    size = low
+    primes = primes[:size + 3]
+    s, h = _extension_bits(primes, size)
+    assert (size + 1) * 2**s <= 2**53 and _extension_bits(primes, size + 1) is None
+    assert 4 * size * 2**h * primes[0] <= 2**53
+    limit = (math.prod(primes[:size]) - 1) // 4  # the largest |x| < P/4
+    rng = random.Random(7)
+    # every value costs size big-integer residues, so only a few
+    values = [-limit, -1, 0, 1, limit, rng.randint(-limit, limit)]
+    z = _extend(primes, size, values)
+    for row, e in zip(z.tolist(), primes[size:]):
+        assert row == [v % e for v in values]
+
+
+def test_wrap_guard_raises_outside_the_bound():
+    primes, size, _ = _extension_case(150, 2, 200)
+    modulus = math.prod(primes[:size])
+    for x in (modulus // 2, -(modulus // 2), 3 * modulus // 8 + 1, -(3 * modulus // 8) - 1):
+        with pytest.raises(LadderInvariantError, match="outside the bound"):
+            _extend(primes, size, [0, 1, x])
+    # just inside |x| < P/4 the extension is still exact
+    values = [0, 1, modulus // 4 - 1, -(modulus // 4) + 1]
+    z = _extend(primes, size, values)
+    for row, e in zip(z.tolist(), primes[size:]):
+        assert row == [v % e for v in values]
+
+
+def test_canonical_reduction_is_exact_at_its_bound():
+    for n in (3, 150, 4096):
+        p = _moduli(n, 1)[0]
+        top = 2**51 - 1
+        values = [0, 1, -1, p - 1, p, -p, 2 * p - 1, -2 * p, top, -top, top - top % p, p * p - 1]
+        # multiples of p, where a plain floor(x * (1/p)) can land one low
+        values += [s * m * p + d for m in range(1, 65) for s in (1, -1) for d in (-1, 0, 1)]
+        x = np.array(values, dtype=np.float64)
+        assert x.tolist() == values
+        r = _canonical(x.copy(), p, 1.0 / p)
+        assert r.tolist() == [v % p for v in values], n
+
+
+@settings(max_examples=20, deadline=None)
+@given(regular_graphs(), st.integers(1, 70), st.booleans())
+def test_extended_ladders_equal_the_sweep(g, k, one_prime_blocks):
+    # one-prime blocks make the ladder's prefix short of the trace's set
+    # whenever q > 1 and k is large enough; checked mode compares every
+    # extended residue with the sweep as well
+    traces = _sweep_traces(g, 2 * k + 2)
+    with pytest.MonkeyPatch.context() as mp:
+        if one_prime_blocks:
+            mp.setattr(ladder, "_BLOCK_ENTRIES", 1)
+        trace, _ = _run_ladder(g, k, MultCounter(), checked=True)
+        pair = _pair_traces(g, 2 * k, checked=True)
+    assert trace == traces[k - 1], (g.source, k)
+    assert pair == [traces[2 * k - 1], traces[2 * k + 1]], (g.source, k)
+
+
+@pytest.mark.parametrize("name", ["utility", "cube", "petersen", "cycle(7)"])
+def test_extension_sets_empty_and_not(name, monkeypatch):
+    # bipartite (utility, cube), odd girth (petersen) and q = 1 (a cycle,
+    # whose entries never need a second prime); blocks of one prime
+    g = sg.named_graph(name)
+    monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
+    honest, calls = ladder._extender, []
+
+    def spy(*args):
+        calls.append(1)
+        return honest(*args)
+
+    monkeypatch.setattr(ladder, "_extender", spy)
+    traces = _sweep_traces(g, 124)
+    extended = set()
+    for k in (2, 6, 20, 60, 100, 122):
+        calls.clear()
+        assert _pair_traces(g, k, checked=True) == [traces[k - 1], traces[k + 1]], (name, k)
+        extended.add(bool(calls))
+        for j in (k - 1, k):
+            assert _run_ladder(g, j, MultCounter(), checked=True)[0] == traces[j - 1], (name, j)
+    assert extended == ({False} if g.q == 1 else {False, True}), name
+
+
+def _ladder_runs(monkeypatch, g, eps):
+    """(blocks, extensions) one estimate runs."""
+    counts = {"_ladder_block": 0, "_extender": 0}
+    for name in counts:
+        honest = getattr(ladder, name)
+
+        def counted(*args, name=name, honest=honest):
+            counts[name] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(ladder, name, counted)
+    sg.estimate_expansion(g, eps)
+    monkeypatch.undo()
+    return counts["_ladder_block"], counts["_extender"]
+
+
+def test_extension_halves_the_deep_estimates(monkeypatch):
+    # the benchmark's estimate-deep requests: half the parent's ladder
+    # blocks (16, 70, 10, 7), then one extension each
+    for (n, q, eps), blocks in zip(
+        [(60, 2, "2^-8"), (100, 2, "2^-8"), (150, 2, "2^-5"), (60, 3, "2^-6")], [8, 35, 5, 4]
+    ):
+        assert _ladder_runs(monkeypatch, sg.random_regular(n, q, seed=1), eps) == (blocks, 1)
+
+
+def test_extension_is_skipped_where_it_would_cost_more(monkeypatch):
+    # chvatal at eps 2^-12: 1018 primes in blocks of 113 and 25 steps; one
+    # prime extended from the 565 of five blocks would take about
+    # 2 * 565 * 78 multiply-adds per operand, one laddered prime 25 * 12**3
+    g = sg.named_graph("chvatal")
+    assert _ladder_runs(monkeypatch, g, "2^-12") == (10, 0)

@@ -50,6 +50,36 @@ def test_required_index_matches_exact_ceiling():
             assert sg.required_even_index(n, eps) == _exact_required_k(n, eps), (n, j)
 
 
+def test_required_index_is_the_least_passing_index_down_to_2_pow_minus_14():
+    # the defining inequalities, checked exactly; _exact_required_k's
+    # loop would take too long at these sizes
+    for n in (3, 6, 20, 150, 1000, 4096):
+        a = 4 * n - 7
+        for j in range(0, 15):
+            eps = Fraction(1, 2**j)
+            k = sg.required_even_index(n, eps)
+            b2 = (1 + eps) ** 2
+            assert k % 2 == 0 and k >= 2
+            assert b2 ** (k // 2) >= a > b2 ** (k // 2 - 1), (n, j)
+            assert abs(k / 2 - math.log(a) / (2 * math.log1p(eps))) < 1, (n, j)
+
+
+def test_required_index_on_exact_powers_and_odd_epsilons():
+    # (1+eps)**(2t) == 4n-7 exactly: 9**1 == 4*4-7 and 9**2 == 4*22-7
+    assert sg.required_even_index(4, Fraction(2)) == 2
+    assert sg.required_even_index(22, 2) == 4
+    for n in (3, 9, 60):
+        for eps in (Fraction(1, 3), Fraction(5, 7), Fraction(10, 11), 0.1, "0.01", "1e400"):
+            assert sg.required_even_index(n, eps) == _exact_required_k(n, sg.parse_epsilon(eps))
+
+
+def test_required_index_refuses_an_epsilon_past_any_ladder():
+    with pytest.raises(ValueError, match="too small"):
+        sg.required_even_index(6, "1e-30")
+    with pytest.raises(ValueError, match="too small"):
+        sg.required_even_index(6, Fraction(1, 10**400))
+
+
 def test_required_index_rejects_tiny_graphs():
     with pytest.raises(ValueError):
         sg.required_even_index(1, Fraction(1, 2))

@@ -1,4 +1,6 @@
 import hashlib
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,3 +288,64 @@ def test_parsed_graph_still_validated():
     # K4 minus an edge parses but is irregular
     with pytest.raises(GraphValidationError):
         sg.parse_edge_list("0 1\n0 2\n1 2\n1 3\n2 3\n")
+
+
+# ---- the vertex cap ----
+
+
+def test_vertex_cap_refuses_a_long_cycle_edge_list_at_once():
+    n = 10**5
+    text = "".join(f"{i} {i + 1}\n" for i in range(n - 1)) + f"0 {n - 1}\n"
+    message = f"{n} vertices exceed the limit of {graphs.MAX_VERTICES}"
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        sg.parse_edge_list(text)
+    assert time.perf_counter() - started < 1.0
+    # tracemalloc slows allocation down, so memory is measured on a second run
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            sg.parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_vertex_cap_holds_on_every_construction(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("no n x n array may be made")
+
+    big = graphs.MAX_VERTICES + 2
+    with monkeypatch.context() as m:
+        m.setattr(graphs.np, "zeros", no_allocation)
+        for build in (
+            lambda: sg.named_graph(f"cycle({big})"),
+            lambda: sg.named_graph(f"complete({big})"),
+            lambda: sg.random_regular(big, 2, seed=1),
+            lambda: graphs._from_edges(big, [(0, 1)], "test"),
+        ):
+            with pytest.raises(GraphValidationError) as info:
+                build()
+            assert info.value.reason == "too-many-vertices"
+    # validate refuses before any n x n mask, for arrays and for lists
+    for candidate in (np.broadcast_to(np.int8(0), (big, big)), [[0] * 3] * big):
+        with pytest.raises(GraphValidationError) as info:
+            sg.validate(candidate)
+        assert info.value.reason == "too-many-vertices"
+
+
+def test_vertex_cap_admits_its_limit():
+    # building cycle(MAX_VERTICES) would take a few hundred MiB of masks
+    graphs._check_order(graphs.MAX_VERTICES)
+    with pytest.raises(GraphValidationError, match="exceed the limit"):
+        graphs._check_order(graphs.MAX_VERTICES + 1)
+
+
+def test_vertex_cap_is_one_cli_error_line(capsys):
+    from specgap import cli
+
+    name = f"cycle({graphs.MAX_VERTICES + 1})"
+    assert cli.main(["estimate", "--name", name, "--epsilon", "1/2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceed the limit" in err and err.strip().count("\n") == 0

@@ -261,16 +261,16 @@ def test_checked_mode_detects_corrupt_state():
 
 def test_checked_mode_covers_the_trace_only_finish(monkeypatch):
     # k = 12 finishes with trace(M(6) @ M(6)); corrupt one residue of the
-    # last operand
+    # left operand in the contraction
     g = sg.named_graph("utility")
-    honest = ladder._trace_residues
+    honest = ladder._contract
 
-    def corrupted(x, y, p, inv):
+    def corrupted(x, y, w, p, inv):
         bad = x.copy()
-        bad[0, 0, 0] += 1
-        return honest(bad, y, p, inv)
+        bad[0, 0] = (bad[0, 0] + 1) % p[0, 0]
+        return honest(bad, y, w, p, inv)
 
-    monkeypatch.setattr(ladder, "_trace_residues", corrupted)
+    monkeypatch.setattr(ladder, "_contract", corrupted)
     wrong, _ = _run_ladder(g, 12, MultCounter())
     assert wrong != sg.geodesic_count_trace(g, 12) - g.n * (g.q - 1)
     with pytest.raises(LadderInvariantError, match="final trace"):
@@ -324,19 +324,56 @@ def test_checked_mode_covers_both_pair_registers(monkeypatch, which, index):
 def test_checked_mode_covers_both_squaring_finishes(monkeypatch, which, index):
     g = sg.named_graph("utility")
     truth = _pair(g)
-    honest = ladder._trace_residues
+    honest = ladder._contract
     calls = []
 
-    def corrupted(x, y, p, inv):
+    def corrupted(x, y, w, p, inv):
         calls.append(1)
         if (len(calls) - 1) % 2 == which:  # finishes run M(5)**2, then M(6)**2
             x = x.copy()
-            x[0, 0, 0] += 1
+            x[0, 0] = (x[0, 0] + 1) % p[0, 0]
             y = x
-        return honest(x, y, p, inv)
+        return honest(x, y, w, p, inv)
 
-    monkeypatch.setattr(ladder, "_trace_residues", corrupted)
+    monkeypatch.setattr(ladder, "_contract", corrupted)
     wrong = _pair(g)
     assert wrong[which] != truth[which] and wrong[1 - which] == truth[1 - which]
     with pytest.raises(LadderInvariantError, match=f"final trace .* at index {2 * index},"):
         _pair(g, checked=True)
+
+
+@pytest.mark.parametrize("slot", [1, 2])
+def test_checked_mode_covers_the_extended_residues(monkeypatch, slot):
+    # k = 60 on blocks of one prime: the ladder runs on 2 primes and the
+    # finish extends M(30) (slot 2) and M(31) (slot 1) to a third one;
+    # corrupt one extended residue of either operand
+    g = sg.named_graph("utility")
+    monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
+    primes = _moduli(g.n, g.n * (g.q**62 + 1))
+    size = ladder._ladder_size(primes, g.q**31 + 1, 1, len(primes))
+    assert 0 < size < len(primes)
+    honest = ladder._extender
+    calls = []
+
+    def corrupting(primes, size, inverses, width):
+        extend = honest(primes, size, inverses, width)
+
+        def corrupted(v):
+            calls.append(1)
+            z = extend(v)
+            if len(calls) % 2 == slot % 2:  # slots 1, 2 extend in turn
+                z[0, 0] = (z[0, 0] + 1) % primes[size]
+            return z
+
+        return corrupted
+
+    truth = [trace for trace, _ in _run_ladder_pair(g, 60, MultCounter())]
+    sweep = ladder.chebyshev_sweep(g)
+    traces = [next(sweep) for _ in range(62)]
+    assert truth == [traces[59], traces[61]]
+    monkeypatch.setattr(ladder, "_extender", corrupting)
+    # the corrupt residue sends the rebuilt trace far outside its bound
+    with pytest.raises(LadderInvariantError, match="exceeds its bound"):
+        _run_ladder_pair(g, 60, MultCounter())
+    with pytest.raises(LadderInvariantError, match=f"extended residue mismatch in slot {slot} "):
+        _run_ladder_pair(g, 60, MultCounter(), checked=True)
