@@ -8,7 +8,7 @@ cross-validation.
 
 __version__ = "0.1.0"
 
-from .exact import IntMatrix, MultCounter, Quadratic, matrix_power
+from .exact import MultCounter, Quadratic
 from .graphs import (
     GraphGenerationError,
     GraphValidationError,
@@ -52,10 +52,8 @@ from .estimator import (
 )
 
 __all__ = [
-    "IntMatrix",
     "MultCounter",
     "Quadratic",
-    "matrix_power",
     "GraphGenerationError",
     "GraphValidationError",
     "RegularGraph",

@@ -68,15 +68,6 @@ def _slack_payload(slack, precision):
     }
 
 
-def _slack_text(slack, precision):
-    v = slack.value
-    if v.coeff == 0:
-        exact = str(v.rational)
-    else:
-        exact = str(v)
-    return f"{exact} ({v.decimal(precision)})"
-
-
 def _graph_summary(graph):
     return {"n": graph.n, "q": graph.q, "degree": graph.degree, "source": graph.source}
 
@@ -135,9 +126,10 @@ def _cmd_hseq(args):
         rows = list(expansion_slacks(graph, hi))
     else:
         rows = [expansion_slack(graph, k) for k in range(lo, hi + 1)]
-    results = {"slacks": [_slack_payload(s, args.precision) for s in rows]}
-    lines = [f"k={s.k}: {_slack_text(s, args.precision)}" for s in rows]
-    _emit(args, "hseq", graph, results, lines, started)
+    slacks = [_slack_payload(s, args.precision) for s in rows]
+    # the text reuses each payload's decimal, so every slack renders once
+    lines = [f"k={s.k}: {s.value} ({p['decimal']})" for s, p in zip(rows, slacks)]
+    _emit(args, "hseq", graph, {"slacks": slacks}, lines, started)
     return 0
 
 
@@ -309,7 +301,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (GraphValidationError, GraphGenerationError, EigensolverError,
-            ValueError, OSError) as exc:
+            ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

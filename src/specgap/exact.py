@@ -1,23 +1,14 @@
-"""Exact arithmetic core: big-integer matrices and real quadratic numbers.
+"""Exact arithmetic core: the product counter and real quadratic numbers.
 
-Everything in this module is exact.  Matrix entries are Python ints (so
-they never overflow), rationals are ``fractions.Fraction``, and numbers of
-the form a + b*sqrt(r) carry their two rational components explicitly so
-that signs can be decided without ever rounding.  Floating point appears
-only in the rendering helpers.
-
-:class:`IntMatrix` products are plain numpy object-dtype products, which
-multiply Python ints directly.  They now serve only the edge-matrix
-oracle (and the tests) as an independent reference: graphs store their
-adjacency as an int8 array, and the Chebyshev ladder in
-:mod:`specgap.ladder` runs on residues modulo word-size primes.
+Everything in this module is exact.  Rationals are ``fractions.Fraction``,
+and numbers of the form a + b*sqrt(r) carry their two rational components
+explicitly so that signs and floors are decided without ever rounding.
+Floating point appears only in the rendering helpers.
 """
 
 import math
 import threading
 from fractions import Fraction
-
-import numpy as np
 
 
 class MultCounter:
@@ -39,92 +30,6 @@ class MultCounter:
 
     def __repr__(self):
         return f"MultCounter({self._count})"
-
-
-def _freeze(data):
-    data.flags.writeable = False
-    return data
-
-
-class IntMatrix:
-    """Dense square matrix over arbitrary-precision integers.
-
-    Instances are immutable.  Products share the left operand's counter,
-    which increments by exactly 1 per matrix-matrix multiplication.
-    """
-
-    __slots__ = ("data", "counter")
-
-    def __init__(self, data, counter=None):
-        self.data = _freeze(data)
-        self.counter = counter if counter is not None else MultCounter()
-
-    @classmethod
-    def from_rows(cls, rows, counter=None):
-        n = len(rows)
-        data = np.empty((n, n), dtype=object)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise TypeError(f"entry ({i},{j}) is not an integer: {v!r}")
-                data[i, j] = v
-        return cls(data, counter)
-
-    @classmethod
-    def identity(cls, n, counter=None):
-        data = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            data[i, i] = 1
-        return cls(data, counter)
-
-    @property
-    def order(self):
-        return self.data.shape[0]
-
-    def with_counter(self, counter):
-        """The same matrix bound to a different multiplication counter."""
-        return IntMatrix(self.data, counter)
-
-    def __matmul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}"
-            )
-        self.counter.bump()
-        return IntMatrix(self.data @ other.data, self.counter)
-
-    def trace(self):
-        return int(self.data.trace())
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.order == other.order and bool(np.array_equal(self.data, other.data))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"IntMatrix(order={self.order})"
-
-
-def matrix_power(m, k):
-    """m**k for k >= 1 by square-and-multiply, highest bit first.
-
-    Uses floor(log2 k) squarings plus (popcount(k) - 1) extra products,
-    so the counter advances by at most 2*floor(log2 k).
-    """
-    if k < 1:
-        raise ValueError(f"exponent must be >= 1, got {k}")
-    acc = m
-    for bit in bin(k)[3:]:
-        acc = acc @ acc
-        if bit == "1":
-            acc = acc @ m
-    return acc
 
 
 def _as_fraction(x):
@@ -244,21 +149,21 @@ class Quadratic:
         return hash((self.rational, self.coeff, self.radicand))
 
     def floor(self):
-        """Exact floor, decided with integer arithmetic only."""
+        """Exact floor, in closed form with integer arithmetic only.
+
+        Over one denominator d > 0 the number is (N + M*sqrt(r)) / d, and
+        floor((N + x) / d) == (N + floor(x)) // d for every real x.  With
+        S = M*M*r, floor(M*sqrt(r)) is isqrt(S) for M >= 0, and for M < 0
+        it is -isqrt(S), less one unless S is a perfect square.
+        """
         a, b = self.rational, self.coeff
-        if b == 0:
-            return a.numerator // a.denominator
-        num = abs(b.numerator)
-        root = math.isqrt(num * num * self.radicand)
-        approx = root // b.denominator
-        if b < 0:
-            approx = -approx - 1
-        g = a.numerator // a.denominator + approx
-        while (self - g).sign() < 0:
-            g -= 1
-        while (self - (g + 1)).sign() >= 0:
-            g += 1
-        return g
+        d = math.lcm(a.denominator, b.denominator)
+        m = b.numerator * (d // b.denominator)
+        s = m * m * self.radicand
+        root = math.isqrt(s)
+        if m < 0:
+            root = -root - (root * root != s)
+        return (a.numerator * (d // a.denominator) + root) // d
 
     def decimal(self, digits=10):
         """Correctly rounded value with ``digits`` significant digits.

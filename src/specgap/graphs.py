@@ -107,7 +107,7 @@ def _is_connected(a, q):
 def validate(candidate, source="validated"):
     """Check a square 0/1 matrix and wrap it as a :class:`RegularGraph`.
 
-    Accepts a list of rows or a numpy array (no longer an ``IntMatrix``).
+    Accepts a list of rows or a numpy array.
     An entry is binary iff it equals 0 or 1 and is not a bool, so bool
     arrays fail and 0.0/1.0 pass.  Errors name the first offending entry
     in row-major order.  The degree is the first row sum; q = degree - 1.

@@ -46,6 +46,7 @@ being symmetric, every entry satisfies |M(t)_uv| <= ||M(t)||_2 <= q**t + 1.
 Primes.  The fewest primes, largest first below a limit set by n, whose
 product exceeds 2 n (q**k + 1) determine the trace at index k, lifted
 into the symmetric range; the run for k and k+2 sizes one set for k+2.
+Each window of candidates below the limit is sieved once and cached.
 The ladder itself never needs that many: every matrix it forms is M(t)
 with t at most top, the larger operand index of the finishes (ceil(k/2)
 for one k, j+1 for the pair), so the ladder runs on the shortest prefix
@@ -110,6 +111,7 @@ radius being at most 2, and for odd k the slack lives in the quadratic
 field Q[sqrt(q)].
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,6 +130,9 @@ _EXACT = 2**53
 # single n x n matrix is larger: larger blocks raised peak memory on the
 # small-n eps tables without making the large-n ladders faster
 _BLOCK_ENTRIES = 2**14
+# the narrowest window _moduli sieves below the prime limit; wider ones
+# are 4, 16, ... times this
+_WINDOW = 2**16
 
 
 def ladder_indices(k):
@@ -209,23 +214,25 @@ class LadderInvariantError(AssertionError):
     """
 
 
+@functools.lru_cache(maxsize=64)
 def _primes_between(lo, hi):
-    """The primes p with lo <= p < hi, ascending; needs 2 <= lo < hi."""
+    """The primes p with lo <= p < hi, ascending, as a read-only int32 array.
+
+    Needs 2 <= lo < hi <= 2**31.  Cached, since the ladder asks for the
+    same few windows below each order's prime limit.
+    """
     root = math.isqrt(hi - 1)
     small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for d in range(2, math.isqrt(root) + 1):
+    sieve = np.ones(hi - lo, dtype=bool)
+    # d is prime when reached: every smaller prime has crossed off its
+    # multiples from its square on, in [2, root] and in the window alike
+    for d in range(2, root + 1):
         if small[d]:
             small[d * d::d] = False
-    base = np.flatnonzero(small)
-    # cross off every multiple m >= max(d*d, lo) of each base prime d, all
-    # at once: d's multiples in the window are first[d] + d*j, j < count[d]
-    first = np.maximum(base * base, -(-lo // base) * base) - lo
-    count = np.maximum(0, (hi - lo - first + base - 1) // base)
-    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    sieve = np.ones(hi - lo, dtype=bool)
-    sieve[np.repeat(first, count) + np.repeat(base, count) * j] = False
-    return (np.flatnonzero(sieve) + lo).tolist()
+            sieve[max(d * d, -(-lo // d) * d) - lo::d] = False
+    primes = (np.flatnonzero(sieve) + lo).astype(np.int32)
+    primes.flags.writeable = False
+    return primes
 
 
 def _prime_limit(n):
@@ -243,13 +250,13 @@ def _moduli(n, bound):
     and :func:`_certify` rejects the set.
     """
     top = _prime_limit(n) + 1
-    # primes near p have density 1/ln p, so a window of about
-    # 0.7 * bits(2*bound) integers holds enough of them
-    width = (2 * bound).bit_length() + 1024
+    # windows of fixed widths, so that every call at one n shares them; the
+    # first holds thousands of primes, enough for k in the thousands
+    width = _WINDOW
     while True:
         lo = max(2, top - width)
         primes, product = [], 1
-        for p in reversed(_primes_between(lo, top)):
+        for p in map(int, _primes_between(lo, top)[::-1]):
             primes.append(p)
             product *= p
             if product > 2 * bound:

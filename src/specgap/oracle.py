@@ -2,15 +2,15 @@
 
 Everything the ladder computes can be recomputed here by a different
 route.  Geodesic-cycle counts come from powers of the directed
-(non-backtracking) edge matrix; the slack values come from the adjacency
-spectrum via the scalar Chebyshev recurrence; the normalized spectral
-radius comes straight from the eigenvalues.  The eigenvalues come from
-LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``), in floating
-point.  These recomputation paths share no code with
-:mod:`specgap.ladder`.  The deviation-bound scan is the one exception:
-it consumes the ladder module's exact counts (one three-term sweep) and
-checks them against the expected-count envelope with integer
-comparisons.
+(non-backtracking) edge matrix, which numpy multiplies as an object array
+of Python ints; the slack values come from the adjacency spectrum via the
+scalar Chebyshev recurrence; the normalized spectral radius comes straight
+from the eigenvalues.  The eigenvalues come from LAPACK's symmetric
+eigensolver (``numpy.linalg.eigvalsh``), in floating point.  These
+recomputation paths share no code with :mod:`specgap.ladder`.  The
+deviation-bound scan is the one exception: it consumes the ladder
+module's exact counts (one three-term sweep) and checks them against the
+expected-count envelope with integer comparisons.
 """
 
 import math
@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import IntMatrix, MultCounter, matrix_power
 from .ladder import geodesic_counts
 
 
@@ -27,39 +26,31 @@ class EigensolverError(RuntimeError):
     """The LAPACK eigensolver did not converge on the adjacency matrix."""
 
 
-def oriented_edges(graph):
-    """Oriented edge list; the undirected edge (u, v) with u < v at sorted
-    position j yields index 2j for u->v and 2j+1 for v->u."""
-    out = []
-    for u, v in graph.edges():
-        out.append((u, v))
-        out.append((v, u))
-    return out
-
-
 def directed_edge_matrix(graph):
     """0/1 matrix W over oriented edges: W[e,f] = 1 iff e feeds into f
     without immediately turning back (end of e = start of f, f != reverse of e).
 
-    Order m = n(q+1); every row sums to q.
+    The undirected edge (u, v) with u < v at sorted position j yields
+    index 2j for u->v and 2j+1 for v->u.  Order m = n(q+1); every row
+    sums to q.  A read-only object-dtype array of Python ints, so numpy
+    products and traces of it are exact at any length.
     """
-    edges = oriented_edges(graph)
-    m = len(edges)
-    data = np.zeros((m, m), dtype=object)
-    for e, (_, ev) in enumerate(edges):
-        rev = e ^ 1
-        for f, (fu, _) in enumerate(edges):
-            if fu == ev and f != rev:
-                data[e, f] = 1
-    return IntMatrix(data)
+    ends = np.argwhere(np.triu(graph.adjacency))
+    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    feeds = head[:, None] == tail
+    rows = np.arange(len(tail))
+    feeds[rows, rows ^ 1] = False
+    w = np.zeros(feeds.shape, dtype=object)
+    w[feeds] = 1
+    w.flags.writeable = False
+    return w
 
 
 def geodesic_count_trace(graph, k):
     """Number of geodesic cycles of length k as trace(W**k), exactly."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    w = directed_edge_matrix(graph).with_counter(MultCounter())
-    return matrix_power(w, k).trace()
+    return int(np.linalg.matrix_power(directed_edge_matrix(graph), k).trace())
 
 
 def chebyshev_scalar(k, x):

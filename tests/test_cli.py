@@ -191,6 +191,17 @@ def test_bad_epsilon_error(capsys):
     assert "epsilon" in err
 
 
+def test_undetermined_trace_is_one_line_error(capsys, monkeypatch):
+    from specgap import ladder
+
+    honest = ladder._moduli
+    monkeypatch.setattr(ladder, "_moduli", lambda n, bound: honest(n, bound)[:-1])
+    code, out, err = run(capsys, "estimate", "--name", "petersen", "--epsilon", "2^-8")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "do not determine" in err
+
+
 def test_invalid_k_range(capsys):
     code, _, err = run(capsys, "hseq", "--name", "cube", "-k", "6..2")
     assert code == 1

@@ -168,7 +168,16 @@ def _naive_primes(lo, hi):
 
 @pytest.mark.parametrize("lo,hi", [(2, 3), (2, 400), (4, 5), (25, 50), (9_000, 11_000), (2**20, 2**20 + 3000)])
 def test_primes_between_matches_trial_division(lo, hi):
-    assert _primes_between(lo, hi) == _naive_primes(lo, hi)
+    assert _primes_between(lo, hi).tolist() == _naive_primes(lo, hi)
+
+
+def test_moduli_at_one_order_share_one_window():
+    # the sieve's cache is keyed on fixed-width windows, never on the bound
+    _primes_between.cache_clear()
+    for k in range(1, 400):
+        _moduli(20, 20 * (3**k + 1))
+    assert _primes_between.cache_info().currsize == 1
+    assert not _primes_between(2, 400).flags.writeable
 
 
 @pytest.mark.parametrize("n", [3, 20, 150, 2048, 4096])

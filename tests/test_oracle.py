@@ -18,16 +18,20 @@ from brute import naive_edge_matrix
 def test_edge_matrix_shape_and_row_sums(name, order, rowsum):
     g = sg.named_graph(name)
     w = sg.directed_edge_matrix(g)
-    assert w.order == order
+    assert w.shape == (order, order)
+    assert w.dtype == object and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 5
     for i in range(order):
-        assert sum(w.data[i, j] for j in range(order)) == rowsum
+        assert sum(w[i, j] for j in range(order)) == rowsum
 
 
 def test_edge_matrix_matches_definition(corpus):
     for g in corpus:
         w = sg.directed_edge_matrix(g)
         naive = naive_edge_matrix(g.edges())
-        assert w.data.tolist() == naive, g.source
+        assert w.tolist() == naive, g.source
+        assert {type(x) for x in w.flat} == {int}, g.source
 
 
 def test_trace_counts_on_the_4_cycle():
