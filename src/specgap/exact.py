@@ -40,11 +40,36 @@ def _as_fraction(x):
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _sign(n, m, r):
+    """The sign of n + m*sqrt(r), for integers n, m and r >= 1."""
+    sn, sm = (n > 0) - (n < 0), (m > 0) - (m < 0)
+    if sn * sm >= 0:
+        return sn or sm
+    diff = n * n - m * m * r
+    return sn if diff > 0 else sm if diff < 0 else 0
+
+
+def _floor(n, m, r, d):
+    """floor((n + m*sqrt(r)) / d), for integers n, m, r >= 1 and d >= 1.
+
+    floor((n + x) / d) == (n + floor(x)) // d for every real x.  With
+    S = m*m*r, floor(m*sqrt(r)) is isqrt(S) for m >= 0, and for m < 0 it
+    is -isqrt(S), less one unless S is a perfect square.
+    """
+    s = m * m * r
+    root = math.isqrt(s)
+    if m < 0:
+        root = -root - (root * root != s)
+    return (n + root) // d
+
+
 class Quadratic:
     """Exact number a + b*sqrt(r) with rational a, b and integer r >= 1.
 
-    The sign is decided exactly by comparing a**2 against b**2 * r, so no
-    floating point is involved anywhere.  A perfect-square radicand is
+    Over one denominator d > 0 the number is (N + M*sqrt(r)) / d with
+    integers N, M, and its sign, floor and decimal digits are decided on
+    those integers alone (the sign by comparing N**2 against M**2 * r), so
+    no floating point is involved anywhere.  A perfect-square radicand is
     allowed; the representation is not normalized in that case.
     """
 
@@ -57,24 +82,15 @@ class Quadratic:
             raise ValueError(f"radicand must be a positive integer, got {radicand!r}")
         self.radicand = radicand
 
-    def sign(self):
+    def _integers(self):
+        """(N, M, d) with d > 0 and value (N + M*sqrt(r)) / d."""
         a, b = self.rational, self.coeff
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        lhs = a * a
-        rhs = b * b * self.radicand
-        if lhs == rhs:
-            return 0
-        if lhs > rhs:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        d = math.lcm(a.denominator, b.denominator)
+        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
 
-    def is_zero(self):
-        return self.sign() == 0
+    def sign(self):
+        n, m, _ = self._integers()
+        return _sign(n, m, self.radicand)
 
     def _coerce(self, other):
         if isinstance(other, Quadratic):
@@ -122,17 +138,6 @@ class Quadratic:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        norm = self.rational * self.rational - self.coeff * self.coeff * self.radicand
-        if norm == 0:
-            if self.sign() == 0:
-                raise ZeroDivisionError("inverse of zero")
-            # a = +-b*sqrt(r) with r a perfect square; collapse to a rational
-            root = math.isqrt(self.radicand)
-            value = self.rational + self.coeff * root
-            return Quadratic(1 / value, 0, self.radicand)
-        return Quadratic(self.rational / norm, -self.coeff / norm, self.radicand)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Quadratic(other, 0, self.radicand)
@@ -149,21 +154,9 @@ class Quadratic:
         return hash((self.rational, self.coeff, self.radicand))
 
     def floor(self):
-        """Exact floor, in closed form with integer arithmetic only.
-
-        Over one denominator d > 0 the number is (N + M*sqrt(r)) / d, and
-        floor((N + x) / d) == (N + floor(x)) // d for every real x.  With
-        S = M*M*r, floor(M*sqrt(r)) is isqrt(S) for M >= 0, and for M < 0
-        it is -isqrt(S), less one unless S is a perfect square.
-        """
-        a, b = self.rational, self.coeff
-        d = math.lcm(a.denominator, b.denominator)
-        m = b.numerator * (d // b.denominator)
-        s = m * m * self.radicand
-        root = math.isqrt(s)
-        if m < 0:
-            root = -root - (root * root != s)
-        return (a.numerator * (d // a.denominator) + root) // d
+        """Exact floor, in closed form with integer arithmetic only."""
+        n, m, d = self._integers()
+        return _floor(n, m, self.radicand, d)
 
     def decimal(self, digits=10):
         """Correctly rounded value with ``digits`` significant digits.
@@ -175,35 +168,39 @@ class Quadratic:
 
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        sgn = self.sign()
+        n, m, d = self._integers()
+        r = self.radicand
+        sgn = _sign(n, m, r)
         if sgn == 0:
             return Decimal(0)
-        w = self if sgn > 0 else -self
-        f = w.floor()
-        if f >= 1:
-            e = len(str(f)) - 1
-        else:
-            e = 0
-            scaled = w
-            while scaled.floor() < 1:
-                scaled = scaled * 10
-                e -= 1
+        # w = (n + m*sqrt(r)) / d = |self|
+        n, m = sgn * n, sgn * m
+        # e = floor(log10(w)): floor(w * 10**j) has e + j + 1 digits once
+        # it is at least 1
+        j = 0
+        while (f := _floor(n * 10**j, m * 10**j, r, d)) == 0:
+            j = 2 * j or 1
+        e = len(str(f)) - 1 - j
         shift = digits - 1 - e
-        scaled = w * (Fraction(10) ** shift)
-        m = scaled.floor()
-        half = (scaled - m - Fraction(1, 2)).sign()
-        if half > 0 or (half == 0 and m % 2 == 1):
-            m += 1
-        if m == 10**digits:
-            m //= 10
+        if shift >= 0:
+            n, m = n * 10**shift, m * 10**shift
+        else:
+            d *= 10**-shift
+        top = _floor(n, m, r, d)
+        # the sign of w * 10**shift - top - 1/2, over the denominator 2d
+        half = _sign(2 * (n - top * d) - d, 2 * m, r)
+        if half > 0 or (half == 0 and top % 2 == 1):
+            top += 1
+        if top == 10**digits:
+            top //= 10
             e += 1
         exp10 = e - digits + 1
-        while exp10 < 0 and m % 10 == 0:
-            m //= 10
+        while exp10 < 0 and top % 10 == 0:
+            top //= 10
             exp10 += 1
         with localcontext() as ctx:
             ctx.prec = digits + 4
-            return Decimal(sgn * m).scaleb(exp10)
+            return Decimal(sgn * top).scaleb(exp10)
 
     def to_float(self):
         """Nearest double, via a 25-digit correctly rounded decimal."""

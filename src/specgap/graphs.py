@@ -20,6 +20,8 @@ import numpy as np
 # the most vertices a graph may have: its dense adjacency and the ladder's
 # residue stacks grow with n**2, so larger requests are refused up front
 MAX_VERTICES = 2**13
+# random_regular gives up after this many rejected pairings
+_PAIRING_ATTEMPTS = 3000
 
 
 class GraphValidationError(ValueError):
@@ -253,7 +255,7 @@ def named_graph(name):
     raise ValueError(f"unknown graph name: {name!r}")
 
 
-def random_regular(n, q, seed, max_attempts=3000):
+def random_regular(n, q, seed):
     """Random connected (q+1)-regular simple graph via the pairing model.
 
     Stubs are paired uniformly at random; pairings producing loops or
@@ -269,7 +271,7 @@ def random_regular(n, q, seed, max_attempts=3000):
         raise ValueError(f"n*(q+1) = {n * d} is odd; no {d}-regular graph on {n} vertices")
     _check_order(n)
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_PAIRING_ATTEMPTS):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         u, v = np.array(stubs).reshape(-1, 2).T
@@ -279,7 +281,7 @@ def random_regular(n, q, seed, max_attempts=3000):
         if np.count_nonzero(a) == n * d and _is_connected(a, q):
             return validate(a, source=f"random(n={n}, q={q}, seed={seed})")
     raise GraphGenerationError(
-        f"no simple connected graph found in {max_attempts} pairing attempts (n={n}, q={q})"
+        f"no simple connected graph found in {_PAIRING_ATTEMPTS} pairing attempts (n={n}, q={q})"
     )
 
 
@@ -323,14 +325,9 @@ def parse_edge_list(text):
     return _from_edges(n, edges, source="edge-list")
 
 
-def write_edge_list(graph, header=False):
+def write_edge_list(graph):
     """Render a graph in the edge-list format; inverse of parse_edge_list.
 
-    One "u v" line per edge, sorted; with header=True a leading '#' comment
-    records n and the degree.
+    One "u v" line per edge, sorted.
     """
-    lines = []
-    if header:
-        lines.append(f"# {graph.n} vertices, degree {graph.degree}")
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(f"{u} {v}\n" for u, v in graph.edges())

@@ -13,23 +13,24 @@ and the scaled matrix M(k) = q**(k/2) * T(k, A/sqrt(q)) has integer
 entries.  Only its trace is ever needed.
 
 For one k, this module computes that trace exactly with O(log k) matrix
-products, driven by a halving schedule: the product identities
+products.  The identities
 
-    T(2j)   = T(j)**2 - T(0)
-    T(i+j)  = T(i)*T(j) - T(j-i)
+    M(2h)   = M(h)**2 - 2 q**h I
+    M(2h+1) = M(h+1) M(h) - q**h A
 
-let each new index be built from one or two previously computed indices,
-so the schedule only ever needs the last few entries, kept in a 4-slot
-register file.  Power-of-q scalars ride along as plain exponents.  Every
-M(j) is a polynomial in the symmetric matrix A, so all of them are
-symmetric, and the last step, which only feeds the trace, is a trace
-contraction trace(X @ Y) = sum(X * Y^T) in O(n^2) operations.  It still
-counts as one product, so a run for index k always counts
-len(ladder_indices(k)) - 1.  The decision procedure needs the traces at
-an even k and at k+2 together; the schedule for k+1 = 2j+1 holds the
-half pair M(j+1), M(j) just before its last step, so one ladder ends
-instead with two trace contractions, the squares M(j)**2 and M(j+1)**2,
-and counts len(ladder_indices(k + 1)) products.
+build each index t from (t+1)//2 and t//2, with a scalar that depends on
+t alone, so the ladder is keyed by index: it forms, from 1 upward, the
+entries of the halving schedule :func:`ladder_indices` and keeps only the
+matrices later indices still read.  Every M(j) is a polynomial in the
+symmetric matrix A, so all of them are symmetric, and the last step,
+which only feeds the trace, is a trace contraction
+trace(X @ Y) = sum(X * Y^T) in O(n^2) operations.  It still counts as one
+product, so a run for index k always counts len(ladder_indices(k)) - 1.
+The decision procedure needs the traces at an even k = 2j and at k+2
+together; the schedule for k+1 = 2j+1 forms the half pair M(j), M(j+1)
+for its last step, so one ladder ends instead with two trace
+contractions, the squares M(j)**2 and M(j+1)**2, and counts
+len(ladder_indices(k + 1)) products.
 
 The ladder runs on residues modulo word-size primes, and the Chinese
 remainder theorem rebuilds each final trace.
@@ -64,9 +65,9 @@ Products.  Residues are float64 values, so each step is one BLAS product
 is delayed: r = x - p*floor(x * (1/p)) leaves r in [-p, 2p), so every
 value a step accumulates is an integer of modulus below n (2p)**2 + p,
 and the prime limit keeps that below 2**53, where float64 arithmetic on
-integers is exact.  Each step's scalar correction, 2 q**e I or q**e A,
-comes from residues of q**e built once for all the ladder's primes
-(:func:`_scalars`).  The primes run in blocks of 2**14 // n**2 (at least
+integers is exact.  Each step's scalar correction, 2 q**h I or q**h A,
+comes from residues of q**h built once for all the ladder's primes
+(:func:`_corrections`).  The primes run in blocks of 2**14 // n**2 (at least
 one), so one stack holds at most 2**14 entries unless a single n x n
 matrix is larger; a step keeps about five stacks alive, so the working
 set stays near 640 KiB.
@@ -465,105 +466,76 @@ def _crt(rows, primes, basis):
     return out
 
 
-def _operands(schedule, i):
-    """Register slots (x, y) whose product builds schedule[i - 1] at step i.
+def _corrections(built, q, primes):
+    """The scalar corrections of the formed indices, modulo each prime.
 
-    During step i, slot r holds the matrix for schedule[i + r - 1].  An
-    even target is a square (x == y); an odd target multiplies the half
-    pair (target+1)/2, (target-1)/2, which the schedule keeps adjacent.
-    """
-    target = schedule[i - 1]
-    if target % 2 == 0:
-        x = 1 if target == 2 * schedule[i] else 2
-        return x, x
-    # odd target: schedule ends ..., 2, 1, so i <= steps-3 here
-    x = 2 if target == 2 * schedule[i + 1] - 1 else 1
-    return x, x + 1
-
-
-def _exponent(schedule, exps, i, x, y):
-    """floor(target / 2) for the product of slots x, y at step i, from their exponents."""
-    return exps[x] + exps[y] + (schedule[i + x - 1] % 2 if x == y else 0)
-
-
-def _scalars(schedule, q, primes):
-    """The scalar corrections of the ladder's steps, modulo each prime.
-
-    Runs the register file on q-exponents and on the residues of the
-    scalars q**e, vectorised over ``primes`` in int64.  Returns
-    (steps, exps): steps[i], for each step i that forms a matrix, is
-    (e, c) with e the q-exponent of the scalar made at step i and c the
-    canonical residues of what that step subtracts, 2 q**e for a square
-    and q**e otherwise; exps are the registers' exponents at the last
-    step.  Every product is below p * max(p, q), far below 2**63.
+    Maps each index t in ``built`` to the canonical residues of what
+    forming M(t) subtracts: 2 q**h for even t and q**h for odd t, with
+    h = t // 2.  q**h = (q**(h//2))**2 q**(h%2), and h // 2 belongs to
+    the operand M(t//2), formed before t or equal to 1 (q**0), so one
+    pass in ``built``'s order, vectorised over ``primes`` in int64, makes
+    every power.  Every product is below p * max(p, q), far below 2**63.
     """
     p = np.array(primes, dtype=np.int64)
-    exps = [0, 0, 0, 0]
-    pows = [np.ones(len(primes), dtype=np.int64), None, None, None]
-    steps = {}
-    for i in range(len(schedule) - 1, 1, -1):
-        exps[3], exps[2], exps[1] = exps[2], exps[1], exps[0]
-        pows[3], pows[2], pows[1] = pows[2], pows[1], pows[0]
-        x, y = _operands(schedule, i)
-        exps[0] = e = _exponent(schedule, exps, i, x, y)
-        pows[0] = pows[x] * pows[y] % p
-        if e > exps[x] + exps[y]:
-            pows[0] = pows[0] * q % p
-        steps[i] = e, (2 * pows[0] % p if x == y else pows[0])
-    exps[3], exps[2], exps[1] = exps[2], exps[1], exps[0]
-    return steps, exps
+    powers = {0: np.ones(len(primes), dtype=np.int64)}
+    out = {}
+    for t in built:
+        h = t // 2
+        power = powers[h // 2] ** 2 % p
+        if h % 2:
+            power = power * q % p
+        powers[h] = power
+        out[t] = power if t % 2 else 2 * power % p
+    return out
 
 
-def _ladder_block(a, edges, schedule, q, primes, steps, out, triangle, counter, checked):
-    """Run the register ladder modulo each prime in ``primes``.
+def _ladder_block(a, edges, built, q, primes, corrections, out, triangle, counter, checked):
+    """Run the ladder modulo each prime in ``primes``.
 
-    ``edges`` is np.nonzero(a), the positions of the 0/1 matrix A's ones,
-    and ``steps`` gives each step's scalar exponent and correction
-    residues for these primes (:func:`_scalars`).  Every step but the
-    last forms a matrix.  At the last step, for each register slot x in
-    ``out``, the canonical residues of the upper triangle (``triangle``,
-    its row and column indices in row-major order) of the matrix it
-    holds are written into out[x], an int32 (len(primes), >= n(n+1)/2)
-    array.  The counter (or None) is bumped once per step before the
-    last.
+    ``edges`` is np.nonzero(a), the positions of the 0/1 matrix A's ones.
+    Starting from M(1) = A, each index t of ``built``, in order, is formed
+    from M((t+1)//2) and M(t//2): M(2h) = M(h)**2 - 2 q**h I and
+    M(2h+1) = M(h+1) M(h) - q**h A, with the scalar residues for these
+    primes from ``corrections`` (:func:`_corrections`).  The indices never
+    decrease, so the stacks below t//2 are dead and are dropped before
+    M(t) is formed.  Then, for each index in ``out``, the canonical
+    residues of the upper triangle (``triangle``, its row and column
+    indices in row-major order) of M(index) are written into out[index],
+    an int32 (len(primes), >= n(n+1)/2) array.  The counter (or None) is
+    bumped once per formed index.
     """
     p = np.array(primes, dtype=np.float64)[:, None, None]
     inv = 1.0 / p
     diag = np.arange(a.shape[0])
-    # registers: mats[r] holds the residues of the scaled Chebyshev matrix for
-    # schedule[i + r - 1] during step i (after the shift); made is the
-    # q-exponent of mats[0]'s scalar.  A's 0/1 entries are their own residues.
-    mats = [np.repeat(a[None], len(primes), axis=0), None, None, None]
-    made = 0
-    for i in range(len(schedule) - 1, 0, -1):
-        if checked:
-            _check_state(schedule[i], mats[0], made, a, q, primes)
-        mats[3], mats[2], mats[1] = mats[2], mats[1], mats[0]
-        if i == 1:
-            break
-        x, y = _operands(schedule, i)
-        made, correction = steps[i]
+    # A's 0/1 entries are their own residues
+    mats = {1: np.repeat(a[None], len(primes), axis=0)}
+    if checked:
+        _check_state(1, mats[1], a, q, primes)
+    for t in built:
+        mats = {i: m for i, m in mats.items() if i >= t // 2}
         if counter is not None:
             counter.bump()
-        step = np.matmul(mats[x], mats[y])
-        if x == y:
-            step[:, diag, diag] -= correction[:, None]
+        step = np.matmul(mats[(t + 1) // 2], mats[t // 2])
+        if t % 2:
+            step[:, edges[0], edges[1]] -= corrections[t][:, None]
         else:
-            step[:, edges[0], edges[1]] -= correction[:, None]
-        mats[0] = _reduce(step, p, inv)
-    for x, store in out.items():
-        upper = mats[x][:, triangle[0], triangle[1]]
+            step[:, diag, diag] -= corrections[t][:, None]
+        mats[t] = _reduce(step, p, inv)
+        if checked:
+            _check_state(t, mats[t], a, q, primes)
+    for t, store in out.items():
+        upper = mats[t][:, triangle[0], triangle[1]]
         store[:, :upper.shape[1]] = _canonical(upper, p[:, :, 0], inv[:, :, 0])
 
 
 def _finish(store, finishes, primes, size, weights, inverses, references):
-    """Per finish (x, y), per prime, an integer congruent to trace(X @ Y).
+    """Per finish (x, y), per prime, an integer congruent to trace(M(x) @ M(y)).
 
-    ``store`` maps each slot to the int32 triangles of its operand modulo
-    primes[:size], in rows of n entries, and ``weights`` is the (rows, n)
-    contraction weight.  Row groups of about _BLOCK_ENTRIES residues run
+    ``store`` maps each operand index to the int32 triangles of its
+    matrix modulo primes[:size], in rows of n entries, and ``weights`` is
+    the (rows, n) contraction weight.  Row groups of about _BLOCK_ENTRIES residues run
     in turn: each is extended to primes[size:] (``inverses`` as for
-    :func:`_extender`), checked against ``references`` (slot -> padded
+    :func:`_extender`), checked against ``references`` (index -> padded
     triangle of the sweep's matrix) when given, and contracted for every
     prime.  Returns one float64 array of integers below 2**51 per finish.
     """
@@ -586,7 +558,7 @@ def _finish(store, finishes, primes, size, weights, inverses, references):
                 bad = np.flatnonzero((z != references[x][cols] % extension).any(axis=1))
                 if bad.size:
                     raise LadderInvariantError(
-                        f"extended residue mismatch in slot {x} modulo {primes[size + bad[0]]}"
+                        f"extended residue mismatch in M({x}) modulo {primes[size + bad[0]]}"
                     )
             chunk[x] = np.concatenate((v, z))
         for total, (x, y) in zip(totals, finishes):
@@ -594,148 +566,138 @@ def _finish(store, finishes, primes, size, weights, inverses, references):
     return totals
 
 
-def _drive(graph, schedule, finishes, counter, checked):
-    """Run the ladder for ``schedule`` and finish it with ``finishes``.
+def _drive(graph, finishes, counter, checked):
+    """Run the ladder and finish it with ``finishes``; returns their traces.
 
-    Returns one (trace, exponent) per finish (x, y), a pair of register
-    slots at the last step: the trace of the scaled Chebyshev matrix for
-    index schedule[x] + schedule[y] (M(u) M(v) - q**e M(u - v) with
-    |u - v| <= 1 and e = min(u, v)), and the q-exponent floor(index/2)
-    of its scalar.  The schedule needs at least two entries.
+    Each finish is an index pair (x, y) with x - y in {0, 1} and gives
+    trace(M(x + y)) = trace(M(x) M(y)) - q**y trace(M(x - y)), where
+    trace(M(0)) = 2n and trace(M(1)) = trace(A) = 0, since a validated
+    graph has no loops.  The ladder forms the entries of
+    ladder_indices(lo + hi) between its first and its last, lo and hi
+    the smallest and largest operand; they include every operand.
 
     The traces are determined modulo the primes of :func:`_moduli` for
     the largest bound |trace| <= n (q**index + 1) among the finishes.
     The ladder runs, block by block, on the prefix of them that
-    :func:`_ladder_size` picks for the largest operand index; the
-    finish extends the operands to the other primes, contracts every
-    trace modulo all of them, and one CRT per trace follows.
-    ArithmeticError is raised, before any product, if the primes could
-    not make every step exact or could not determine every trace and
-    operand entry; each rebuilt trace must lie within its own bound.
-    Products are counted on ``counter`` once per step, however many
-    prime blocks run it, and once per finish.
+    :func:`_ladder_size` picks for hi; the finish extends the operands to
+    the other primes, contracts every trace modulo all of them, and one
+    CRT per trace follows.  ArithmeticError is raised, before any
+    product, if the primes could not make every step exact or could not
+    determine every trace and operand entry; each rebuilt trace must lie
+    within its own bound.  Products are counted on ``counter`` once per
+    formed index, however many prime blocks run it, and once per finish.
     """
     q, n = graph.q, graph.n
+    operands = sorted({t for finish in finishes for t in finish})
+    built = ladder_indices(operands[0] + operands[-1])[-2:0:-1]
     a = graph.adjacency.astype(np.float64)
-    indices = [schedule[x] + schedule[y] for x, y in finishes]
+    indices = [x + y for x, y in finishes]
     bound = n * (q ** max(indices) + 1)
     primes = _moduli(n, bound)
     per_block = max(1, _BLOCK_ENTRIES // (n * n))
-    slots = sorted({x for finish in finishes for x in finish})
-    entry = q ** max(schedule[x] for x in slots) + 1
+    entry = q ** operands[-1] + 1
     # extending one prime from r costs 2 r n(n+1)/2 multiply-adds per operand
     # (the dgemm with both halves of the cofactors); the ladder spends n**3 per
-    # prime and step it forms, so extend only when that saves work
-    most = (len(schedule) - 2) * n**2 // ((n + 1) * len(slots))
+    # prime and index it forms, so extend only when that saves work
+    most = len(built) * n**2 // ((n + 1) * len(operands))
     size = _ladder_size(primes, entry, per_block, most)
     _certify(n, bound, primes, entry, size)
     # the operands' upper triangles, zero-padded to whole rows of n entries
     upper = np.arange(n)
     triangle = np.nonzero(upper[:, None] <= upper)
     width = n * ((n + 2) // 2)
-    store = {x: np.zeros((size, width), dtype=np.int32) for x in slots}
+    store = {t: np.zeros((size, width), dtype=np.int32) for t in operands}
     edges = np.nonzero(a)
-    steps, exps = _scalars(schedule, q, primes[:size])
+    corrections = _corrections(built, q, primes[:size])
     for start in range(0, size, per_block):
         block = slice(start, start + per_block)
-        _ladder_block(a, edges, schedule, q, primes[block],
-                      {i: (e, c[block]) for i, (e, c) in steps.items()},
-                      {x: tri[block] for x, tri in store.items()}, triangle,
+        _ladder_block(a, edges, built, q, primes[block],
+                      {t: c[block] for t, c in corrections.items()},
+                      {t: tri[block] for t, tri in store.items()}, triangle,
                       counter if start == 0 else None, checked)
     references = None
     if checked:
         references = {}
-        for x in slots:
-            upper = _reference(schedule[x], exps[x], graph.adjacency, q)[triangle]
-            references[x] = np.zeros(width, dtype=upper.dtype)
-            references[x][:upper.size] = upper
+        for t in operands:
+            upper = _reference(t, graph.adjacency, q)[triangle]
+            references[t] = np.zeros(width, dtype=upper.dtype)
+            references[t][:upper.size] = upper
     weights = np.zeros(width)
     weights[:len(triangle[0])] = 2.0 - (triangle[0] == triangle[1])
     basis = _crt_basis(primes)
     totals = _finish(store, finishes, primes, size, weights.reshape(-1, n), basis[2], references)
-    exponents, rows = [], []
+    rows = []
     for (x, y), total in zip(finishes, totals):
         if counter is not None:
             counter.bump()
-        e = _exponent(schedule, exps, 1, x, y)
-        fix = q**e * (2 * n if x == y else int(a.trace()))
-        exponents.append(e)
+        fix = 2 * n * q**x if x == y else 0
         rows.append([(int(t) - fix % p) % p for t, p in zip(total.tolist(), primes)])
     out = []
-    for index, e, trace in zip(indices, exponents, _crt(rows, primes, basis)):
+    for index, trace in zip(indices, _crt(rows, primes, basis)):
         own = n * (q**index + 1)
         if abs(trace) > own:
             raise LadderInvariantError(f"trace {trace} at index {index} exceeds its bound {own}")
         if checked:
-            _check_trace(index, trace, e, a, q)
-        out.append((trace, e))
+            _check_trace(index, trace, a, q)
+        out.append(trace)
     return out
 
 
 def _run_ladder(graph, k, counter, checked=False):
-    """Drive the register ladder on residues; returns (trace, exponent).
+    """The trace of the scaled Chebyshev matrix M(k), from one ladder on residues.
 
-    On return, trace is the trace of the scaled Chebyshev matrix for
-    index k and the accompanying scalar is q**exponent with
-    exponent = floor(k/2).  The last step of the schedule forms only the
-    trace, in O(n^2) operations (see :func:`_ladder_block`).  That
-    contraction still counts as one product, so exactly
-    len(ladder_indices(k)) - 1 products are counted on ``counter``.
+    The ladder forms the entries of ladder_indices(k) between k and 1,
+    and the last step, M(k) from its operands, forms only the trace, in
+    O(n^2) operations (see :func:`_drive`).  That contraction still
+    counts as one product, so exactly len(ladder_indices(k)) - 1 products
+    are counted on ``counter``.
 
-    With checked=True, every iteration re-derives the leading register
-    from scratch via the three-term recurrence, reduced modulo each
-    prime, and verifies the scalar exponent, and the final trace is
-    compared with the trace of the recurrence matrix; this costs
-    O(k q n^2) extra uncounted work per check.
+    With checked=True, every formed matrix is re-derived from scratch via
+    the three-term recurrence, reduced modulo each prime, and compared,
+    and the final trace is compared with the trace of the recurrence
+    matrix; this costs O(k q n^2) extra uncounted work per check.
     """
-    schedule = ladder_indices(k)
-    if len(schedule) == 1:  # k = 1 runs no step
+    if k == 1:  # M(1) = A; no step
         trace = int(graph.adjacency.trace())
         if checked:
-            _check_trace(1, trace, 0, graph.adjacency, graph.q)
-        return trace, 0
-    [(trace, exp)] = _drive(graph, schedule, [_operands(schedule, 1)], counter, checked)
-    return trace, exp
+            _check_trace(1, trace, graph.adjacency, graph.q)
+        return trace
+    [trace] = _drive(graph, [((k + 1) // 2, k // 2)], counter, checked)
+    return trace
 
 
 def _run_ladder_pair(graph, k, counter, checked=False):
     """Traces of the scaled Chebyshev matrices for indices k and k+2, one ladder.
 
     k must be even and at least 2.  With j = k/2, the schedule for the odd
-    index k+1 = 2j+1 holds the half pair M(j+1), M(j) just before its last
-    step.  Instead of that step, two trace finishes square them:
+    index k+1 = 2j+1 forms the half pair M(j), M(j+1) for its last step.
+    Instead of that step, two trace finishes square them:
     M(2j) = M(j)**2 - 2 q**j I and M(2j+2) = M(j+1)**2 - 2 q**(j+1) I.
-    Returns [(trace_k, exponent), (trace_k+2, exponent)].  Exactly
-    len(ladder_indices(k + 1)) products are counted: one per step before
-    the last and one per finish.  One prime set, sized for index k+2,
-    serves both traces; checked mode verifies every register and both
-    traces.
+    Returns [trace_k, trace_k+2].  Exactly len(ladder_indices(k + 1))
+    products are counted: one per formed index and one per finish.  One
+    prime set, sized for index k+2, serves both traces; checked mode
+    verifies every formed matrix and both traces.
     """
     if k < 2 or k % 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
-    schedule = ladder_indices(k + 1)
-    # during the last step, slot 1 holds M(j+1) and slot 2 holds M(j)
-    return _drive(graph, schedule, [(2, 2), (1, 1)], counter, checked)
+    j = k // 2
+    return _drive(graph, [(j, j), (j + 1, j + 1)], counter, checked)
 
 
-def _reference(index, exp, adj, q):
-    """M(index) read off the sweep, after checking the scalar exponent."""
-    if exp != index // 2:
-        raise LadderInvariantError(
-            f"scalar exponent {exp} at index {index}, expected {index // 2}"
-        )
+def _reference(index, adj, q):
+    """M(index) read off the sweep."""
     return next(islice(_sweep(adj, q), index, None))
 
 
-def _check_state(index, stack, exp, adj, q, primes):
-    expect = _reference(index, exp, adj, q)
+def _check_state(index, stack, adj, q, primes):
+    expect = _reference(index, adj, q)
     for residues, p in zip(stack, primes):
         if not np.array_equal(residues.astype(np.int64) % p, (expect % p).astype(np.int64)):
             raise LadderInvariantError(f"register mismatch at index {index} modulo {p}")
 
 
-def _check_trace(index, trace, exp, adj, q):
-    expect = _exact_trace(_reference(index, exp, adj, q))
+def _check_trace(index, trace, adj, q):
+    expect = _exact_trace(_reference(index, adj, q))
     if trace != expect:
         raise LadderInvariantError(
             f"final trace {trace} at index {index}, expected {expect}"
@@ -752,7 +714,7 @@ def geodesic_count(graph, k, checked=False):
     """Exact number of geodesic cycles of length k in the graph."""
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    trace, _ = _run_ladder(graph, k, MultCounter(), checked=checked)
+    trace = _run_ladder(graph, k, MultCounter(), checked=checked)
     return _count_from_trace(graph, k, trace)
 
 
@@ -806,7 +768,7 @@ def expansion_slack(graph, k, checked=False):
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    trace, _ = _run_ladder(graph, k, MultCounter(), checked=checked)
+    trace = _run_ladder(graph, k, MultCounter(), checked=checked)
     return _slack_from_trace(graph, k, trace)
 
 
@@ -819,7 +781,7 @@ def expansion_slack_pair(graph, k, checked=False):
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    (trace, _), (trace_next, _) = _run_ladder_pair(graph, k, MultCounter(), checked=checked)
+    trace, trace_next = _run_ladder_pair(graph, k, MultCounter(), checked=checked)
     return _slack_from_trace(graph, k, trace), _slack_from_trace(graph, k + 2, trace_next)
 
 

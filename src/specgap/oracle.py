@@ -21,6 +21,11 @@ import numpy as np
 
 from .ladder import geodesic_counts
 
+# the largest edge-matrix order directed_edge_matrix builds: at 2**10 the
+# m x m object array takes 8 MiB, and each exact product about 10**9
+# Python-int multiply-adds
+MAX_EDGE_ORDER = 2**10
+
 
 class EigensolverError(RuntimeError):
     """The LAPACK eigensolver did not converge on the adjacency matrix."""
@@ -33,8 +38,14 @@ def directed_edge_matrix(graph):
     The undirected edge (u, v) with u < v at sorted position j yields
     index 2j for u->v and 2j+1 for v->u.  Order m = n(q+1); every row
     sums to q.  A read-only object-dtype array of Python ints, so numpy
-    products and traces of it are exact at any length.
+    products and traces of it are exact at any length.  Raises ValueError,
+    before any m x m array exists, if m exceeds MAX_EDGE_ORDER = 2**10.
     """
+    m = graph.n * (graph.q + 1)
+    if m > MAX_EDGE_ORDER:
+        raise ValueError(
+            f"the edge matrix of {m} oriented edges exceeds the oracle's limit of {MAX_EDGE_ORDER}"
+        )
     ends = np.argwhere(np.triu(graph.adjacency))
     tail, head = ends.ravel(), ends[:, ::-1].ravel()
     feeds = head[:, None] == tail

@@ -39,6 +39,13 @@ def test_ngc_oracle_flag(capsys, tmp_path):
     assert res["count"] == 72 and res["trace_oracle"] == 72 and res["match"] is True
 
 
+def test_ngc_oracle_refuses_a_large_edge_matrix(capsys):
+    code, out, err = run(capsys, "ngc", "--name", "cycle(1025)", "-k", "3", "--oracle")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "2050 oriented edges" in err
+
+
 def test_hseq_single(capsys):
     code, out, _ = run(capsys, "hseq", "--name", "utility", "-k", "4")
     assert code == 0

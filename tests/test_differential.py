@@ -26,9 +26,9 @@ from specgap.estimator import EstimateReport, _decide, required_even_index
 from specgap.exact import MultCounter
 from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
-    LadderInvariantError, _canonical, _certify, _crt, _crt_basis, _extender, _extension_bits,
-    _ladder_size, _moduli, _primes_between, _reduce, _run_ladder, _run_ladder_pair, _sweep,
-    chebyshev_sweep, expansion_slacks, geodesic_counts,
+    LadderInvariantError, _canonical, _certify, _corrections, _crt, _crt_basis, _extender,
+    _extension_bits, _ladder_size, _moduli, _primes_between, _reduce, _run_ladder, _run_ladder_pair,
+    _sweep, chebyshev_sweep, expansion_slacks, geodesic_counts,
 )
 from specgap.oracle import exact_slack_from_integer_spectrum
 
@@ -222,6 +222,23 @@ def test_reduction_is_exact_at_the_accumulation_bound():
             assert (v - int(got)) % p == 0, (n, v, got)
 
 
+def test_corrections_are_the_scalars_of_each_formed_index():
+    # forming M(t) subtracts 2 q**(t/2) I (even t) or q**(t//2) A (odd t);
+    # the largest primes below the limits at n = 3 and n = 150 keep the
+    # int64 products near 2**63
+    primes = _moduli(3, 2**200) + _moduli(150, 2**200)
+    p = np.array(primes, dtype=np.int64)
+    for q in (1, 2, 3, 7):
+        powers = np.array([[pow(q, h, m) for m in primes] for h in range(2**11 + 1)])
+        for k in range(1, 2**12 + 1):
+            built = sg.ladder_indices(k)[-2:0:-1]
+            got = _corrections(built, q, primes)
+            t = np.array(sorted(set(built)), dtype=np.int64)
+            assert list(got) == t.tolist(), (q, k)
+            expect = powers[t // 2] * (2 - t % 2)[:, None] % p
+            assert np.array_equal(np.array(list(got.values())).reshape(expect.shape), expect), (q, k)
+
+
 def test_crt_lifts_into_the_symmetric_range():
     primes = _moduli(20, 2**100)
     half = math.prod(primes) // 2
@@ -272,7 +289,7 @@ def test_ladder_spans_prime_blocks(case):
     traces = _sweep_traces(g, k)
     for j in (1, 2, 3, k - 1, k):
         counter = MultCounter()
-        trace, _ = _run_ladder(g, j, counter)
+        trace = _run_ladder(g, j, counter)
         assert trace == traces[j - 1], (g.source, j)
         assert counter.count == len(sg.ladder_indices(j)) - 1
 
@@ -287,7 +304,7 @@ def test_one_prime_per_block_agrees_with_the_oracle(g, k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ladder, "_BLOCK_ENTRIES", 1)
         counter = MultCounter()
-        trace, _ = _run_ladder(g, k, counter, checked=True)
+        trace = _run_ladder(g, k, counter, checked=True)
     assert trace == expected == _ladder_trace(g, k), (g.source, k)
     count = sg.geodesic_count_trace(g, k)
     assert expected == (count - g.n * (g.q - 1) if k % 2 == 0 else count), (g.source, k)
@@ -301,8 +318,7 @@ def _pair_traces(g, k, checked=False):
     counter = MultCounter()
     out = _run_ladder_pair(g, k, counter, checked=checked)
     assert counter.count == len(sg.ladder_indices(k + 1)), (g.source, k)
-    assert [e for _, e in out] == [k // 2, k // 2 + 1]
-    return [trace for trace, _ in out]
+    return out
 
 
 @settings(max_examples=25, deadline=None)
@@ -465,7 +481,7 @@ def test_extended_ladders_equal_the_sweep(g, k, one_prime_blocks):
     with pytest.MonkeyPatch.context() as mp:
         if one_prime_blocks:
             mp.setattr(ladder, "_BLOCK_ENTRIES", 1)
-        trace, _ = _run_ladder(g, k, MultCounter(), checked=True)
+        trace = _run_ladder(g, k, MultCounter(), checked=True)
         pair = _pair_traces(g, 2 * k, checked=True)
     assert trace == traces[k - 1], (g.source, k)
     assert pair == [traces[2 * k - 1], traces[2 * k + 1]], (g.source, k)
@@ -491,7 +507,7 @@ def test_extension_sets_empty_and_not(name, monkeypatch):
         assert _pair_traces(g, k, checked=True) == [traces[k - 1], traces[k + 1]], (name, k)
         extended.add(bool(calls))
         for j in (k - 1, k):
-            assert _run_ladder(g, j, MultCounter(), checked=True)[0] == traces[j - 1], (name, j)
+            assert _run_ladder(g, j, MultCounter(), checked=True) == traces[j - 1], (name, j)
     assert extended == ({False} if g.q == 1 else {False, True}), name
 
 

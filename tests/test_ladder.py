@@ -246,17 +246,15 @@ def test_checked_mode_detects_corrupt_state():
     assert len(primes) > 1
     a = g.adjacency.astype(np.float64)
     stack = np.repeat(a[None], len(primes), axis=0)  # residues of M(1) = A
-    with pytest.raises(LadderInvariantError, match="exponent"):
-        _check_state(4, stack, 1, a, g.q, primes)
     with pytest.raises(LadderInvariantError, match="register"):
-        _check_state(2, stack, 1, a, g.q, primes)
-    _check_state(1, stack, 0, a, g.q, primes)
+        _check_state(2, stack, a, g.q, primes)
+    _check_state(1, stack, a, g.q, primes)
     # residues are compared modulo each prime, not as representatives
     stack[0, 0, 1] += primes[0]
-    _check_state(1, stack, 0, a, g.q, primes)
+    _check_state(1, stack, a, g.q, primes)
     stack[-1, 2, 3] += 1
     with pytest.raises(LadderInvariantError, match=f"register mismatch at index 1 modulo {primes[-1]}"):
-        _check_state(1, stack, 0, a, g.q, primes)
+        _check_state(1, stack, a, g.q, primes)
 
 
 def test_checked_mode_covers_the_trace_only_finish(monkeypatch):
@@ -271,7 +269,7 @@ def test_checked_mode_covers_the_trace_only_finish(monkeypatch):
         return honest(bad, y, w, p, inv)
 
     monkeypatch.setattr(ladder, "_contract", corrupted)
-    wrong, _ = _run_ladder(g, 12, MultCounter())
+    wrong = _run_ladder(g, 12, MultCounter())
     assert wrong != sg.geodesic_count_trace(g, 12) - g.n * (g.q - 1)
     with pytest.raises(LadderInvariantError, match="final trace"):
         _run_ladder(g, 12, MultCounter(), checked=True)
@@ -293,7 +291,7 @@ PAIR_FINISHES = [(0, 5), (1, 6)]
 
 
 def _pair(g, checked=False):
-    return [trace for trace, _ in _run_ladder_pair(g, 10, MultCounter(), checked=checked)]
+    return _run_ladder_pair(g, 10, MultCounter(), checked=checked)
 
 
 @pytest.mark.parametrize("which,index", PAIR_FINISHES)
@@ -342,11 +340,11 @@ def test_checked_mode_covers_both_squaring_finishes(monkeypatch, which, index):
         _pair(g, checked=True)
 
 
-@pytest.mark.parametrize("slot", [1, 2])
-def test_checked_mode_covers_the_extended_residues(monkeypatch, slot):
+@pytest.mark.parametrize("index", [30, 31])
+def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
     # k = 60 on blocks of one prime: the ladder runs on 2 primes and the
-    # finish extends M(30) (slot 2) and M(31) (slot 1) to a third one;
-    # corrupt one extended residue of either operand
+    # finish extends M(30) and M(31) to a third one; corrupt one extended
+    # residue of either operand
     g = sg.named_graph("utility")
     monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
     primes = _moduli(g.n, g.n * (g.q**62 + 1))
@@ -361,13 +359,13 @@ def test_checked_mode_covers_the_extended_residues(monkeypatch, slot):
         def corrupted(v):
             calls.append(1)
             z = extend(v)
-            if len(calls) % 2 == slot % 2:  # slots 1, 2 extend in turn
+            if (len(calls) - 1) % 2 == index - 30:  # M(30), M(31) extend in turn
                 z[0, 0] = (z[0, 0] + 1) % primes[size]
             return z
 
         return corrupted
 
-    truth = [trace for trace, _ in _run_ladder_pair(g, 60, MultCounter())]
+    truth = _run_ladder_pair(g, 60, MultCounter())
     sweep = ladder.chebyshev_sweep(g)
     traces = [next(sweep) for _ in range(62)]
     assert truth == [traces[59], traces[61]]
@@ -375,5 +373,5 @@ def test_checked_mode_covers_the_extended_residues(monkeypatch, slot):
     # the corrupt residue sends the rebuilt trace far outside its bound
     with pytest.raises(LadderInvariantError, match="exceeds its bound"):
         _run_ladder_pair(g, 60, MultCounter())
-    with pytest.raises(LadderInvariantError, match=f"extended residue mismatch in slot {slot} "):
+    with pytest.raises(LadderInvariantError, match=rf"extended residue mismatch in M\({index}\) "):
         _run_ladder_pair(g, 60, MultCounter(), checked=True)

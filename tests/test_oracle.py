@@ -34,6 +34,16 @@ def test_edge_matrix_matches_definition(corpus):
         assert {type(x) for x in w.flat} == {int}, g.source
 
 
+def test_edge_matrix_refuses_a_large_order():
+    g = sg.named_graph("cycle(1025)")  # m = 2050 oriented edges
+    with pytest.raises(ValueError, match="2050 oriented edges exceeds the oracle's limit of 1024"):
+        sg.directed_edge_matrix(g)
+    with pytest.raises(ValueError, match="2050 oriented edges"):
+        sg.geodesic_count_trace(g, 3)
+    w = sg.directed_edge_matrix(sg.named_graph("cycle(512)"))  # m = 1024, at the limit
+    assert w.shape == (1024, 1024)
+
+
 def test_trace_counts_on_the_4_cycle():
     g = sg.named_graph("cycle(4)")
     for k in range(1, 13):
