@@ -14,6 +14,7 @@ import time
 
 from . import __version__
 from .estimator import estimate_expansion, parse_epsilon
+from .exact import rational_text
 from .graphs import (
     GraphGenerationError,
     GraphValidationError,
@@ -61,8 +62,8 @@ def _slack_payload(slack, precision):
     v = slack.value
     return {
         "k": slack.k,
-        "rational": str(v.rational),
-        "sqrt_coeff": str(v.coeff),
+        "rational": rational_text(v.rational),
+        "sqrt_coeff": rational_text(v.coeff),
         "radicand": v.radicand,
         "decimal": str(v.decimal(precision)),
     }

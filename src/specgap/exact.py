@@ -1,13 +1,16 @@
-"""Exact arithmetic core: the product counter and real quadratic numbers.
+"""Exact numbers for the decision path: the product counter and slack values.
 
-Everything in this module is exact.  Rationals are ``fractions.Fraction``,
-and numbers of the form a + b*sqrt(r) carry their two rational components
-explicitly so that signs and floors are decided without ever rounding.
-Floating point appears only in the rendering helpers.
+A slack value is a + b*sqrt(r) with rational a, b (``fractions.Fraction``)
+and a positive integer r.  :class:`Quadratic` builds one, compares two,
+and gives its sign, floor, correctly rounded decimal digits and text, all
+decided on integers without ever rounding.  It has no arithmetic: nothing
+on the decision path adds or multiplies slack values.  Floating point
+appears only in ``to_float``.
 """
 
 import math
 import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -40,6 +43,28 @@ def _as_fraction(x):
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def rational_text(x):
+    """``str(x)`` for an int or Fraction, at any number of digits.
+
+    ``str`` of an int refuses more than ``sys.get_int_max_str_digits()``
+    digits; ``decimal.Decimal`` converts an int exactly with no such limit.
+    """
+    x = _as_fraction(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def _log10_floor(f):
+    """floor(log10(f)) for an integer f >= 1, from its bit length.
+
+    0.301029995 < log10(2), so the first guess is never too high.
+    """
+    e = (f.bit_length() - 1) * 301029995 // 10**9
+    while 10 ** (e + 1) <= f:
+        e += 1
+    return e
+
+
 def _sign(n, m, r):
     """The sign of n + m*sqrt(r), for integers n, m and r >= 1."""
     sn, sm = (n > 0) - (n < 0), (m > 0) - (m < 0)
@@ -66,11 +91,14 @@ def _floor(n, m, r, d):
 class Quadratic:
     """Exact number a + b*sqrt(r) with rational a, b and integer r >= 1.
 
-    Over one denominator d > 0 the number is (N + M*sqrt(r)) / d with
-    integers N, M, and its sign, floor and decimal digits are decided on
-    those integers alone (the sign by comparing N**2 against M**2 * r), so
-    no floating point is involved anywhere.  A perfect-square radicand is
-    allowed; the representation is not normalized in that case.
+    It is built, compared (``==`` against another Quadratic, an int or a
+    Fraction), and read out as its sign, floor, decimal digits and text;
+    there is no arithmetic on it.  Over one denominator d > 0 the number is
+    (N + M*sqrt(r)) / d with integers N, M, and its sign, floor and decimal
+    digits are decided on those integers alone (the sign by comparing N**2
+    against M**2 * r), so no floating point is involved.  Its text has no
+    digit limit.  A perfect-square radicand is allowed; the representation
+    is not normalized in that case.
     """
 
     __slots__ = ("rational", "coeff", "radicand")
@@ -92,61 +120,17 @@ class Quadratic:
         n, m, _ = self._integers()
         return _sign(n, m, self.radicand)
 
-    def _coerce(self, other):
-        if isinstance(other, Quadratic):
-            if other.coeff != 0 and self.coeff != 0 and other.radicand != self.radicand:
-                raise ValueError("mixed radicands are not supported")
-            rad = self.radicand if self.coeff != 0 else other.radicand
-            return other.rational, other.coeff, rad
-        if isinstance(other, (int, Fraction)):
-            return _as_fraction(other), Fraction(0), self.radicand
-        return None
-
-    def __add__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        oa, ob, rad = co
-        return Quadratic(self.rational + oa, self.coeff + ob, rad)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Quadratic(-self.rational, -self.coeff, self.radicand)
-
-    def __sub__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        oa, ob, rad = co
-        return Quadratic(self.rational - oa, self.coeff - ob, rad)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return Quadratic(self.rational * f, self.coeff * f, self.radicand)
-        if isinstance(other, Quadratic):
-            if self.coeff != 0 and other.coeff != 0 and self.radicand != other.radicand:
-                raise ValueError("mixed radicands are not supported")
-            rad = self.radicand if self.coeff != 0 else other.radicand
-            a1, b1, a2, b2 = self.rational, self.coeff, other.rational, other.coeff
-            return Quadratic(a1 * a2 + b1 * b2 * rad, a1 * b2 + a2 * b1, rad)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
+        """Equal values; nonzero sqrt parts over different radicands differ."""
         if isinstance(other, (int, Fraction)):
-            other = Quadratic(other, 0, self.radicand)
+            other = Quadratic(other)
         if not isinstance(other, Quadratic):
             return NotImplemented
-        try:
-            return (self - other).sign() == 0
-        except ValueError:
+        if self.coeff and other.coeff and self.radicand != other.radicand:
             return False
+        radicand = self.radicand if self.coeff else other.radicand
+        diff = Quadratic(self.rational - other.rational, self.coeff - other.coeff, radicand)
+        return diff.sign() == 0
 
     def __hash__(self):
         if self.coeff == 0:
@@ -164,8 +148,6 @@ class Quadratic:
         Rounds half to even; ties are adjudicated exactly via sign tests,
         so the result is the true rounding of the represented number.
         """
-        from decimal import Decimal, localcontext
-
         if digits < 1:
             raise ValueError("digits must be >= 1")
         n, m, d = self._integers()
@@ -175,12 +157,12 @@ class Quadratic:
             return Decimal(0)
         # w = (n + m*sqrt(r)) / d = |self|
         n, m = sgn * n, sgn * m
-        # e = floor(log10(w)): floor(w * 10**j) has e + j + 1 digits once
-        # it is at least 1
+        # e = floor(log10(w)) = floor(log10(f)) - j once f = floor(w * 10**j)
+        # is at least 1
         j = 0
         while (f := _floor(n * 10**j, m * 10**j, r, d)) == 0:
             j = 2 * j or 1
-        e = len(str(f)) - 1 - j
+        e = _log10_floor(f) - j
         shift = digits - 1 - e
         if shift >= 0:
             n, m = n * 10**shift, m * 10**shift
@@ -210,12 +192,14 @@ class Quadratic:
         return self.to_float()
 
     def __repr__(self):
+        a = rational_text(self.rational)
         if self.coeff == 0:
-            return f"Quadratic({self.rational})"
-        return f"Quadratic({self.rational} + {self.coeff}*sqrt({self.radicand}))"
+            return f"Quadratic({a})"
+        return f"Quadratic({a} + {rational_text(self.coeff)}*sqrt({self.radicand}))"
 
     def __str__(self):
+        a = rational_text(self.rational)
         if self.coeff == 0:
-            return str(self.rational)
+            return a
         op = "+" if self.coeff > 0 else "-"
-        return f"{self.rational} {op} {abs(self.coeff)}*sqrt({self.radicand})"
+        return f"{a} {op} {rational_text(abs(self.coeff))}*sqrt({self.radicand})"

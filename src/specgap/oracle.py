@@ -83,17 +83,11 @@ def chebyshev_scalar(k, x):
 def chebyshev_even_from_square(k, x_squared):
     """T(k, x) for even k, given x**2; exact when x_squared is a Fraction.
 
-    Uses T(2j+2) = (x**2 - 2)*T(2j) - T(2j-2) with T(0) = 2, T(2) = x**2 - 2.
+    By T(2j, x) = T(j, x**2 - 2) this is ``chebyshev_scalar(k // 2, x_squared - 2)``.
     """
     if k < 0 or k % 2 != 0:
         raise ValueError(f"k must be even and >= 0, got {k}")
-    if k == 0:
-        return x_squared * 0 + 2
-    mult = x_squared - 2
-    prev, cur = x_squared * 0 + 2, mult
-    for _ in range(k // 2 - 1):
-        prev, cur = cur, mult * cur - prev
-    return cur
+    return chebyshev_scalar(k // 2, x_squared - 2)
 
 
 @dataclass(frozen=True)

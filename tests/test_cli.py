@@ -1,4 +1,6 @@
+import decimal
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +61,19 @@ def test_hseq_range(capsys):
     assert rows[0]["rational"] == "31/2"
     assert rows[2]["rational"] == "-9/4"
     assert rows[1]["sqrt_coeff"] == "9/4" and rows[1]["radicand"] == 2
+
+
+def test_hseq_prints_slacks_past_the_int_text_limit(capsys):
+    # the slack's rational has about 9,000 digits; str(int) stops at 4,300
+    payload = run_json(capsys, "hseq", "--name", "petersen", "-k", "30000")
+    (row,) = payload["results"]["slacks"]
+    assert row["decimal"] == "18.12405638" and row["sqrt_coeff"] == "0"
+    num, den = (int(decimal.Decimal(part)) for part in row["rational"].split("/"))
+    value = sg.expansion_slack(sg.named_graph("petersen"), 30000).value
+    assert Fraction(num, den) == value.rational and num.bit_length() > 4300 * 3
+    code, out, err = run(capsys, "hseq", "--name", "petersen", "-k", "30000")
+    assert code == 0 and err == ""
+    assert out.startswith("k=30000: ") and out.splitlines()[0].endswith(" (18.12405638)")
 
 
 def test_hseq_chvatal_nonnegative(capsys):

@@ -1,0 +1,36 @@
+"""Every import in the package is standard library or a declared dependency."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _declared():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        specs = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in specs}
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_stdlib_and_declared_dependencies():
+    allowed = set(sys.stdlib_module_names) | _declared()
+    assert "numpy" in allowed
+    sources = sorted((ROOT / "src" / "specgap").glob("*.py"))
+    assert sources
+    found = {(path.name, name) for path in sources for name in _absolute_imports(path)}
+    assert found, "no absolute imports found"
+    stray = sorted((f, name) for f, name in found if name.split(".")[0].lower() not in allowed)
+    assert not stray, f"imports outside the standard library and pyproject dependencies: {stray}"

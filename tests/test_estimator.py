@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import specgap as sg
 from specgap.estimator import _decide, _estimate_at_most
-from specgap.exact import Quadratic
+from specgap.exact import Quadratic, rational_text
 from specgap.ladder import SlackValue
 
 
@@ -130,6 +130,15 @@ def test_reports_are_deterministic():
     a = sg.estimate_expansion(g, "2^-3")
     b = sg.estimate_expansion(g, "2^-3")
     assert a == b
+
+
+def test_report_repr_has_no_length_limit():
+    # at k = 36774 the slack's rational has about 11,000 digits
+    report = sg.estimate_expansion(sg.random_regular(24, 2, seed=1), "2^-13")
+    text = repr(report)
+    assert text.startswith("EstimateReport(") and "k=36774" in text
+    assert f"value=Quadratic({rational_text(report.slack.value.rational)})" in text
+    assert len(text) > 2 * 4300
 
 
 def test_concurrent_runs_agree():

@@ -1,15 +1,16 @@
+import decimal
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specgap as sg
 from specgap import MultCounter, Quadratic, named_graph
+from specgap.exact import rational_text
 
 from brute import count_walks, naive_edge_matrix, naive_mat_mul
 
@@ -137,16 +138,57 @@ def test_floor_is_the_largest_integer_at_or_below(a, b, r):
     w = Quadratic(a, b, r)
     f = w.floor()
     assert isinstance(f, int)
-    assert (w - f).sign() >= 0 > (w - f - 1).sign()
+    assert Quadratic(a - f, b, r).sign() >= 0 > Quadratic(a - f - 1, b, r).sign()
 
 
-def test_quadratic_arithmetic():
-    a = Quadratic(1, 1, 2)
-    b = Quadratic(1, -1, 2)
-    assert a * b == Quadratic(-1, 0, 2)
-    assert a + b == Quadratic(2, 0, 2)
-    with pytest.raises(ValueError):
-        Quadratic(1, 1, 2) + Quadratic(1, 1, 3)
+def test_equality_of_values_in_different_forms():
+    assert Quadratic(Fraction(2, 4), Fraction(6, 3), 2) == Quadratic(Fraction(1, 2), 2, 2)
+    assert Quadratic(Fraction(3, 1)) == Quadratic(3)
+    assert Quadratic(1, Fraction(1, 3), 5) != Quadratic(1, Fraction(1, 2), 5)
+    # a perfect-square radicand: -2 + sqrt(4) is zero
+    assert Quadratic(-2, 1, 4) == Quadratic(0, 0, 7)
+    assert Quadratic(-2, 1, 4) == 0
+
+
+def test_equality_with_int_and_fraction_operands():
+    assert Quadratic(5, 0, 3) == 5
+    assert 5 == Quadratic(5, 0, 3)
+    assert Quadratic(Fraction(7, 2), 0, 2) == Fraction(7, 2)
+    assert Fraction(7, 2) == Quadratic(Fraction(7, 2), 0, 2)
+    assert Quadratic(5, 1, 3) != 5
+    assert Quadratic(5, 0, 3) != Fraction(11, 2)
+    assert Quadratic(5) != "5"
+
+
+def test_equality_across_radicands():
+    # no sqrt part: the radicand does not matter
+    assert Quadratic(Fraction(3, 4), 0, 2) == Quadratic(Fraction(3, 4), 0, 3)
+    # nonzero sqrt parts over different radicands never compare equal, and never raise
+    assert Quadratic(1, 1, 2) != Quadratic(1, 1, 3)
+    assert not Quadratic(0, 2, 2) == Quadratic(0, 1, 8)
+    assert Quadratic(1, 1, 2) != Quadratic(1, 0, 3)
+
+
+def test_hash_of_a_rational_value_is_its_hash():
+    for x in (0, 7, -3, Fraction(5, 8), Fraction(-22, 7)):
+        assert hash(Quadratic(x)) == hash(x)
+        assert hash(Quadratic(x, 0, 5)) == hash(x)
+    assert len({Quadratic(2), Quadratic(Fraction(4, 2), 0, 3), 2}) == 1
+
+
+def test_text_and_digits_have_no_length_limit():
+    # 5,071 digits, past the default limit of 4,300 on str(int)
+    big = 7**6000
+    num = str(decimal.Decimal(big))
+    assert len(num) == 5071 and int(decimal.Decimal(num)) == big
+    w = Quadratic(Fraction(big, 3), -big, 2)
+    assert str(w) == f"{num}/3 - {num}*sqrt(2)"
+    assert repr(w) == f"Quadratic({num}/3 + -{num}*sqrt(2))"
+    assert rational_text(-big) == "-" + num
+    assert rational_text(Fraction(1, big)) == "1/" + num
+    ten = 10**5000
+    got = Quadratic(Fraction(ten, 3), -ten, 2).decimal(12)
+    assert str(got) == str(Quadratic(Fraction(1, 3), -1, 2).decimal(12).scaleb(5000))
 
 
 _rat = st.fractions(

@@ -89,6 +89,9 @@ def test_chebyshev_even_matches_general():
     x = Fraction(7, 3)
     for k in range(0, 21, 2):
         assert sg.chebyshev_even_from_square(k, x * x) == sg.chebyshev_scalar(k, x)
+    for k in (-2, 1, 3, 41):
+        with pytest.raises(ValueError):
+            sg.chebyshev_even_from_square(k, x * x)
 
 
 # ---- eigensolver ----
