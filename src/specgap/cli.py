@@ -9,6 +9,7 @@ output carrying the same numbers as the text rendering.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -89,17 +90,37 @@ def _emit(args, command, graph, results, text_lines, started):
         print(f"[{elapsed:.3f}s]")
 
 
+def _refuse_long_count(graph, k):
+    """Raise before any work if JSON could not render a length-k count.
+
+    json.dumps writes an int through str, which refuses more than
+    sys.get_int_max_str_digits() digits (0: no limit).  A count is at
+    most n (q**k + q) <= 2n q**k in modulus, below 2**bits.
+    """
+    limit = sys.get_int_max_str_digits()
+    bits = k * math.log2(graph.q) + (2 * graph.n).bit_length()
+    digits = math.floor(bits * math.log10(2)) + 1
+    if limit and digits > limit:
+        raise ValueError(
+            f"a geodesic count of length {k} may have up to {digits} digits, more than "
+            f"the {limit} JSON can render (PYTHONINTMAXSTRDIGITS sets the limit); "
+            "the text output has none"
+        )
+
+
 def _cmd_ngc(args):
     started = time.perf_counter()
     graph = _load_graph(args)
+    if args.json:
+        _refuse_long_count(graph, args.k)
     count = geodesic_count(graph, args.k)
     results = {"k": args.k, "count": count}
-    lines = [f"geodesic cycles of length {args.k}: {count}"]
+    lines = [f"geodesic cycles of length {args.k}: {rational_text(count)}"]
     if args.oracle:
         check = geodesic_count_trace(graph, args.k)
         results["trace_oracle"] = check
         results["match"] = check == count
-        lines.append(f"edge-matrix trace oracle: {check}")
+        lines.append(f"edge-matrix trace oracle: {rational_text(check)}")
         lines.append("MATCH" if check == count else "MISMATCH")
     _emit(args, "ngc", graph, results, lines, started)
     if args.oracle and results["match"] is False:

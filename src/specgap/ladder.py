@@ -32,8 +32,9 @@ for its last step, so one ladder ends instead with two trace
 contractions, the squares M(j)**2 and M(j+1)**2, and counts
 len(ladder_indices(k + 1)) products.
 
-The ladder runs on residues modulo word-size primes, and the Chinese
-remainder theorem rebuilds each final trace.
+The ladder forms its leading indices exactly, once, and the rest on
+residues modulo word-size primes; the Chinese remainder theorem rebuilds
+each final trace.
 
 Bounds.  An eigenvalue lam of A has |lam| <= q+1.  The matching
 eigenvalue of M(t) is a**t + b**t with a + b = lam and a*b = q.  If
@@ -43,6 +44,21 @@ larger modulus x = |a| satisfies x + q/x = |lam| <= q + 1, so
 sqrt(q) <= x <= q; x**t + (q/x)**t grows on that range, so the modulus
 is again at most q**t + 1.  Hence |trace M(t)| <= n (q**t + 1), and, M(t)
 being symmetric, every entry satisfies |M(t)_uv| <= ||M(t)||_2 <= q**t + 1.
+
+Exact prefix.  Entry (u, v) of M(x) M(y) is row u of M(x) times column
+v of M(y).  Every partial sum of it, in any order, is at most the sum of
+the absolute products, which by Cauchy-Schwarz is at most the product of
+the row's and the column's Euclidean norms; each is at most the spectral
+norm, so the bound is (q**x + 1)(q**y + 1) (see Bounds).  So while
+(q**x + 1)(q**y + 1) + 2 q**y < 2**53, with x = (t+1)//2 and y = t//2,
+one float64 product (any BLAS) and its scalar correction form M(t)
+exactly, with entries at most q**t + 1 < 2**53.  The ladder forms the
+schedule's indices this way, on one n x n matrix, while the rule holds:
+for q = 2 every index up to 52, for q = 3 up to 33, and for q = 1, whose
+entries never pass 2, all of them.  Each prime block starts from the
+residues of the exact matrices later indices still read, and forms only
+the rest.  The schedule's duplicated M(2) (:func:`ladder_indices`) thus
+costs one exact product per run, not one per prime block.
 
 Primes.  The fewest primes, largest first below a limit set by n, whose
 product exceeds 2 n (q**k + 1) determine the trace at index k, lifted
@@ -60,20 +76,22 @@ so the prefix may hold at most steps n**2 / ((n+1) operands) primes.
 That keeps small graphs at small eps, where the prefix runs to hundreds
 of primes, on the whole set.
 
-Products.  Residues are float64 values, so each step is one BLAS product
-(dgemm) on a stack of n x n residue matrices, one per prime.  Reduction
-is delayed: r = x - p*floor(x * (1/p)) leaves r in [-p, 2p), so every
-value a step accumulates is an integer of modulus below n (2p)**2 + p,
-and the prime limit keeps that below 2**53, where float64 arithmetic on
-integers is exact.  Each step's scalar correction, 2 q**h I or q**h A,
+Products.  Residues are float64 values, so each step after the exact
+prefix is one BLAS product (dgemm) on a stack of n x n residue matrices,
+one per prime.  A block's stacks start as the exact matrices reduced
+modulo its primes, so their entries lie in [-p, 2p) like every later
+step's.  Reduction is delayed: r = x - p*floor(x * (1/p)) leaves r in
+[-p, 2p), so every value a step accumulates is an integer of modulus
+below n (2p)**2 + p, and the prime limit keeps that below 2**53, where
+float64 arithmetic on integers is exact.  Each step's scalar correction, 2 q**h I or q**h A,
 comes from residues of q**h built once for all the ladder's primes
 (:func:`_corrections`).  The primes run in blocks of 2**14 // n**2 (at least
 one), so one stack holds at most 2**14 entries unless a single n x n
 matrix is larger; a step keeps about five stacks alive, so the working
 set stays near 640 KiB.
 
-Storage.  At its last step each block writes the canonical residues, in
-[0, p), of every distinct finish operand's upper triangle (M(t) is
+Storage.  After its last step each block writes the canonical residues,
+in [0, p), of every distinct finish operand's upper triangle (M(t) is
 symmetric) into an int32 array of n(n+1)/2 entries per ladder prime,
 zero-padded to whole rows of n entries; a square stores its operand once.
 That is 2 n**2 bytes per ladder prime and operand: 1.4 MiB for the pair
@@ -489,38 +507,80 @@ def _corrections(built, q, primes):
     return out
 
 
-def _ladder_block(a, edges, built, q, primes, corrections, out, triangle, counter, checked):
-    """Run the ladder modulo each prime in ``primes``.
+def _step(mats, t, edges, c):
+    """M((t+1)//2) M(t//2) minus the scalar correction of index t.
 
-    ``edges`` is np.nonzero(a), the positions of the 0/1 matrix A's ones.
-    Starting from M(1) = A, each index t of ``built``, in order, is formed
-    from M((t+1)//2) and M(t//2): M(2h) = M(h)**2 - 2 q**h I and
-    M(2h+1) = M(h+1) M(h) - q**h A, with the scalar residues for these
-    primes from ``corrections`` (:func:`_corrections`).  The indices never
-    decrease, so the stacks below t//2 are dead and are dropped before
-    M(t) is formed.  Then, for each index in ``out``, the canonical
-    residues of the upper triangle (``triangle``, its row and column
-    indices in row-major order) of M(index) are written into out[index],
-    an int32 (len(primes), >= n(n+1)/2) array.  The counter (or None) is
-    bumped once per formed index.
+    That is c A for odd t (A's ones at ``edges``) and c I for even t.
+    ``mats`` maps indices to one n x n matrix, with c a scalar, or to
+    stacks of them, with c one value per matrix of the stack.
+    """
+    step = np.matmul(mats[(t + 1) // 2], mats[t // 2])
+    c = np.asarray(c, dtype=np.float64)[..., None]
+    if t % 2:
+        step[..., edges[0], edges[1]] -= c
+    else:
+        step.reshape(*step.shape[:-2], -1)[..., ::step.shape[-1] + 1] -= c
+    return step
+
+
+def _exact_prefix(a, edges, built, keep, q, counter, checked):
+    """Form the leading entries of ``built`` exactly, on one float64 matrix.
+
+    Each index t, from M((t+1)//2) = M(x) and M(t//2) = M(y), is formed
+    while (q**x + 1)(q**y + 1) + 2 q**y < 2**53, which keeps every value
+    of the product and of its correction an exact integer (see "Exact
+    prefix" above).  Returns the rest of ``built`` and a dict from each
+    formed index (or 1, for A) that the rest or ``keep`` still reads to
+    its exact matrix.  The counter (or None) is bumped once per formed
+    index; checked mode compares each with the sweep's matrix.
+    """
+    mats, done = {1: a}, 0
+    for t in built:
+        x, y = (t + 1) // 2, t // 2
+        if (q**x + 1) * (q**y + 1) + 2 * q**y >= _EXACT:
+            break
+        mats = {i: m for i, m in mats.items() if i >= y}
+        if counter is not None:
+            counter.bump()
+        mats[t] = _step(mats, t, edges, q**y if t % 2 else 2 * q**y)
+        if checked and not np.array_equal(mats[t].astype(np.int64), _reference(t, a, q)):
+            raise LadderInvariantError(f"register mismatch at index {t} in the exact prefix")
+        done += 1
+    rest = built[done:]
+    read = set(keep).union(*(((t + 1) // 2, t // 2) for t in rest))
+    return rest, {i: m for i, m in mats.items() if i in read}
+
+
+def _ladder_block(a, edges, start, built, q, primes, corrections, out, triangle, counter,
+                  checked):
+    """Run the rest of the ladder modulo each prime in ``primes``.
+
+    ``start`` maps indices to the exact matrices :func:`_exact_prefix`
+    left live; the block's stacks start from their residues.  Each index
+    t of ``built``, in order, is then formed from M((t+1)//2) and
+    M(t//2): M(2h) = M(h)**2 - 2 q**h I and M(2h+1) = M(h+1) M(h) -
+    q**h A (A the 0/1 matrix a, whose ones are at ``edges``), with the
+    scalar residues for these primes from ``corrections``
+    (:func:`_corrections`).  The indices never decrease, so the stacks
+    below t//2 are dead and are dropped before M(t) is formed.  Then,
+    for each index in ``out``, the canonical residues of the upper
+    triangle (``triangle``, its row and column indices in row-major
+    order) of M(index) are written into out[index], an int32
+    (len(primes), >= n(n+1)/2) array.  The counter (or None) is bumped
+    once per formed index.
     """
     p = np.array(primes, dtype=np.float64)[:, None, None]
     inv = 1.0 / p
-    diag = np.arange(a.shape[0])
-    # A's 0/1 entries are their own residues
-    mats = {1: np.repeat(a[None], len(primes), axis=0)}
-    if checked:
-        _check_state(1, mats[1], a, q, primes)
+    mats = {}
+    for t, m in start.items():
+        mats[t] = _reduce(np.repeat(m[None], len(primes), axis=0), p, inv)
+        if checked:
+            _check_state(t, mats[t], a, q, primes)
     for t in built:
         mats = {i: m for i, m in mats.items() if i >= t // 2}
         if counter is not None:
             counter.bump()
-        step = np.matmul(mats[(t + 1) // 2], mats[t // 2])
-        if t % 2:
-            step[:, edges[0], edges[1]] -= corrections[t][:, None]
-        else:
-            step[:, diag, diag] -= corrections[t][:, None]
-        mats[t] = _reduce(step, p, inv)
+        mats[t] = _reduce(_step(mats, t, edges, corrections[t]), p, inv)
         if checked:
             _check_state(t, mats[t], a, q, primes)
     for t, store in out.items():
@@ -574,7 +634,9 @@ def _drive(graph, finishes, counter, checked):
     trace(M(0)) = 2n and trace(M(1)) = trace(A) = 0, since a validated
     graph has no loops.  The ladder forms the entries of
     ladder_indices(lo + hi) between its first and its last, lo and hi
-    the smallest and largest operand; they include every operand.
+    the smallest and largest operand; they include every operand.  The
+    leading ones are formed exactly, once (:func:`_exact_prefix`), and
+    each prime block starts from their residues.
 
     The traces are determined modulo the primes of :func:`_moduli` for
     the largest bound |trace| <= n (q**index + 1) among the finishes.
@@ -585,7 +647,8 @@ def _drive(graph, finishes, counter, checked):
     product, if the primes could not make every step exact or could not
     determine every trace and operand entry; each rebuilt trace must lie
     within its own bound.  Products are counted on ``counter`` once per
-    formed index, however many prime blocks run it, and once per finish.
+    formed index, in the exact prefix or however many prime blocks run
+    it, and once per finish.
     """
     q, n = graph.q, graph.n
     operands = sorted({t for finish in finishes for t in finish})
@@ -608,11 +671,12 @@ def _drive(graph, finishes, counter, checked):
     width = n * ((n + 2) // 2)
     store = {t: np.zeros((size, width), dtype=np.int32) for t in operands}
     edges = np.nonzero(a)
+    rest, live = _exact_prefix(a, edges, built, operands, q, counter, checked)
     corrections = _corrections(built, q, primes[:size])
     for start in range(0, size, per_block):
         block = slice(start, start + per_block)
-        _ladder_block(a, edges, built, q, primes[block],
-                      {t: c[block] for t, c in corrections.items()},
+        _ladder_block(a, edges, live, rest, q, primes[block],
+                      {t: corrections[t][block] for t in rest},
                       {t: tri[block] for t, tri in store.items()}, triangle,
                       counter if start == 0 else None, checked)
     references = None
@@ -653,9 +717,9 @@ def _run_ladder(graph, k, counter, checked=False):
     are counted on ``counter``.
 
     With checked=True, every formed matrix is re-derived from scratch via
-    the three-term recurrence, reduced modulo each prime, and compared,
-    and the final trace is compared with the trace of the recurrence
-    matrix; this costs O(k q n^2) extra uncounted work per check.
+    the three-term recurrence, reduced modulo each prime unless the exact
+    prefix formed it, and compared, and the final trace is compared with
+    the trace of the recurrence matrix; this costs O(k q n^2) extra uncounted work per check.
     """
     if k == 1:  # M(1) = A; no step
         trace = int(graph.adjacency.trace())

@@ -1,12 +1,21 @@
 import decimal
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import specgap as sg
+from specgap import cli
 from specgap.cli import main
+
+# the directory that holds the specgap package
+SRC = Path(sg.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -46,6 +55,64 @@ def test_ngc_oracle_refuses_a_large_edge_matrix(capsys):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "2050 oriented edges" in err
+
+
+def test_ngc_prints_counts_past_the_int_text_limit(capsys):
+    # the count has about 9,000 digits; str(int) stops at 4,300
+    code, out, err = run(capsys, "ngc", "--name", "petersen", "-k", "30000")
+    assert code == 0 and err == ""
+    head = out.splitlines()[0]
+    assert head.startswith("geodesic cycles of length 30000: ")
+    count = int(decimal.Decimal(head.rsplit(" ", 1)[1]))
+    assert count == sg.geodesic_count(sg.named_graph("petersen"), 30000)
+    assert count.bit_length() > 4300 * 3
+
+
+def test_ngc_json_refuses_a_count_past_the_int_text_limit(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter renders ints of any length")
+    calls = []
+
+    def stub(graph, k):
+        calls.append(k)
+        return 0
+
+    def refused(k):
+        calls.clear()
+        monkeypatch.setattr(cli, "geodesic_count", stub)
+        code, out, err = run(capsys, "ngc", "--name", "petersen", "-k", str(k), "--json")
+        monkeypatch.undo()
+        if code == 0:
+            return False
+        assert code == 1 and out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("error: ") and f"the {limit} JSON can render" in err
+        assert calls == []
+        return True
+
+    # refused before any work; the first refused k, by bisection
+    lo, hi = 1, 10 * limit
+    assert refused(hi) and not refused(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    # the longest count JSON still takes renders, and is within two digits
+    # of the limit
+    payload = run_json(capsys, "ngc", "--name", "petersen", "-k", str(lo))
+    digits = len(str(payload["results"]["count"]))
+    assert limit - 2 <= digits <= limit
+
+
+def test_ngc_json_without_an_int_text_limit_takes_any_count():
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "specgap.cli", "ngc", "--name", "petersen", "-k", "30000", "--json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    digits = re.search(r'"count": (\d+)', done.stdout).group(1)
+    assert len(digits) > 9000
 
 
 def test_hseq_single(capsys):

@@ -542,3 +542,65 @@ def test_extension_is_skipped_where_it_would_cost_more(monkeypatch):
     # 2 * 565 * 78 multiply-adds per operand, one laddered prime 25 * 12**3
     g = sg.named_graph("chvatal")
     assert _ladder_runs(monkeypatch, g, "2^-12") == (10, 0)
+
+
+# ---- exact prefix: the leading indices, formed once in float64 ----
+
+
+def _per_prime_steps(monkeypatch):
+    """The list of the indices each _ladder_block call forms, as calls run."""
+    honest, rests = ladder._ladder_block, []
+
+    def spy(*args):
+        rests.append(list(args[3]))
+        return honest(*args)
+
+    monkeypatch.setattr(ladder, "_ladder_block", spy)
+    return rests
+
+
+@pytest.mark.parametrize("name", ["cycle(7)", "petersen", "complete(5)", "complete(6)", "complete(7)",
+                                  "random(64, 3)"])
+def test_ladder_and_pair_equal_the_sweep_to_257(name, monkeypatch):
+    # q = 1..5; for q = 1 every entry is at most 2, so no index is formed
+    # modulo a prime
+    g = sg.random_regular(64, 3, seed=1) if name == "random(64, 3)" else sg.named_graph(name)
+    rests = _per_prime_steps(monkeypatch)
+    traces = _sweep_traces(g, 259)
+    for k in range(1, 258):
+        counter = MultCounter()
+        assert _run_ladder(g, k, counter) == traces[k - 1], (name, k)
+        assert counter.count == len(sg.ladder_indices(k)) - 1, (name, k)
+        if k % 2 == 0:
+            assert _pair_traces(g, k) == [traces[k - 1], traces[k + 1]], (name, k)
+    assert any(rests) == (g.q > 1), name
+
+
+@pytest.mark.parametrize("name,k,last_exact,first_per_prime", [
+    ("utility", 105, 52, 53),  # q = 2: (2**27 + 1)(2**26 + 1) passes 2**53
+    ("petersen", 105, 52, 53),
+    ("complete(5)", 67, 33, 34),  # q = 3: (3**17 + 1)**2 passes 2**53
+])
+def test_checked_mode_straddles_the_exact_switch(name, k, last_exact, first_per_prime, monkeypatch):
+    g = sg.named_graph(name)
+    built = sg.ladder_indices(k)[-2:0:-1]
+    assert built[-2:] == [last_exact, first_per_prime]
+    rests = _per_prime_steps(monkeypatch)
+    traces = _sweep_traces(g, k + 1)
+    assert _run_ladder(g, k, MultCounter(), checked=True) == traces[k - 1]
+    # the pair at k - 1 runs the same schedule
+    assert _pair_traces(g, k - 1, checked=True) == [traces[k - 2], traces[k]]
+    assert rests and all(rest == [first_per_prime] for rest in rests)
+
+
+def test_prefix_takes_the_deep_estimates_leading_steps(monkeypatch):
+    # the benchmark's estimate-deep requests formed (19, 19, 13, 15)
+    # indices in every prime block; the exact prefix forms the leading
+    # (11, 11, 10, 9) of them once
+    for (n, q, eps), steps in zip(
+        [(60, 2, "2^-8"), (100, 2, "2^-8"), (150, 2, "2^-5"), (60, 3, "2^-6")], [8, 8, 3, 6]
+    ):
+        rests = _per_prime_steps(monkeypatch)
+        sg.estimate_expansion(sg.random_regular(n, q, seed=1), eps)
+        monkeypatch.undo()
+        assert rests and {len(rest) for rest in rests} == {steps}, (n, q, eps)

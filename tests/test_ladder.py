@@ -284,38 +284,67 @@ def test_pair_needs_an_even_index():
 
 # k = 10 runs the schedule for 11, [11, 6, 5, 3, 2, 2, 1], without its last
 # step, and finishes with the squares of M(5) (trace at 10) and of M(6)
-# (trace at 12).  Corrupt one residue of either half before the finish:
+# (trace at 12).  Corrupt one entry of either half before the finish:
 # in the register, where checked mode compares it with the sweep, or in
 # the operand of its finish, where checked mode compares the trace.
 PAIR_FINISHES = [(0, 5), (1, 6)]
 
 
-def _pair(g, checked=False):
-    return _run_ladder_pair(g, 10, MultCounter(), checked=checked)
+def _pair(g, checked=False, k=10):
+    return _run_ladder_pair(g, k, MultCounter(), checked=checked)
+
+
+def _corrupt_step(monkeypatch, index, ndim):
+    """Add 1 to one entry of M(index) as _step forms it, on one matrix
+    (ndim 2, the exact prefix) or on a prime block's stack (ndim 3)."""
+    honest = ladder._step
+
+    def corrupted(mats, t, edges, c):
+        out = honest(mats, t, edges, c)
+        if t == index and out.ndim == ndim:
+            out[(0,) * ndim] += 1
+        return out
+
+    monkeypatch.setattr(ladder, "_step", corrupted)
 
 
 @pytest.mark.parametrize("which,index", PAIR_FINISHES)
 def test_checked_mode_covers_both_pair_registers(monkeypatch, which, index):
+    # for q = 2 every index up to 52 is formed in the exact prefix, so
+    # M(5) and M(6) are exact matrices here
     g = sg.named_graph("utility")
     truth = _pair(g)
-    steps = len(sg.ladder_indices(11)) - 2
-    honest = ladder._reduce
-    made = []
-
-    def corrupted(x, p, inv):
-        out = honest(x, p, inv)
-        if out.ndim == 3:  # a step's matrix stack, not the finish's row sums
-            made.append(1)
-            # the block's last two steps build M(5), then M(6)
-            if len(made) % steps == (steps - 1 + which) % steps:
-                out[0, 0, 0] += 1
-        return out
-
-    monkeypatch.setattr(ladder, "_reduce", corrupted)
+    _corrupt_step(monkeypatch, index, 2)
     wrong = _pair(g)
     assert wrong[which] != truth[which] and wrong[1 - which] == truth[1 - which]
-    with pytest.raises(LadderInvariantError, match=f"register mismatch at index {index} "):
+    with pytest.raises(LadderInvariantError,
+                       match=f"register mismatch at index {index} in the exact prefix"):
         _pair(g, checked=True)
+
+
+@pytest.mark.parametrize("index", [53, 54])
+def test_checked_mode_covers_both_per_prime_registers(monkeypatch, index):
+    # k = 106 runs the schedule for 107, whose last two formed indices 53
+    # and 54 are the first that q = 2 forms modulo each prime
+    g = sg.named_graph("utility")
+    assert sg.ladder_indices(107)[-2:0:-1] == [2, 3, 4, 6, 7, 13, 14, 26, 27, 53, 54]
+    honest, rests = ladder._ladder_block, []
+
+    def spy(*args):
+        rests.append(args[3])
+        return honest(*args)
+
+    monkeypatch.setattr(ladder, "_ladder_block", spy)
+    truth = _pair(g, k=106)
+    assert rests and all(rest == [53, 54] for rest in rests)
+    _corrupt_step(monkeypatch, index, 3)
+    # one wrong residue sends the rebuilt trace far outside its bound
+    with pytest.raises(LadderInvariantError, match=f"at index {2 * index} exceeds its bound"):
+        _pair(g, k=106)
+    with pytest.raises(LadderInvariantError, match=f"register mismatch at index {index} modulo "):
+        _pair(g, checked=True, k=106)
+    monkeypatch.undo()
+    assert _pair(g, checked=True, k=106) == truth
 
 
 @pytest.mark.parametrize("which,index", PAIR_FINISHES)
