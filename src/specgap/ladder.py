@@ -83,12 +83,12 @@ modulo its primes, so their entries lie in [-p, 2p) like every later
 step's.  Reduction is delayed: r = x - p*floor(x * (1/p)) leaves r in
 [-p, 2p), so every value a step accumulates is an integer of modulus
 below n (2p)**2 + p, and the prime limit keeps that below 2**53, where
-float64 arithmetic on integers is exact.  Each step's scalar correction, 2 q**h I or q**h A,
-comes from residues of q**h built once for all the ladder's primes
-(:func:`_corrections`).  The primes run in blocks of 2**14 // n**2 (at least
-one), so one stack holds at most 2**14 entries unless a single n x n
-matrix is larger; a step keeps about five stacks alive, so the working
-set stays near 640 KiB.
+float64 arithmetic on integers is exact.  Each step's scalar
+(:func:`_scalar`) is reduced modulo every ladder prime once per
+request.  The primes run in blocks of 2**14 // n**2 (at least one), so
+one stack holds at most 2**14 entries unless a single n x n matrix is
+larger; a step keeps about five stacks alive, so the working set stays
+near 640 KiB.
 
 Storage.  After its last step each block writes the canonical residues,
 in [0, p), of every distinct finish operand's upper triangle (M(t) is
@@ -484,27 +484,9 @@ def _crt(rows, primes, basis):
     return out
 
 
-def _corrections(built, q, primes):
-    """The scalar corrections of the formed indices, modulo each prime.
-
-    Maps each index t in ``built`` to the canonical residues of what
-    forming M(t) subtracts: 2 q**h for even t and q**h for odd t, with
-    h = t // 2.  q**h = (q**(h//2))**2 q**(h%2), and h // 2 belongs to
-    the operand M(t//2), formed before t or equal to 1 (q**0), so one
-    pass in ``built``'s order, vectorised over ``primes`` in int64, makes
-    every power.  Every product is below p * max(p, q), far below 2**63.
-    """
-    p = np.array(primes, dtype=np.int64)
-    powers = {0: np.ones(len(primes), dtype=np.int64)}
-    out = {}
-    for t in built:
-        h = t // 2
-        power = powers[h // 2] ** 2 % p
-        if h % 2:
-            power = power * q % p
-        powers[h] = power
-        out[t] = power if t % 2 else 2 * power % p
-    return out
+def _scalar(t, q):
+    """What forming M(t) subtracts, times A for odd t and I for even t."""
+    return (2 - t % 2) * q ** (t // 2)
 
 
 def _step(mats, t, edges, c):
@@ -523,7 +505,7 @@ def _step(mats, t, edges, c):
     return step
 
 
-def _exact_prefix(a, edges, built, keep, q, counter, checked):
+def _exact_prefix(a, edges, built, keep, q, counter, references):
     """Form the leading entries of ``built`` exactly, on one float64 matrix.
 
     Each index t, from M((t+1)//2) = M(x) and M(t//2) = M(y), is formed
@@ -532,7 +514,7 @@ def _exact_prefix(a, edges, built, keep, q, counter, checked):
     prefix" above).  Returns the rest of ``built`` and a dict from each
     formed index (or 1, for A) that the rest or ``keep`` still reads to
     its exact matrix.  The counter (or None) is bumped once per formed
-    index; checked mode compares each with the sweep's matrix.
+    index; each is compared with ``references`` (as for :func:`_ladder_block`).
     """
     mats, done = {1: a}, 0
     for t in built:
@@ -542,8 +524,8 @@ def _exact_prefix(a, edges, built, keep, q, counter, checked):
         mats = {i: m for i, m in mats.items() if i >= y}
         if counter is not None:
             counter.bump()
-        mats[t] = _step(mats, t, edges, q**y if t % 2 else 2 * q**y)
-        if checked and not np.array_equal(mats[t].astype(np.int64), _reference(t, a, q)):
+        mats[t] = _step(mats, t, edges, _scalar(t, q))
+        if references is not None and not np.array_equal(mats[t].astype(np.int64), references[t]):
             raise LadderInvariantError(f"register mismatch at index {t} in the exact prefix")
         done += 1
     rest = built[done:]
@@ -551,51 +533,50 @@ def _exact_prefix(a, edges, built, keep, q, counter, checked):
     return rest, {i: m for i, m in mats.items() if i in read}
 
 
-def _ladder_block(a, edges, start, built, q, primes, corrections, out, triangle, counter,
-                  checked):
+def _ladder_block(edges, start, built, primes, scalars, out, triangle, counter, references):
     """Run the rest of the ladder modulo each prime in ``primes``.
 
     ``start`` maps indices to the exact matrices :func:`_exact_prefix`
     left live; the block's stacks start from their residues.  Each index
     t of ``built``, in order, is then formed from M((t+1)//2) and
     M(t//2): M(2h) = M(h)**2 - 2 q**h I and M(2h+1) = M(h+1) M(h) -
-    q**h A (A the 0/1 matrix a, whose ones are at ``edges``), with the
-    scalar residues for these primes from ``corrections``
-    (:func:`_corrections`).  The indices never decrease, so the stacks
-    below t//2 are dead and are dropped before M(t) is formed.  Then,
-    for each index in ``out``, the canonical residues of the upper
-    triangle (``triangle``, its row and column indices in row-major
-    order) of M(index) are written into out[index], an int32
+    q**h A (A's ones at ``edges``), with scalars[t] the residues of
+    :func:`_scalar` modulo these primes.  The indices never decrease,
+    so the stacks below t//2 are dead and are dropped before M(t) is
+    formed.  Then, for each index in ``out``, the canonical residues of
+    the upper triangle (``triangle``, its row and column indices in
+    row-major order) of M(index) are written into out[index], an int32
     (len(primes), >= n(n+1)/2) array.  The counter (or None) is bumped
-    once per formed index.
+    once per formed index.  Every stack is compared with ``references``
+    (index -> the sweep's matrix) when given.
     """
     p = np.array(primes, dtype=np.float64)[:, None, None]
     inv = 1.0 / p
     mats = {}
     for t, m in start.items():
         mats[t] = _reduce(np.repeat(m[None], len(primes), axis=0), p, inv)
-        if checked:
-            _check_state(t, mats[t], a, q, primes)
+        if references is not None:
+            _check_state(t, mats[t], references[t], primes)
     for t in built:
         mats = {i: m for i, m in mats.items() if i >= t // 2}
         if counter is not None:
             counter.bump()
-        mats[t] = _reduce(_step(mats, t, edges, corrections[t]), p, inv)
-        if checked:
-            _check_state(t, mats[t], a, q, primes)
+        mats[t] = _reduce(_step(mats, t, edges, scalars[t]), p, inv)
+        if references is not None:
+            _check_state(t, mats[t], references[t], primes)
     for t, store in out.items():
         upper = mats[t][:, triangle[0], triangle[1]]
         store[:, :upper.shape[1]] = _canonical(upper, p[:, :, 0], inv[:, :, 0])
 
 
-def _finish(store, finishes, primes, size, weights, inverses, references):
+def _finish(store, finishes, primes, size, weights, inverses, triangles):
     """Per finish (x, y), per prime, an integer congruent to trace(M(x) @ M(y)).
 
     ``store`` maps each operand index to the int32 triangles of its
     matrix modulo primes[:size], in rows of n entries, and ``weights`` is
     the (rows, n) contraction weight.  Row groups of about _BLOCK_ENTRIES residues run
     in turn: each is extended to primes[size:] (``inverses`` as for
-    :func:`_extender`), checked against ``references`` (index -> padded
+    :func:`_extender`), checked against ``triangles`` (index -> padded
     triangle of the sweep's matrix) when given, and contracted for every
     prime.  Returns one float64 array of integers below 2**51 per finish.
     """
@@ -614,8 +595,8 @@ def _finish(store, finishes, primes, size, weights, inverses, references):
             if extend is None:
                 continue
             z = extend(v)
-            if references is not None:
-                bad = np.flatnonzero((z != references[x][cols] % extension).any(axis=1))
+            if triangles is not None:
+                bad = np.flatnonzero((z != triangles[x][cols] % extension).any(axis=1))
                 if bad.size:
                     raise LadderInvariantError(
                         f"extended residue mismatch in M({x}) modulo {primes[size + bad[0]]}"
@@ -645,17 +626,23 @@ def _drive(graph, finishes, counter, checked):
     the other primes, contracts every trace modulo all of them, and one
     CRT per trace follows.  ArithmeticError is raised, before any
     product, if the primes could not make every step exact or could not
-    determine every trace and operand entry; each rebuilt trace must lie
-    within its own bound.  Products are counted on ``counter`` once per
-    formed index, in the exact prefix or however many prime blocks run
-    it, and once per finish.
+    determine every trace and operand entry (before any power of q if
+    even all primes below the limit could not); each rebuilt trace must
+    lie within its own bound.  Products are counted on ``counter`` once
+    per formed index, in the exact prefix or however many prime blocks
+    run it, and once per finish.  With ``checked``, every matrix the run
+    forms, extends or traces is compared with one sweep's.
     """
     q, n = graph.q, graph.n
+    indices = [x + y for x, y in finishes]
+    k = max(indices)
+    # the primes below L multiply to less than 4**L (Erdős) <= 2**(k floor(log2 q)) <= q**k
+    if k * (q.bit_length() - 1) >= 2 * (_prime_limit(n) + 1):
+        raise ArithmeticError(f"moduli do not determine a trace bounded by {n} * ({q}**{k} + 1)")
     operands = sorted({t for finish in finishes for t in finish})
     built = ladder_indices(operands[0] + operands[-1])[-2:0:-1]
     a = graph.adjacency.astype(np.float64)
-    indices = [x + y for x, y in finishes]
-    bound = n * (q ** max(indices) + 1)
+    bound = n * (q**k + 1)
     primes = _moduli(n, bound)
     per_block = max(1, _BLOCK_ENTRIES // (n * n))
     entry = q ** operands[-1] + 1
@@ -671,38 +658,35 @@ def _drive(graph, finishes, counter, checked):
     width = n * ((n + 2) // 2)
     store = {t: np.zeros((size, width), dtype=np.int32) for t in operands}
     edges = np.nonzero(a)
-    rest, live = _exact_prefix(a, edges, built, operands, q, counter, checked)
-    corrections = _corrections(built, q, primes[:size])
+    references = _references(graph, [1, *built, *indices]) if checked else None
+    rest, live = _exact_prefix(a, edges, built, operands, q, counter, references)
+    scalars = {t: np.array([c % p for p in primes[:size]]) for t in rest for c in [_scalar(t, q)]}
     for start in range(0, size, per_block):
         block = slice(start, start + per_block)
-        _ladder_block(a, edges, live, rest, q, primes[block],
-                      {t: corrections[t][block] for t in rest},
+        _ladder_block(edges, live, rest, primes[block],
+                      {t: scalar[block] for t, scalar in scalars.items()},
                       {t: tri[block] for t, tri in store.items()}, triangle,
-                      counter if start == 0 else None, checked)
-    references = None
-    if checked:
-        references = {}
-        for t in operands:
-            upper = _reference(t, graph.adjacency, q)[triangle]
-            references[t] = np.zeros(width, dtype=upper.dtype)
-            references[t][:upper.size] = upper
+                      counter if start == 0 else None, references)
+    triangles = None if references is None else {
+        t: np.pad(references[t][triangle], (0, width - len(triangle[0]))) for t in operands}
     weights = np.zeros(width)
     weights[:len(triangle[0])] = 2.0 - (triangle[0] == triangle[1])
     basis = _crt_basis(primes)
-    totals = _finish(store, finishes, primes, size, weights.reshape(-1, n), basis[2], references)
+    totals = _finish(store, finishes, primes, size, weights.reshape(-1, n), basis[2], triangles)
     rows = []
     for (x, y), total in zip(finishes, totals):
         if counter is not None:
             counter.bump()
-        fix = 2 * n * q**x if x == y else 0
+        fix = n * _scalar(2 * x, q) if x == y else 0
         rows.append([(int(t) - fix % p) % p for t, p in zip(total.tolist(), primes)])
     out = []
     for index, trace in zip(indices, _crt(rows, primes, basis)):
         own = n * (q**index + 1)
         if abs(trace) > own:
             raise LadderInvariantError(f"trace {trace} at index {index} exceeds its bound {own}")
-        if checked:
-            _check_trace(index, trace, a, q)
+        expect = trace if references is None else _exact_trace(references[index])
+        if trace != expect:
+            raise LadderInvariantError(f"final trace {trace} at index {index}, expected {expect}")
         out.append(trace)
     return out
 
@@ -716,16 +700,12 @@ def _run_ladder(graph, k, counter, checked=False):
     counts as one product, so exactly len(ladder_indices(k)) - 1 products
     are counted on ``counter``.
 
-    With checked=True, every formed matrix is re-derived from scratch via
-    the three-term recurrence, reduced modulo each prime unless the exact
-    prefix formed it, and compared, and the final trace is compared with
-    the trace of the recurrence matrix; this costs O(k q n^2) extra uncounted work per check.
+    With checked=True, one three-term sweep to k, O(k q n^2) extra
+    uncounted work, gives every matrix the run forms, extends and traces
+    to compare with (see :func:`_drive`).
     """
     if k == 1:  # M(1) = A; no step
-        trace = int(graph.adjacency.trace())
-        if checked:
-            _check_trace(1, trace, graph.adjacency, graph.q)
-        return trace
+        return int(graph.adjacency.trace())
     [trace] = _drive(graph, [((k + 1) // 2, k // 2)], counter, checked)
     return trace
 
@@ -740,7 +720,7 @@ def _run_ladder_pair(graph, k, counter, checked=False):
     Returns [trace_k, trace_k+2].  Exactly len(ladder_indices(k + 1))
     products are counted: one per formed index and one per finish.  One
     prime set, sized for index k+2, serves both traces; checked mode
-    verifies every formed matrix and both traces.
+    compares every formed matrix and both traces with one sweep to k+2.
     """
     if k < 2 or k % 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
@@ -748,24 +728,18 @@ def _run_ladder_pair(graph, k, counter, checked=False):
     return _drive(graph, [(j, j), (j + 1, j + 1)], counter, checked)
 
 
-def _reference(index, adj, q):
-    """M(index) read off the sweep."""
-    return next(islice(_sweep(adj, q), index, None))
+def _references(graph, indices):
+    """M(t) for each t in ``indices``, read off one sweep."""
+    wanted = set(indices)
+    sweep = zip(range(max(wanted) + 1), _sweep(graph.adjacency, graph.q))
+    return {t: m for t, m in sweep if t in wanted}
 
 
-def _check_state(index, stack, adj, q, primes):
-    expect = _reference(index, adj, q)
+def _check_state(index, stack, expect, primes):
+    """Raise unless the stack holds M(index) = ``expect`` modulo each prime."""
     for residues, p in zip(stack, primes):
         if not np.array_equal(residues.astype(np.int64) % p, (expect % p).astype(np.int64)):
             raise LadderInvariantError(f"register mismatch at index {index} modulo {p}")
-
-
-def _check_trace(index, trace, adj, q):
-    expect = _exact_trace(_reference(index, adj, q))
-    if trace != expect:
-        raise LadderInvariantError(
-            f"final trace {trace} at index {index}, expected {expect}"
-        )
 
 
 def _count_from_trace(graph, k, trace):
@@ -774,11 +748,11 @@ def _count_from_trace(graph, k, trace):
     return graph.n * (graph.q - 1) + trace
 
 
-def geodesic_count(graph, k, checked=False):
+def geodesic_count(graph, k):
     """Exact number of geodesic cycles of length k in the graph."""
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    trace = _run_ladder(graph, k, MultCounter(), checked=checked)
+    trace = _run_ladder(graph, k, MultCounter())
     return _count_from_trace(graph, k, trace)
 
 
@@ -823,7 +797,7 @@ def _slack_from_trace(graph, k, trace):
     return SlackValue(k, Quadratic(base, coeff, q))
 
 
-def expansion_slack(graph, k, checked=False):
+def expansion_slack(graph, k):
     """Exact slack of the geodesic-count deviation bound at length k.
 
     With s = q**(k/2) and c = n(q-1) for even k (0 for odd k), the value
@@ -832,11 +806,11 @@ def expansion_slack(graph, k, checked=False):
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    trace = _run_ladder(graph, k, MultCounter(), checked=checked)
+    trace = _run_ladder(graph, k, MultCounter())
     return _slack_from_trace(graph, k, trace)
 
 
-def expansion_slack_pair(graph, k, checked=False):
+def expansion_slack_pair(graph, k):
     """Exact slacks at the even length k and at k+2, from one ladder.
 
     Equal to (expansion_slack(graph, k), expansion_slack(graph, k + 2)),
@@ -845,7 +819,7 @@ def expansion_slack_pair(graph, k, checked=False):
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    trace, trace_next = _run_ladder_pair(graph, k, MultCounter(), checked=checked)
+    trace, trace_next = _run_ladder_pair(graph, k, MultCounter())
     return _slack_from_trace(graph, k, trace), _slack_from_trace(graph, k + 2, trace_next)
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -289,6 +290,21 @@ def test_undetermined_trace_is_one_line_error(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "do not determine" in err
+
+
+@pytest.mark.parametrize("argv,index", [
+    # estimate takes k = 3,844,450,720,442; its pair is sized for k + 2
+    (["estimate", "--name", "petersen", "--epsilon", "2^-40"], 3_844_450_720_444),
+    (["ngc", "--name", "petersen", "-k", "10000000000000"], 10_000_000_000_000),
+])
+def test_hopeless_index_is_refused_at_once(capsys, argv, index):
+    # no primes below petersen's limit determine a trace at that index, so
+    # the ladder refuses before it forms any power of q
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1 and out == ""
+    assert err == f"error: moduli do not determine a trace bounded by 10 * (2**{index} + 1)\n"
 
 
 def test_invalid_k_range(capsys):

@@ -10,6 +10,7 @@ spectrum is integral, the slack must also equal the scalar recomputation
 from the eigenvalues.
 """
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -26,9 +27,9 @@ from specgap.estimator import EstimateReport, _decide, required_even_index
 from specgap.exact import MultCounter
 from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
-    LadderInvariantError, _canonical, _certify, _corrections, _crt, _crt_basis, _extender,
-    _extension_bits, _ladder_size, _moduli, _primes_between, _reduce, _run_ladder, _run_ladder_pair,
-    _sweep, chebyshev_sweep, expansion_slacks, geodesic_counts,
+    LadderInvariantError, _canonical, _certify, _crt, _crt_basis, _extender, _extension_bits,
+    _ladder_size, _moduli, _primes_between, _reduce, _references, _run_ladder, _run_ladder_pair,
+    _scalar, _sweep, chebyshev_sweep, expansion_slacks, geodesic_counts,
 )
 from specgap.oracle import exact_slack_from_integer_spectrum
 
@@ -222,21 +223,17 @@ def test_reduction_is_exact_at_the_accumulation_bound():
             assert (v - int(got)) % p == 0, (n, v, got)
 
 
-def test_corrections_are_the_scalars_of_each_formed_index():
-    # forming M(t) subtracts 2 q**(t/2) I (even t) or q**(t//2) A (odd t);
-    # the largest primes below the limits at n = 3 and n = 150 keep the
-    # int64 products near 2**63
-    primes = _moduli(3, 2**200) + _moduli(150, 2**200)
-    p = np.array(primes, dtype=np.int64)
-    for q in (1, 2, 3, 7):
-        powers = np.array([[pow(q, h, m) for m in primes] for h in range(2**11 + 1)])
-        for k in range(1, 2**12 + 1):
-            built = sg.ladder_indices(k)[-2:0:-1]
-            got = _corrections(built, q, primes)
-            t = np.array(sorted(set(built)), dtype=np.int64)
-            assert list(got) == t.tolist(), (q, k)
-            expect = powers[t // 2] * (2 - t % 2)[:, None] % p
-            assert np.array_equal(np.array(list(got.values())).reshape(expect.shape), expect), (q, k)
+@pytest.mark.parametrize("name", ["cycle(5)", "petersen", "complete(5)", "complete(8)"])
+def test_each_index_is_its_operands_product_less_its_scalar(name):
+    # M(t) = M((t+1)//2) M(t//2) - _scalar(t, q) (A for odd t, I for even
+    # t), on the sweep's exact matrices, for q = 1, 2, 3 and 7
+    g = sg.named_graph(name)
+    m = _references(g, range(81))
+    a, eye = m[1].astype(object), np.eye(g.n, dtype=object)
+    for t in range(2, 81):
+        product = m[(t + 1) // 2].astype(object) @ m[t // 2].astype(object)
+        assert np.array_equal(product - _scalar(t, g.q) * (a if t % 2 else eye), m[t]), (name, t)
+    assert [_scalar(t, 2) for t in range(1, 7)] == [1, 4, 2, 8, 4, 16]
 
 
 def test_crt_lifts_into_the_symmetric_range():
@@ -329,8 +326,9 @@ def test_pair_traces_equal_the_sweep(g, half):
     assert _pair_traces(g, k) == [traces[k - 1], traces[k + 1]], (g.source, k)
     # k = 2: the schedule for 3 is [3, 2, 1], so the finish squares M(1) and M(2)
     assert _pair_traces(g, 2) == traces[1:4:2], g.source
+    assert _pair_traces(g, k, checked=True) == [traces[k - 1], traces[k + 1]], (g.source, k)
     slacks = list(expansion_slacks(g, k + 2))
-    pair = sg.expansion_slack_pair(g, k, checked=True)
+    pair = sg.expansion_slack_pair(g, k)
     assert [s.value for s in pair] == [slacks[k - 1].value, slacks[k + 1].value]
 
 
@@ -552,7 +550,7 @@ def _per_prime_steps(monkeypatch):
     honest, rests = ladder._ladder_block, []
 
     def spy(*args):
-        rests.append(list(args[3]))
+        rests.append(list(inspect.signature(honest).bind(*args).arguments["built"]))
         return honest(*args)
 
     monkeypatch.setattr(ladder, "_ladder_block", spy)

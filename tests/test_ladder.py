@@ -1,3 +1,6 @@
+import inspect
+import math
+import time
 from fractions import Fraction
 from itertools import chain
 
@@ -7,7 +10,8 @@ import pytest
 import specgap as sg
 from specgap import ladder
 from specgap.ladder import (
-    LadderInvariantError, _check_state, _moduli, _run_ladder, _run_ladder_pair,
+    LadderInvariantError, _check_state, _moduli, _prime_limit, _primes_between, _references,
+    _run_ladder, _run_ladder_pair,
 )
 from specgap.exact import MultCounter, Quadratic
 
@@ -222,6 +226,53 @@ def test_mult_count_formula():
         assert expected == len(sg.ladder_indices(k)) - 1
 
 
+# ---- indices no prime set can determine ----
+
+
+def test_hopeless_indices_are_refused_before_any_power(monkeypatch):
+    g = sg.named_graph("petersen")
+    honest, calls = ladder._moduli, []
+
+    def spy(n, bound):
+        calls.append(bound)
+        return honest(n, bound)
+
+    monkeypatch.setattr(ladder, "_moduli", spy)
+    # with a prime limit of 50, every prime up to 50 multiplies to less than
+    # 4**51 = 2**102, so q = 2 refuses k >= 102 before sizing any moduli;
+    # k = 101 reaches _moduli, and _certify refuses it in the same words
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ladder, "_prime_limit", lambda n: 50)
+        for run, k, reached in [(_run_ladder, 101, True), (_run_ladder, 102, False),
+                                (_run_ladder_pair, 98, True), (_run_ladder_pair, 100, False),
+                                (_run_ladder, 10**13, False), (_run_ladder_pair, 10**13, False)]:
+            calls.clear()
+            with pytest.raises(ArithmeticError, match="moduli do not determine a trace bounded by"):
+                run(g, k, MultCounter())
+            assert bool(calls) == reached, (run.__name__, k)
+    # petersen (n = 10, q = 2) at its own limit: the least refused k is
+    # 2 (limit + 1), and it returns at once
+    assert 2 * (_prime_limit(g.n) + 1) == 30_011_998
+    calls.clear()
+    started = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=r"bounded by 10 \* \(2\*\*30011998 \+ 1\)"):
+        _run_ladder(g, 30_011_998, MultCounter())
+    assert time.perf_counter() - started < 0.5 and calls == []
+
+
+def test_refused_indices_are_ones_certify_refuses():
+    # at the largest order, and at the least k refused for q = 2 or 3
+    # (floor(log2 q) = 1), every prime below the limit multiplies to at
+    # most twice the trace bound, so the refusal only says early what
+    # _certify would say after the powers
+    n = sg.graphs.MAX_VERTICES
+    top = _prime_limit(n) + 1
+    values = _primes_between(2, top).tolist()
+    while len(values) > 1:  # a product tree: one pass of halving per level
+        values = [math.prod(values[i:i + 2]) for i in range(0, len(values), 2)]
+    assert values[0] <= 2 * n * (2 ** (2 * top) + 1)
+
+
 # ---- checked mode ----
 
 
@@ -229,8 +280,28 @@ def test_checked_mode_passes_on_real_runs():
     for name in ["utility", "chvatal", "cycle(5)"]:
         g = sg.named_graph(name)
         for k in (1, 2, 3, 7, 12):
-            assert sg.geodesic_count(g, k, checked=True) == sg.geodesic_count(g, k)
-            assert sg.expansion_slack(g, k, checked=True).value == sg.expansion_slack(g, k).value
+            assert _run_ladder(g, k, MultCounter(), checked=True) == _run_ladder(g, k, MultCounter())
+
+
+@pytest.mark.parametrize("name", ["utility", "petersen", "cycle(5)"])
+def test_checked_mode_runs_one_sweep(name, monkeypatch):
+    g = sg.named_graph(name)
+    honest, calls = ladder._sweep, []
+
+    def spy(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(ladder, "_sweep", spy)
+    for k in (2, 3, 12, 61, 106):
+        for run in (_run_ladder, _run_ladder_pair):
+            if run is _run_ladder_pair and k % 2:
+                continue
+            calls.clear()
+            run(g, k, MultCounter())
+            assert calls == [], (name, k)
+            run(g, k, MultCounter(), checked=True)
+            assert len(calls) == 1, (name, k)
 
 
 def test_checked_mode_does_not_change_mult_count():
@@ -246,15 +317,16 @@ def test_checked_mode_detects_corrupt_state():
     assert len(primes) > 1
     a = g.adjacency.astype(np.float64)
     stack = np.repeat(a[None], len(primes), axis=0)  # residues of M(1) = A
+    expect = _references(g, [1, 2])
     with pytest.raises(LadderInvariantError, match="register"):
-        _check_state(2, stack, a, g.q, primes)
-    _check_state(1, stack, a, g.q, primes)
+        _check_state(2, stack, expect[2], primes)
+    _check_state(1, stack, expect[1], primes)
     # residues are compared modulo each prime, not as representatives
     stack[0, 0, 1] += primes[0]
-    _check_state(1, stack, a, g.q, primes)
+    _check_state(1, stack, expect[1], primes)
     stack[-1, 2, 3] += 1
     with pytest.raises(LadderInvariantError, match=f"register mismatch at index 1 modulo {primes[-1]}"):
-        _check_state(1, stack, a, g.q, primes)
+        _check_state(1, stack, expect[1], primes)
 
 
 def test_checked_mode_covers_the_trace_only_finish(monkeypatch):
@@ -331,7 +403,7 @@ def test_checked_mode_covers_both_per_prime_registers(monkeypatch, index):
     honest, rests = ladder._ladder_block, []
 
     def spy(*args):
-        rests.append(args[3])
+        rests.append(inspect.signature(honest).bind(*args).arguments["built"])
         return honest(*args)
 
     monkeypatch.setattr(ladder, "_ladder_block", spy)
