@@ -36,7 +36,6 @@ from .oracle import (
     chebyshev_scalar,
     directed_edge_matrix,
     expansion_slack_spectral,
-    geodesic_bounds_hold,
     geodesic_count_trace,
     spectral_summary,
 )
@@ -45,6 +44,7 @@ from .estimator import (
     ScanReport,
     convergent_estimates,
     estimate_expansion,
+    geodesic_bounds_hold,
     parse_epsilon,
     ramanujan_scan,
     required_even_index,

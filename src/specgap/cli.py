@@ -4,17 +4,19 @@ Subcommands: ngc (geodesic-cycle count), hseq (exact slack sequence),
 estimate (bounded-radius decision), table (estimate sweep over
 eps = 2^-1 .. 2^-10), oracle (spectrum-based cross-checks), gen (write
 edge-list files).  Every command accepts --json for machine-readable
-output carrying the same numbers as the text rendering.
+output carrying the same numbers as the text rendering; the four that
+print decimals (hseq, estimate, table, oracle) also accept --precision.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
 
 from . import __version__
-from .estimator import estimate_expansion, parse_epsilon
+from .estimator import estimate_expansion, geodesic_bounds_hold, parse_epsilon
 from .exact import rational_text
 from .graphs import (
     GraphGenerationError,
@@ -28,7 +30,7 @@ from .ladder import expansion_slack, expansion_slacks, geodesic_count
 from .oracle import (
     EigensolverError,
     adjacency_spectrum,
-    geodesic_bounds_hold,
+    directed_edge_matrix,
     geodesic_count_trace,
     spectral_summary,
 )
@@ -42,10 +44,12 @@ def _add_source(p):
     src.add_argument("--file", help="edge-list file path")
 
 
-def _add_common(p):
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--precision", type=int, default=10, metavar="N",
-                   help="significant digits for decimal output (default 10)")
+def _digits(text):
+    """The type of --precision: an int of at least 1, refused while parsing."""
+    digits = int(text)
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"digits must be >= 1, got {digits}")
+    return digits
 
 
 def _load_graph(args):
@@ -113,6 +117,8 @@ def _cmd_ngc(args):
     graph = _load_graph(args)
     if args.json:
         _refuse_long_count(graph, args.k)
+    if args.oracle:
+        directed_edge_matrix(graph)  # refuses past the oracle's limit, before the count
     count = geodesic_count(graph, args.k)
     results = {"k": args.k, "count": count}
     lines = [f"geodesic cycles of length {args.k}: {rational_text(count)}"]
@@ -143,9 +149,9 @@ def _cmd_hseq(args):
     started = time.perf_counter()
     graph = _load_graph(args)
     lo, hi = _parse_k_range(args.k)
-    if lo == 1 and hi > 1:
-        # every k from 1 on: one sweep instead of one ladder per k
-        rows = list(expansion_slacks(graph, hi))
+    if lo - 1 <= hi - lo + 1:
+        # one sweep, unless it would step past more indices than it returns
+        rows = list(expansion_slacks(graph, hi))[lo - 1:]
     else:
         rows = [expansion_slack(graph, k) for k in range(lo, hi + 1)]
     slacks = [_slack_payload(s, args.precision) for s in rows]
@@ -262,7 +268,9 @@ def _cmd_gen(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (main reuses it)."""
     parser = argparse.ArgumentParser(
         prog="specgap",
         description="Spectral-expansion certificates for regular graphs "
@@ -270,46 +278,46 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"specgap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    decimals = argparse.ArgumentParser(add_help=False, parents=[output])
+    decimals.add_argument("--precision", type=_digits, default=10, metavar="N",
+                          help="significant digits for decimal output (default 10)")
 
-    p = sub.add_parser("ngc", help="count geodesic cycles of one length")
+    p = sub.add_parser("ngc", parents=[output], help="count geodesic cycles of one length")
     _add_source(p)
-    _add_common(p)
     p.add_argument("-k", type=int, required=True, help="cycle length (k >= 1)")
     p.add_argument("--oracle", action="store_true",
                    help="also compute trace(W^k) on the directed edge matrix and compare")
     p.set_defaults(func=_cmd_ngc)
 
-    p = sub.add_parser("hseq", help="exact slack values for one k or a range a..b")
+    p = sub.add_parser("hseq", parents=[decimals],
+                       help="exact slack values for one k or a range a..b")
     _add_source(p)
-    _add_common(p)
     p.add_argument("-k", required=True, help="index or inclusive range, e.g. 4 or 2..6")
     p.set_defaults(func=_cmd_hseq)
 
-    p = sub.add_parser("estimate", help="decide radius <= 2 + epsilon")
+    p = sub.add_parser("estimate", parents=[decimals], help="decide radius <= 2 + epsilon")
     _add_source(p)
-    _add_common(p)
     p.add_argument("--epsilon", required=True,
                    help="tolerance; decimal (0.0625), fraction (1/16), or 2^-k")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("table", help="estimate sweep over eps = 2^-1 .. 2^-10")
+    p = sub.add_parser("table", parents=[decimals], help="estimate sweep over eps = 2^-1 .. 2^-10")
     _add_source(p)
-    _add_common(p)
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("oracle", help="eigenvalue-based cross checks")
+    p = sub.add_parser("oracle", parents=[decimals], help="eigenvalue-based cross checks")
     _add_source(p)
-    _add_common(p)
     p.add_argument("--kmax", type=int, default=40,
                    help="check count-deviation bounds for k <= kmax (default 40)")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("gen", help="generate a graph and write its edge list")
+    p = sub.add_parser("gen", parents=[output], help="generate a graph and write its edge list")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--name", help="named graph")
     src.add_argument("--random", nargs=2, type=int, metavar=("N", "Q"),
                      help="random connected (Q+1)-regular graph on N vertices")
-    _add_common(p)
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     p.add_argument("-o", "--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_gen)

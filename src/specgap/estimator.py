@@ -15,7 +15,10 @@ caveat_flag=True.
 
 A longer nonnegativity scan gives one-sided certificates: any negative
 slack proves the radius exceeds 2, while an all-nonnegative prefix is
-evidence, not proof, that the graph is Ramanujan-quality.
+evidence, not proof, that the graph is Ramanujan-quality.  Its two-sided
+sibling checks the deviation bound |count_k - expected_k| <= 2(n-1) q**(k/2)
+at every k <= k_max.  Both read the exact traces of one three-term sweep,
+one step per k, and stop at the first failure.
 """
 
 import math
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import RegularGraph
-from .ladder import SlackValue, expansion_slack_pair, expansion_slacks
+from .ladder import SlackValue, chebyshev_sweep, expansion_slack_pair, expansion_slacks
 
 _POWER_OF_TWO = re.compile(r"^2\^(-?\d+)$")
 # required_even_index refuses a larger t: no ladder could run at such an
@@ -267,3 +270,26 @@ def ramanujan_scan(graph, k_max):
         if slack.sign() < 0:
             return ScanReport(k_max, slack.k)
     return ScanReport(k_max, None)
+
+
+def geodesic_bounds_hold(graph, k_max):
+    """Whether |count_k - expected_k| <= 2(n-1) * q**(k/2) for every k <= k_max.
+
+    expected_k is q**k + 1, plus n(q-1) when k is even, and count_k is
+    trace M(k), plus the same n(q-1) when k is even, so the deviation is
+    trace M(k) - q**k - 1 at every k.  Comparisons are exact: both sides
+    are squared so the odd-k bound needs no sqrt(q).
+
+    Holding for every k >= 1 is equivalent to the normalized nontrivial
+    spectral radius being at most 2; a finite k_max only certifies the
+    negative direction (any violation proves the radius exceeds 2).
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    q = graph.q
+    margin = 4 * (graph.n - 1) ** 2
+    for k, trace in zip(range(1, k_max + 1), chebyshev_sweep(graph)):
+        dev = trace - q**k - 1
+        if dev * dev > margin * q**k:
+            return False
+    return True

@@ -742,25 +742,12 @@ def _check_state(index, stack, expect, primes):
             raise LadderInvariantError(f"register mismatch at index {index} modulo {p}")
 
 
-def _count_from_trace(graph, k, trace):
-    if k % 2 == 1:
-        return trace
-    return graph.n * (graph.q - 1) + trace
-
-
 def geodesic_count(graph, k):
     """Exact number of geodesic cycles of length k in the graph."""
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
     trace = _run_ladder(graph, k, MultCounter())
-    return _count_from_trace(graph, k, trace)
-
-
-def geodesic_counts(graph, k_max):
-    """Lazy geodesic-cycle counts for k = 1..k_max, from one sweep."""
-    traces = chebyshev_sweep(graph)
-    for k in range(1, k_max + 1):
-        yield _count_from_trace(graph, k, next(traces))
+    return trace if k % 2 else graph.n * (graph.q - 1) + trace
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,9 @@ route.  Geodesic-cycle counts come from powers of the directed
 of Python ints; the slack values come from the adjacency spectrum via the
 scalar Chebyshev recurrence; the normalized spectral radius comes straight
 from the eigenvalues.  The eigenvalues come from LAPACK's symmetric
-eigensolver (``numpy.linalg.eigvalsh``), in floating point.  These
-recomputation paths share no code with :mod:`specgap.ladder`.  The
-deviation-bound scan is the one exception: it consumes the ladder
-module's exact counts (one three-term sweep) and checks them against the
-expected-count envelope with integer comparisons.
+eigensolver (``numpy.linalg.eigvalsh``), in floating point.  The module
+imports nothing from the rest of the package, so these routes share no
+code with :mod:`specgap.ladder`.
 """
 
 import math
@@ -18,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-from .ladder import geodesic_counts
 
 # the largest edge-matrix order directed_edge_matrix builds: at 2**10 the
 # m x m object array takes 8 MiB, and each exact product about 10**9
@@ -157,29 +153,6 @@ def spectral_summary(graph, spectrum=None):
     inner = [abs(lam) for lam in spectrum if abs(lam) < (q + 1) - eq_tol]
     is_ram = (not inner) or max(inner) <= 2.0 * math.sqrt(q) + eq_tol
     return SpectralSummary(mu, gap, is_ram, radius)
-
-
-def geodesic_bounds_hold(graph, k_max):
-    """Whether |count_k - expected_k| <= 2(n-1) * q**(k/2) for every k <= k_max.
-
-    expected_k is q**k + 1, plus n(q-1) when k is even.  Comparisons are
-    exact: both sides are squared so the odd-k bound needs no sqrt(q).
-
-    Holding for every k >= 1 is equivalent to the normalized nontrivial
-    spectral radius being at most 2; a finite k_max only certifies the
-    negative direction (any violation proves the radius exceeds 2).
-    """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    n, q = graph.n, graph.q
-    margin = 4 * (n - 1) ** 2
-    for k, count in enumerate(geodesic_counts(graph, k_max), start=1):
-        dev = count - q**k - 1
-        if k % 2 == 0:
-            dev -= n * (q - 1)
-        if dev * dev > margin * q**k:
-            return False
-    return True
 
 
 def exact_slack_from_integer_spectrum(n, q, eigenvalues, k):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import specgap as sg
-from specgap import cli
+from specgap import cli, ladder
 from specgap.cli import main
 
 # the directory that holds the specgap package
@@ -29,6 +29,19 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 0, err
     return json.loads(out)
+
+
+def spy(monkeypatch, module, name):
+    """Record each call of module.name, which still runs."""
+    calls = []
+    honest = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_ngc_named(capsys):
@@ -56,6 +69,16 @@ def test_ngc_oracle_refuses_a_large_edge_matrix(capsys):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "2050 oriented edges" in err
+
+
+def test_ngc_oracle_refuses_before_it_counts(capsys, monkeypatch):
+    counts = []
+    monkeypatch.setattr(cli, "geodesic_count", lambda graph, k: counts.append(k))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "ngc", "--name", "cycle(2000)", "-k", "3000", "--oracle")
+    assert time.perf_counter() - started < 0.5
+    assert code == 1 and out == "" and counts == []
+    assert err == "error: the edge matrix of 4000 oriented edges exceeds the oracle's limit of 1024\n"
 
 
 def test_ngc_prints_counts_past_the_int_text_limit(capsys):
@@ -144,6 +167,25 @@ def test_hseq_prints_slacks_past_the_int_text_limit(capsys):
     assert out.startswith("k=30000: ") and out.splitlines()[0].endswith(" (18.12405638)")
 
 
+def test_hseq_ranges_past_one_read_one_sweep(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "g120.edges"
+    path.write_text(sg.write_edge_list(sg.random_regular(120, 2, seed=1)))
+    full = run_json(capsys, "hseq", "--file", str(path), "-k", "1..50")["results"]["slacks"]
+    drives = spy(monkeypatch, ladder, "_drive")
+    for lo in (2, 26):
+        rows = run_json(capsys, "hseq", "--file", str(path), "-k", f"{lo}..50")["results"]["slacks"]
+        assert rows == full[lo - 1:], lo
+    assert drives == []
+
+
+def test_hseq_narrow_ranges_far_from_one_run_one_ladder_per_k(capsys, monkeypatch):
+    sweeps = spy(monkeypatch, ladder, "_sweep")
+    drives = spy(monkeypatch, ladder, "_drive")
+    rows = run_json(capsys, "hseq", "--name", "petersen", "-k", "300..301")["results"]["slacks"]
+    assert [r["k"] for r in rows] == [300, 301]
+    assert sweeps == [] and len(drives) == 2
+
+
 def test_hseq_chvatal_nonnegative(capsys):
     payload = run_json(capsys, "hseq", "--name", "chvatal", "-k", "1..20")
     for row in payload["results"]["slacks"]:
@@ -184,6 +226,39 @@ def test_text_and_json_carry_the_same_numbers(capsys):
     payload = run_json(capsys, "estimate", "--name", "cube", "--epsilon", "0.25")
     shown = next(l for l in text.splitlines() if l.startswith("estimate"))
     assert float(shown.split()[-1]) == pytest.approx(payload["results"]["estimate"], abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hseq", "-k", "3"], ["estimate", "--epsilon", "2^-12"], ["table"], ["oracle"],
+])
+def test_precision_below_one_is_refused_while_parsing(capsys, monkeypatch, argv):
+    loads = []
+    monkeypatch.setattr(cli, "_load_graph", loads.append)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--name", "petersen", "--precision", "0"])
+    assert exc.value.code == 2 and loads == []
+    assert capsys.readouterr().err.endswith("argument --precision: digits must be >= 1, got 0\n")
+
+
+def test_precision_sets_the_digits_of_each_decimal(capsys):
+    (row,) = run_json(capsys, "hseq", "--name", "utility", "-k", "3",
+                      "--precision", "3")["results"]["slacks"]
+    assert row["decimal"] == "13.2"
+    # the parser is built once; a default is not carried over from the last call
+    (row,) = run_json(capsys, "hseq", "--name", "utility", "-k", "3")["results"]["slacks"]
+    assert row["decimal"] == "13.18198052"
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ngc", "--name", "petersen", "-k", "3"], ["gen", "--name", "petersen"],
+])
+def test_commands_without_decimals_take_json_but_no_precision(capsys, argv):
+    assert run_json(capsys, *argv)["command"] == argv[0]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--precision", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --precision 4\n")
 
 
 def test_table_utility(capsys):
@@ -296,6 +371,8 @@ def test_undetermined_trace_is_one_line_error(capsys, monkeypatch):
     # estimate takes k = 3,844,450,720,442; its pair is sized for k + 2
     (["estimate", "--name", "petersen", "--epsilon", "2^-40"], 3_844_450_720_444),
     (["ngc", "--name", "petersen", "-k", "10000000000000"], 10_000_000_000_000),
+    # the oracle's size check comes first, but not its matrix power
+    (["ngc", "--name", "petersen", "-k", "10000000000000", "--oracle"], 10_000_000_000_000),
 ])
 def test_hopeless_index_is_refused_at_once(capsys, argv, index):
     # no primes below petersen's limit determine a trace at that index, so

@@ -34,3 +34,12 @@ def test_package_imports_only_stdlib_and_declared_dependencies():
     assert found, "no absolute imports found"
     stray = sorted((f, name) for f, name in found if name.split(".")[0].lower() not in allowed)
     assert not stray, f"imports outside the standard library and pyproject dependencies: {stray}"
+
+
+def test_the_oracle_imports_nothing_from_the_package():
+    # the oracle's routes share no code with the ladder they cross-check
+    path = ROOT / "src" / "specgap" / "oracle.py"
+    relative = [node.module for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    absolute = [name for name in _absolute_imports(path) if name.split(".")[0] == "specgap"]
+    assert not relative and not absolute, relative + absolute

@@ -29,7 +29,7 @@ from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
     LadderInvariantError, _canonical, _certify, _crt, _crt_basis, _extender, _extension_bits,
     _ladder_size, _moduli, _primes_between, _reduce, _references, _run_ladder, _run_ladder_pair,
-    _scalar, _sweep, chebyshev_sweep, expansion_slacks, geodesic_counts,
+    _scalar, _sweep, chebyshev_sweep, expansion_slacks,
 )
 from specgap.oracle import exact_slack_from_integer_spectrum
 
@@ -91,11 +91,11 @@ def _sweep_traces(g, k_max):
 @settings(max_examples=30, deadline=None)
 @given(regular_graphs())
 def test_ladder_sweep_and_edge_matrix_agree(g):
-    sweep_counts = list(geodesic_counts(g, K_MAX))
+    sweep_traces = _sweep_traces(g, K_MAX)
     sweep_slacks = list(expansion_slacks(g, K_MAX))
     for k in range(1, K_MAX + 1):
-        count = sg.geodesic_count(g, k)
-        assert count == sweep_counts[k - 1] == sg.geodesic_count_trace(g, k), (g.source, k)
+        assert _ladder_trace(g, k) == sweep_traces[k - 1], (g.source, k)
+        assert sg.geodesic_count(g, k) == sg.geodesic_count_trace(g, k), (g.source, k)
         assert sg.expansion_slack(g, k).value == sweep_slacks[k - 1].value, (g.source, k)
 
 
@@ -106,6 +106,20 @@ def test_ladder_and_sweep_agree_past_the_int64_switch(g, k_max):
     traces = _sweep_traces(g, k_max)
     for k in range(1, k_max + 1):
         assert _ladder_trace(g, k) == traces[k - 1], (g.source, k)
+
+
+def test_bounds_scan_equals_the_bound_on_edge_matrix_counts(corpus):
+    # the two-sided bound |N - expected| <= 2(n-1) q**(k/2), squared, on
+    # trace(W**k) counts, against the sweep-based scan at every k_max
+    for g in corpus:
+        n, q = g.n, g.q
+        holds = []
+        for k in range(1, K_MAX + 1):
+            expected = q**k + 1 + (0 if k % 2 else n * (q - 1))
+            dev = sg.geodesic_count_trace(g, k) - expected
+            holds.append(dev * dev <= 4 * (n - 1) ** 2 * q**k)
+        for k_max in range(1, K_MAX + 1):
+            assert sg.geodesic_bounds_hold(g, k_max) == all(holds[:k_max]), (g.source, k_max)
 
 
 def _bipartite_complete(m):
