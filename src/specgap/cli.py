@@ -36,6 +36,9 @@ from .oracle import (
 )
 
 _EPS_SWEEP = [f"2^-{i}" for i in range(1, 11)]
+# the most significant digits --precision takes; a decimal's cost grows about
+# quadratically with its digits, and 10**9 digits would need a 415 MB power of ten
+_MAX_DIGITS = 10_000
 
 
 def _add_source(p):
@@ -45,10 +48,12 @@ def _add_source(p):
 
 
 def _digits(text):
-    """The type of --precision: an int of at least 1, refused while parsing."""
+    """The type of --precision: an int from 1 to _MAX_DIGITS, refused while parsing."""
     digits = int(text)
     if digits < 1:
         raise argparse.ArgumentTypeError(f"digits must be >= 1, got {digits}")
+    if digits > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"digits must be at most {_MAX_DIGITS}, got {digits}")
     return digits
 
 
@@ -163,7 +168,7 @@ def _cmd_hseq(args):
 
 def _report_payload(report, precision):
     return {
-        "epsilon": str(report.epsilon),
+        "epsilon": rational_text(report.epsilon),
         "k": report.k,
         "k_next": report.k_next,
         "slack": _slack_payload(report.slack, precision),
@@ -176,7 +181,8 @@ def _report_payload(report, precision):
 
 def _report_lines(report, precision):
     lines = [
-        f"epsilon = {report.epsilon} ; ladder indices k = {report.k}, {report.k_next}",
+        f"epsilon = {rational_text(report.epsilon)} ; "
+        f"ladder indices k = {report.k}, {report.k_next}",
         f"radius <= 2 + epsilon: {str(report.within_bound).lower()}",
     ]
     if report.estimate is None:
@@ -191,8 +197,9 @@ def _cmd_estimate(args):
     started = time.perf_counter()
     graph = _load_graph(args)
     report = estimate_expansion(graph, args.epsilon)
-    _emit(args, "estimate", graph, _report_payload(report, args.precision),
-          _report_lines(report, args.precision), started)
+    # the payload renders both slacks' decimals, which the text never prints
+    results = _report_payload(report, args.precision) if args.json else None
+    _emit(args, "estimate", graph, results, _report_lines(report, args.precision), started)
     return 0
 
 
@@ -282,7 +289,8 @@ def build_parser():
     output.add_argument("--json", action="store_true", help="emit JSON instead of text")
     decimals = argparse.ArgumentParser(add_help=False, parents=[output])
     decimals.add_argument("--precision", type=_digits, default=10, metavar="N",
-                          help="significant digits for decimal output (default 10)")
+                          help="significant digits for decimal output "
+                               f"(default 10, at most {_MAX_DIGITS})")
 
     p = sub.add_parser("ngc", parents=[output], help="count geodesic cycles of one length")
     _add_source(p)

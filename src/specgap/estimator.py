@@ -26,10 +26,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import rational_text
 from .graphs import RegularGraph
 from .ladder import SlackValue, chebyshev_sweep, expansion_slack_pair, expansion_slacks
 
 _POWER_OF_TWO = re.compile(r"^2\^(-?\d+)$")
+# the exponent of a decimal string, as Fraction reads it
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
+# parse_epsilon refuses a 2^j or ...e+j string with |j| above this before it
+# forms any power.  Every eps below 2**-64 is too small for any ladder, and
+# every eps above 2**64 gives the least index, so no answer needs a larger j.
+_MAX_EXPONENT = 10_000
 # required_even_index refuses a larger t: no ladder could run at such an
 # index, and below it the float guess (good to about 2**-50 relative) leaves
 # the exact search a few dozen comparisons at most
@@ -45,18 +52,26 @@ def parse_epsilon(value):
     elif isinstance(value, float):
         eps = Fraction(value)
     elif isinstance(value, str):
-        m = _POWER_OF_TWO.match(value.strip())
-        if m:
-            eps = Fraction(2) ** int(m.group(1))
+        text = value.strip()
+        power = _POWER_OF_TWO.match(text)
+        exponent = power or _DECIMAL_EXPONENT.search(text)
+        if exponent:
+            digits = exponent.group(1).lstrip("+-").replace("_", "").lstrip("0")
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
+                raise ValueError(
+                    f"epsilon's exponent is out of range: 2^j and e+j take |j| <= {_MAX_EXPONENT}"
+                )
+        if power:
+            eps = Fraction(2) ** int(power.group(1))
         else:
             try:
-                eps = Fraction(value.strip())
+                eps = Fraction(text)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"cannot parse epsilon: {value!r}") from None
     else:
         raise TypeError(f"cannot parse epsilon from {type(value).__name__}")
     if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+        raise ValueError(f"epsilon must be positive, got {rational_text(eps)}")
     return eps
 
 
@@ -129,7 +144,7 @@ def required_even_index(n, epsilon):
         rate = math.inf
     ratio = math.log(a) / (2 * rate) if rate > 0 else math.inf
     if ratio > _MAX_HALF_INDEX:
-        raise ValueError(f"epsilon {eps} is too small: the index would exceed 2**63")
+        raise ValueError(f"epsilon {rational_text(eps)} is too small: the index would exceed 2**63")
     guess = math.ceil(ratio)
     # gallop to a bracket, reaches(high) and not reaches(low), then bisect
     low, high, step = guess - 1, guess, 1

@@ -65,6 +65,25 @@ def _log10_floor(f):
     return e
 
 
+def _strip_zeros(top, most):
+    """(top // 10**z, z) for the largest z <= most with 10**z dividing top.
+
+    z is found bit by bit, largest first, one division by 10**(2**i) per
+    bit, so a value with thousands of trailing zeros takes O(log most)
+    divisions, not one per zero.
+    """
+    powers = [10]
+    while 1 << len(powers) <= most:
+        powers.append(powers[-1] ** 2)
+    z = 0
+    for i in reversed(range(len(powers))):
+        if z + (1 << i) <= most:
+            quotient, remainder = divmod(top, powers[i])
+            if remainder == 0:
+                top, z = quotient, z + (1 << i)
+    return top, z
+
+
 def _sign(n, m, r):
     """The sign of n + m*sqrt(r), for integers n, m and r >= 1."""
     sn, sm = (n > 0) - (n < 0), (m > 0) - (m < 0)
@@ -177,9 +196,9 @@ class Quadratic:
             top //= 10
             e += 1
         exp10 = e - digits + 1
-        while exp10 < 0 and top % 10 == 0:
-            top //= 10
-            exp10 += 1
+        if exp10 < 0 and top % 10 == 0:
+            top, zeros = _strip_zeros(top, -exp10)
+            exp10 += zeros
         with localcontext() as ctx:
             ctx.prec = digits + 4
             return Decimal(sgn * top).scaleb(exp10)

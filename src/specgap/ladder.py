@@ -55,10 +55,11 @@ one float64 product (any BLAS) and its scalar correction form M(t)
 exactly, with entries at most q**t + 1 < 2**53.  The ladder forms the
 schedule's indices this way, on one n x n matrix, while the rule holds:
 for q = 2 every index up to 52, for q = 3 up to 33, and for q = 1, whose
-entries never pass 2, all of them.  Each prime block starts from the
-residues of the exact matrices later indices still read, and forms only
-the rest.  The schedule's duplicated M(2) (:func:`ladder_indices`) thus
-costs one exact product per run, not one per prime block.
+entries never pass 2, all of them (:func:`_exact_split`, known before
+any array exists).  One step loop (:func:`_climb`) forms them once and
+the rest once per prime block, from the residues of the exact matrices
+later indices still read.  The schedule's duplicated M(2)
+(:func:`ladder_indices`) thus costs one exact product per run.
 
 Primes.  The fewest primes, largest first below a limit set by n, whose
 product exceeds 2 n (q**k + 1) determine the trace at index k, lifted
@@ -77,13 +78,14 @@ That keeps small graphs at small eps, where the prefix runs to hundreds
 of primes, on the whole set.
 
 Products.  Residues are float64 values, so each step after the exact
-prefix is one BLAS product (dgemm) on a stack of n x n residue matrices,
-one per prime.  A block's stacks start as the exact matrices reduced
-modulo its primes, so their entries lie in [-p, 2p) like every later
-step's.  Reduction is delayed: r = x - p*floor(x * (1/p)) leaves r in
-[-p, 2p), so every value a step accumulates is an integer of modulus
-below n (2p)**2 + p, and the prime limit keeps that below 2**53, where
-float64 arithmetic on integers is exact.  Each step's scalar
+prefix is the prefix's step, one BLAS product (dgemm) and its scalar
+correction, on a stack of n x n residue matrices, one per prime, then
+reduced.  A block's stacks start as the exact matrices reduced modulo
+its primes, so their entries lie in [-p, 2p) like every later step's.
+Reduction is delayed: r = x - p*floor(x * (1/p)) leaves r in [-p, 2p),
+so every value a step accumulates is an integer of modulus below
+n (2p)**2 + p, and the prime limit keeps that below 2**53, where float64
+arithmetic on integers is exact.  Each step's scalar
 (:func:`_scalar`) is reduced modulo every ladder prime once per
 request.  The primes run in blocks of 2**14 // n**2 (at least one), so
 one stack holds at most 2**14 entries unless a single n x n matrix is
@@ -505,68 +507,48 @@ def _step(mats, t, edges, c):
     return step
 
 
-def _exact_prefix(a, edges, built, keep, q, counter, references):
-    """Form the leading entries of ``built`` exactly, on one float64 matrix.
+def _exact_split(built, q):
+    """How many leading entries of ``built`` the ladder forms exactly.
 
-    Each index t, from M((t+1)//2) = M(x) and M(t//2) = M(y), is formed
-    while (q**x + 1)(q**y + 1) + 2 q**y < 2**53, which keeps every value
-    of the product and of its correction an exact integer (see "Exact
-    prefix" above).  Returns the rest of ``built`` and a dict from each
-    formed index (or 1, for A) that the rest or ``keep`` still reads to
-    its exact matrix.  The counter (or None) is bumped once per formed
-    index; each is compared with ``references`` (as for :func:`_ladder_block`).
+    Index t, from M((t+1)//2) = M(x) and M(t//2) = M(y), is formed on
+    one float64 matrix while (q**x + 1)(q**y + 1) + 2 q**y < 2**53, which
+    keeps every value of the product and of its correction an exact
+    integer (see "Exact prefix" above).
     """
-    mats, done = {1: a}, 0
-    for t in built:
+    for split, t in enumerate(built):
         x, y = (t + 1) // 2, t // 2
         if (q**x + 1) * (q**y + 1) + 2 * q**y >= _EXACT:
-            break
-        mats = {i: m for i, m in mats.items() if i >= y}
-        if counter is not None:
-            counter.bump()
-        mats[t] = _step(mats, t, edges, _scalar(t, q))
-        if references is not None and not np.array_equal(mats[t].astype(np.int64), references[t]):
-            raise LadderInvariantError(f"register mismatch at index {t} in the exact prefix")
-        done += 1
-    rest = built[done:]
-    read = set(keep).union(*(((t + 1) // 2, t // 2) for t in rest))
-    return rest, {i: m for i, m in mats.items() if i in read}
+            return split
+    return len(built)
 
 
-def _ladder_block(edges, start, built, primes, scalars, out, triangle, counter, references):
-    """Run the rest of the ladder modulo each prime in ``primes``.
+def _climb(mats, indices, edges, scalars, primes, references):
+    """Form each index of ``indices``, in order; returns the matrices left live.
 
-    ``start`` maps indices to the exact matrices :func:`_exact_prefix`
-    left live; the block's stacks start from their residues.  Each index
-    t of ``built``, in order, is then formed from M((t+1)//2) and
-    M(t//2): M(2h) = M(h)**2 - 2 q**h I and M(2h+1) = M(h+1) M(h) -
-    q**h A (A's ones at ``edges``), with scalars[t] the residues of
-    :func:`_scalar` modulo these primes.  The indices never decrease,
-    so the stacks below t//2 are dead and are dropped before M(t) is
-    formed.  Then, for each index in ``out``, the canonical residues of
-    the upper triangle (``triangle``, its row and column indices in
-    row-major order) of M(index) are written into out[index], an int32
-    (len(primes), >= n(n+1)/2) array.  The counter (or None) is bumped
-    once per formed index.  Every stack is compared with ``references``
-    (index -> the sweep's matrix) when given.
+    ``mats`` maps indices to exact n x n float64 matrices.  The climb runs
+    on them, or with ``primes`` on stacks of their residues, one matrix
+    per prime.  Each index t is formed by :func:`_step` (A's ones at
+    ``edges``), with scalars[t] :func:`_scalar` itself or its residues.
+    The indices never decrease, so the matrices below t//2 are dead and
+    are dropped before M(t) is formed.  Every start and formed matrix is
+    compared with ``references`` (index -> the sweep's matrix) when given.
     """
-    p = np.array(primes, dtype=np.float64)[:, None, None]
-    inv = 1.0 / p
-    mats = {}
-    for t, m in start.items():
-        mats[t] = _reduce(np.repeat(m[None], len(primes), axis=0), p, inv)
-        if references is not None:
-            _check_state(t, mats[t], references[t], primes)
-    for t in built:
+    if primes is not None:
+        p = np.array(primes, dtype=np.float64)[:, None, None]
+        inv = 1.0 / p
+        mats = {t: _reduce(np.repeat(m[None], len(primes), axis=0), p, inv)
+                for t, m in mats.items()}
+    if references is not None:
+        for t, m in mats.items():
+            _check_state(t, m, references[t], primes)
+    for t in indices:
         mats = {i: m for i, m in mats.items() if i >= t // 2}
-        if counter is not None:
-            counter.bump()
-        mats[t] = _reduce(_step(mats, t, edges, scalars[t]), p, inv)
+        mats[t] = _step(mats, t, edges, scalars[t])
+        if primes is not None:
+            _reduce(mats[t], p, inv)
         if references is not None:
             _check_state(t, mats[t], references[t], primes)
-    for t, store in out.items():
-        upper = mats[t][:, triangle[0], triangle[1]]
-        store[:, :upper.shape[1]] = _canonical(upper, p[:, :, 0], inv[:, :, 0])
+    return mats
 
 
 def _finish(store, finishes, primes, size, weights, inverses, triangles):
@@ -616,8 +598,9 @@ def _drive(graph, finishes, counter, checked):
     graph has no loops.  The ladder forms the entries of
     ladder_indices(lo + hi) between its first and its last, lo and hi
     the smallest and largest operand; they include every operand.  The
-    leading ones are formed exactly, once (:func:`_exact_prefix`), and
-    each prime block starts from their residues.
+    leading ones, as many as :func:`_exact_split` allows, are formed
+    exactly, once, and each prime block forms the rest from their
+    residues; one step loop (:func:`_climb`) runs both.
 
     The traces are determined modulo the primes of :func:`_moduli` for
     the largest bound |trace| <= n (q**index + 1) among the finishes.
@@ -628,9 +611,9 @@ def _drive(graph, finishes, counter, checked):
     product, if the primes could not make every step exact or could not
     determine every trace and operand entry (before any power of q if
     even all primes below the limit could not); each rebuilt trace must
-    lie within its own bound.  Products are counted on ``counter`` once
-    per formed index, in the exact prefix or however many prime blocks
-    run it, and once per finish.  With ``checked``, every matrix the run
+    lie within its own bound.  Products are counted on ``counter`` here
+    alone, once per formed index, however many prime blocks form it, and
+    once per finish.  With ``checked``, every matrix the run
     forms, extends or traces is compared with one sweep's.
     """
     q, n = graph.q, graph.n
@@ -641,6 +624,8 @@ def _drive(graph, finishes, counter, checked):
         raise ArithmeticError(f"moduli do not determine a trace bounded by {n} * ({q}**{k} + 1)")
     operands = sorted({t for finish in finishes for t in finish})
     built = ladder_indices(operands[0] + operands[-1])[-2:0:-1]
+    split = _exact_split(built, q)
+    exact, rest = built[:split], built[split:]
     a = graph.adjacency.astype(np.float64)
     bound = n * (q**k + 1)
     primes = _moduli(n, bound)
@@ -659,14 +644,21 @@ def _drive(graph, finishes, counter, checked):
     store = {t: np.zeros((size, width), dtype=np.int32) for t in operands}
     edges = np.nonzero(a)
     references = _references(graph, [1, *built, *indices]) if checked else None
-    rest, live = _exact_prefix(a, edges, built, operands, q, counter, references)
+    live = _climb({1: a}, exact, edges, {t: _scalar(t, q) for t in exact}, None, references)
+    read = set(operands).union(*(((t + 1) // 2, t // 2) for t in rest))
+    live = {t: m for t, m in live.items() if t in read}
     scalars = {t: np.array([c % p for p in primes[:size]]) for t in rest for c in [_scalar(t, q)]}
     for start in range(0, size, per_block):
         block = slice(start, start + per_block)
-        _ladder_block(edges, live, rest, primes[block],
-                      {t: scalar[block] for t, scalar in scalars.items()},
-                      {t: tri[block] for t, tri in store.items()}, triangle,
-                      counter if start == 0 else None, references)
+        mats = _climb(live, rest, edges, {t: scalar[block] for t, scalar in scalars.items()},
+                      primes[block], references)
+        p = np.array(primes[block], dtype=np.float64)[:, None]
+        for t, tri in store.items():
+            residues = mats[t][:, triangle[0], triangle[1]]
+            tri[block, :residues.shape[1]] = _canonical(residues, p, 1.0 / p)
+        del mats, residues  # free this block's stacks before the next block forms its own
+    for _ in [*built, *finishes]:
+        counter.bump()
     triangles = None if references is None else {
         t: np.pad(references[t][triangle], (0, width - len(triangle[0]))) for t in operands}
     weights = np.zeros(width)
@@ -675,8 +667,6 @@ def _drive(graph, finishes, counter, checked):
     totals = _finish(store, finishes, primes, size, weights.reshape(-1, n), basis[2], triangles)
     rows = []
     for (x, y), total in zip(finishes, totals):
-        if counter is not None:
-            counter.bump()
         fix = n * _scalar(2 * x, q) if x == y else 0
         rows.append([(int(t) - fix % p) % p for t, p in zip(total.tolist(), primes)])
     out = []
@@ -692,13 +682,14 @@ def _drive(graph, finishes, counter, checked):
 
 
 def _run_ladder(graph, k, counter, checked=False):
-    """The trace of the scaled Chebyshev matrix M(k), from one ladder on residues.
+    """The trace of the scaled Chebyshev matrix M(k), from one ladder.
 
     The ladder forms the entries of ladder_indices(k) between k and 1,
-    and the last step, M(k) from its operands, forms only the trace, in
-    O(n^2) operations (see :func:`_drive`).  That contraction still
-    counts as one product, so exactly len(ladder_indices(k)) - 1 products
-    are counted on ``counter``.
+    the leading ones exactly and the rest on residues, and the last step,
+    M(k) from its operands, forms only the trace, in O(n^2) operations
+    (see :func:`_drive`).  That contraction still counts as one product,
+    so exactly len(ladder_indices(k)) - 1 products are counted on
+    ``counter``.
 
     With checked=True, one three-term sweep to k, O(k q n^2) extra
     uncounted work, gives every matrix the run forms, extends and traces
@@ -718,7 +709,8 @@ def _run_ladder_pair(graph, k, counter, checked=False):
     Instead of that step, two trace finishes square them:
     M(2j) = M(j)**2 - 2 q**j I and M(2j+2) = M(j+1)**2 - 2 q**(j+1) I.
     Returns [trace_k, trace_k+2].  Exactly len(ladder_indices(k + 1))
-    products are counted: one per formed index and one per finish.  One
+    products are counted: one per formed index, exact or on residues,
+    and one per finish (see :func:`_drive`).  One
     prime set, sized for index k+2, serves both traces; checked mode
     compares every formed matrix and both traces with one sweep to k+2.
     """
@@ -735,9 +727,15 @@ def _references(graph, indices):
     return {t: m for t, m in sweep if t in wanted}
 
 
-def _check_state(index, stack, expect, primes):
-    """Raise unless the stack holds M(index) = ``expect`` modulo each prime."""
-    for residues, p in zip(stack, primes):
+def _check_state(index, state, expect, primes):
+    """Raise unless ``state`` holds M(index) = ``expect``.
+
+    ``state`` is the exact matrix (``primes`` None) or a stack of its
+    residues modulo each of ``primes``.
+    """
+    if primes is None and not np.array_equal(state.astype(np.int64), expect):
+        raise LadderInvariantError(f"register mismatch at index {index} in the exact prefix")
+    for residues, p in zip(state, primes or []):
         if not np.array_equal(residues.astype(np.int64) % p, (expect % p).astype(np.int64)):
             raise LadderInvariantError(f"register mismatch at index {index} modulo {p}")
 

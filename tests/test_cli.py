@@ -14,6 +14,7 @@ import pytest
 import specgap as sg
 from specgap import cli, ladder
 from specgap.cli import main
+from specgap.exact import Quadratic
 
 # the directory that holds the specgap package
 SRC = Path(sg.__file__).resolve().parents[1]
@@ -240,6 +241,30 @@ def test_precision_below_one_is_refused_while_parsing(capsys, monkeypatch, argv)
     assert capsys.readouterr().err.endswith("argument --precision: digits must be >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["hseq", "-k", "3"], ["estimate", "--epsilon", "2^-12"], ["table"], ["oracle"],
+])
+def test_precision_above_the_limit_is_refused_while_parsing(capsys, monkeypatch, argv):
+    loads = []
+    monkeypatch.setattr(cli, "_load_graph", loads.append)
+    too_many = cli._MAX_DIGITS + 1
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--name", "petersen", "--precision", str(too_many)])
+    assert exc.value.code == 2 and loads == []
+    assert capsys.readouterr().err.endswith(
+        f"argument --precision: digits must be at most {cli._MAX_DIGITS}, got {too_many}\n")
+
+
+def test_text_estimate_renders_no_decimal(capsys, monkeypatch):
+    # the slack decimals appear only in the JSON payload
+    calls = spy(monkeypatch, Quadratic, "decimal")
+    code, out, _ = run(capsys, "estimate", "--name", "utility", "--epsilon", "2^-3",
+                       "--precision", str(cli._MAX_DIGITS))
+    assert code == 0 and "radius <= 2 + epsilon" in out and calls == []
+    run_json(capsys, "estimate", "--name", "utility", "--epsilon", "2^-3")
+    assert len(calls) == 2
+
+
 def test_precision_sets_the_digits_of_each_decimal(capsys):
     (row,) = run_json(capsys, "hseq", "--name", "utility", "-k", "3",
                       "--precision", "3")["results"]["slacks"]
@@ -382,6 +407,18 @@ def test_hopeless_index_is_refused_at_once(capsys, argv, index):
     assert time.perf_counter() - started < 0.5
     assert code == 1 and out == ""
     assert err == f"error: moduli do not determine a trace bounded by 10 * (2**{index} + 1)\n"
+
+
+@pytest.mark.parametrize("epsilon", [
+    "2^-99999999999", "1e-10000000", "2^-10000000", "2^100000000", "1e99999999999",
+])
+def test_huge_epsilon_exponents_fail_at_once(capsys, epsilon):
+    # refused before any power of 2 or 10 is formed
+    started = time.perf_counter()
+    code, out, err = run(capsys, "estimate", "--name", "petersen", "--epsilon", epsilon)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "epsilon" in err
 
 
 def test_invalid_k_range(capsys):

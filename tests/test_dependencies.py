@@ -43,3 +43,18 @@ def test_the_oracle_imports_nothing_from_the_package():
                 if isinstance(node, ast.ImportFrom) and node.level > 0]
     absolute = [name for name in _absolute_imports(path) if name.split(".")[0] == "specgap"]
     assert not relative and not absolute, relative + absolute
+
+
+def test_the_ladder_forms_indices_in_one_loop_and_counts_in_one_place():
+    # one function forms every ladder index, exact or on residues, and
+    # _drive alone bumps the product counter
+    tree = ast.parse((ROOT / "src" / "specgap" / "ladder.py").read_text(encoding="utf-8"))
+
+    def callers(matches):
+        return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call) and matches(node.func)}
+
+    step = callers(lambda f: isinstance(f, ast.Name) and f.id == "_step")
+    bump = callers(lambda f: isinstance(f, ast.Attribute) and f.attr == "bump")
+    assert len(step) == 1, step
+    assert bump == {"_drive"}, bump

@@ -524,19 +524,20 @@ def test_extension_sets_empty_and_not(name, monkeypatch):
 
 
 def _ladder_runs(monkeypatch, g, eps):
-    """(blocks, extensions) one estimate runs."""
-    counts = {"_ladder_block": 0, "_extender": 0}
+    """(blocks, extensions) one estimate runs: _climb calls with primes, _extender calls."""
+    counts = {"_climb": 0, "_extender": 0}
     for name in counts:
         honest = getattr(ladder, name)
 
         def counted(*args, name=name, honest=honest):
-            counts[name] += 1
+            if name != "_climb" or inspect.signature(honest).bind(*args).arguments["primes"] is not None:
+                counts[name] += 1
             return honest(*args)
 
         monkeypatch.setattr(ladder, name, counted)
     sg.estimate_expansion(g, eps)
     monkeypatch.undo()
-    return counts["_ladder_block"], counts["_extender"]
+    return counts["_climb"], counts["_extender"]
 
 
 def test_extension_halves_the_deep_estimates(monkeypatch):
@@ -560,15 +561,31 @@ def test_extension_is_skipped_where_it_would_cost_more(monkeypatch):
 
 
 def _per_prime_steps(monkeypatch):
-    """The list of the indices each _ladder_block call forms, as calls run."""
-    honest, rests = ladder._ladder_block, []
+    """The list of the indices each prime block's _climb call forms, as calls run."""
+    honest, rests = ladder._climb, []
 
     def spy(*args):
-        rests.append(list(inspect.signature(honest).bind(*args).arguments["built"]))
+        arguments = inspect.signature(honest).bind(*args).arguments
+        if arguments["primes"] is not None:
+            rests.append(list(arguments["indices"]))
         return honest(*args)
 
-    monkeypatch.setattr(ladder, "_ladder_block", spy)
+    monkeypatch.setattr(ladder, "_climb", spy)
     return rests
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_exact_split_is_the_leading_indices_that_pass_the_bound(q):
+    # index t is formed exactly while (q**x + 1)(q**y + 1) + 2 q**y < 2**53,
+    # x = (t+1)//2 and y = t//2; the split counts the leading ones
+    for k in range(1, 301):
+        built = sg.ladder_indices(k)[-2:0:-1]
+        passes = [(q ** ((t + 1) // 2) + 1) * (q ** (t // 2) + 1) + 2 * q ** (t // 2) < 2**53
+                  for t in built]
+        leading = passes.index(False) if False in passes else len(passes)
+        assert ladder._exact_split(built, q) == leading, (q, k)
+        if q == 1:
+            assert leading == len(built), k
 
 
 @pytest.mark.parametrize("name", ["cycle(7)", "petersen", "complete(5)", "complete(6)", "complete(7)",

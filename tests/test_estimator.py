@@ -80,6 +80,22 @@ def test_required_index_refuses_an_epsilon_past_any_ladder():
         sg.required_even_index(6, Fraction(1, 10**400))
 
 
+def test_too_small_renders_epsilon_past_the_int_text_limit():
+    # the denominator has 5001 digits, more than str(int) renders
+    with pytest.raises(ValueError, match="too small") as exc:
+        sg.required_even_index(6, Fraction(1, 10**5000))
+    assert rational_text(Fraction(1, 10**5000)) in str(exc.value)
+
+
+def test_parse_epsilon_bounds_the_exponent():
+    assert sg.parse_epsilon("2^-10000") == Fraction(1, 2**10000)
+    assert sg.parse_epsilon("1e-10_000") == Fraction(1, 10**10000)
+    assert sg.parse_epsilon(" 1E+0010000 ") == 10**10000
+    for text in ("2^-10001", "2^10001", "1e10001", "1.5e-10001", "3e1_0001", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="epsilon's exponent is out of range"):
+            sg.parse_epsilon(text)
+
+
 def test_required_index_rejects_tiny_graphs():
     with pytest.raises(ValueError):
         sg.required_even_index(1, Fraction(1, 2))

@@ -1,6 +1,7 @@
 import decimal
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -105,6 +106,17 @@ def test_decimal_rendering():
     assert str(Quadratic(Fraction(-9, 4)).decimal(10)) == "-2.25"
     assert str(Quadratic(2, 0, 3).decimal(2)) == "2"
     assert str(Quadratic(Fraction(31, 2)).decimal(10)) == "15.5"
+
+
+def test_decimal_strips_long_zero_runs_fast():
+    # 12345/8192 is exact in 14 digits; the other 59,986 are zeros
+    started = time.perf_counter()
+    assert str(Quadratic(Fraction(12345, 8192)).decimal(60000)) == "1.5069580078125"
+    assert time.perf_counter() - started < 0.5
+    assert str(Quadratic(Fraction(3, 1000)).decimal(5000)) == "0.003"
+    # zeros left of the point stay
+    assert str(Quadratic(1200).decimal(4000)) == "1200"
+    assert str(Quadratic(Fraction(12001, 10)).decimal(9)) == "1200.1"
 
 
 def test_decimal_tie_rounds_half_even():

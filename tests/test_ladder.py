@@ -400,13 +400,15 @@ def test_checked_mode_covers_both_per_prime_registers(monkeypatch, index):
     # and 54 are the first that q = 2 forms modulo each prime
     g = sg.named_graph("utility")
     assert sg.ladder_indices(107)[-2:0:-1] == [2, 3, 4, 6, 7, 13, 14, 26, 27, 53, 54]
-    honest, rests = ladder._ladder_block, []
+    honest, rests = ladder._climb, []
 
     def spy(*args):
-        rests.append(inspect.signature(honest).bind(*args).arguments["built"])
+        arguments = inspect.signature(honest).bind(*args).arguments
+        if arguments["primes"] is not None:
+            rests.append(arguments["indices"])
         return honest(*args)
 
-    monkeypatch.setattr(ladder, "_ladder_block", spy)
+    monkeypatch.setattr(ladder, "_climb", spy)
     truth = _pair(g, k=106)
     assert rests and all(rest == [53, 54] for rest in rests)
     _corrupt_step(monkeypatch, index, 3)
