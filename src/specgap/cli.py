@@ -64,8 +64,14 @@ def _load_graph(args):
         return parse_edge_list(fh.read())
 
 
+# a double has at most 17 significant decimal digits; past them format
+# prints its binary expansion, not digits of the value
+_FLOAT_DIGITS = 17
+
+
 def _fmt(value, precision):
-    return format(value, f".{precision}g")
+    """A float-backed field (estimate, mu, gap, eigenvalue) in at most 17 digits."""
+    return format(value, f".{min(precision, _FLOAT_DIGITS)}g")
 
 
 def _slack_payload(slack, precision):

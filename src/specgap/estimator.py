@@ -50,6 +50,8 @@ def parse_epsilon(value):
     elif isinstance(value, int):
         eps = Fraction(value)
     elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"epsilon must be a finite number, got {value}")
         eps = Fraction(value)
     elif isinstance(value, str):
         text = value.strip()

@@ -56,69 +56,97 @@ exactly, with entries at most q**t + 1 < 2**53.  The ladder forms the
 schedule's indices this way, on one n x n matrix, while the rule holds:
 for q = 2 every index up to 52, for q = 3 up to 33, and for q = 1, whose
 entries never pass 2, all of them (:func:`_exact_split`, known before
-any array exists).  One step loop (:func:`_climb`) forms them once and
-the rest once per prime block, from the residues of the exact matrices
-later indices still read.  The schedule's duplicated M(2)
+any array exists).  The schedule's duplicated M(2)
 (:func:`ladder_indices`) thus costs one exact product per run.
 
-Primes.  The fewest primes, largest first below a limit set by n, whose
-product exceeds 2 n (q**k + 1) determine the trace at index k, lifted
-into the symmetric range; the run for k and k+2 sizes one set for k+2.
-Each window of candidates below the limit is sieved once and cached.
-The ladder itself never needs that many: every matrix it forms is M(t)
-with t at most top, the larger operand index of the finishes (ceil(k/2)
-for one k, j+1 for the pair), so the ladder runs on the shortest prefix
-of the set whose product exceeds 4 (q**top + 1), about half the primes,
-rounded up to whole prime blocks.  A request whose primes all fit in one
-block extends to nothing.  Nor does one where extending would cost more
-multiply-adds than it saves: one extended prime costs about r n(n+1)
-per operand for a prefix of r primes, one laddered prime n**3 per step,
-so the prefix may hold at most steps n**2 / ((n+1) operands) primes.
-That keeps small graphs at small eps, where the prefix runs to hundreds
-of primes, on the whole set.
+Levels.  The schedule climbs in levels (:func:`_levels`): each holds
+M(lo) and M(lo+1), formed from the level below by one square and one
+cross product (M(2h) and M(2h+1), or M(2h+1) and M(2h+2), from M(h) and
+M(h+1)), except the square-only levels at the top of a single-k run at
+even k, which hold M(lo) alone.  One level loop (:func:`_climb`) forms
+them, once on the exact matrix and then once per prime block on
+residues.  Each level writes its products into a second buffer of two
+slots and subtracts both scalar corrections in place; on residues, one
+call then reduces both back into the first buffer, whose level is dead
+by then, so a level allocates nothing (exact, the buffers swap).  The
+buffers are allocated once per run.  Where the exact prefix ends inside
+a level (its square is exact, its cross product is not), each prime
+block starts that level from the residues of the exact member.
+
+Primes.  The fewest primes, largest first below a limit, whose product
+exceeds 2 n (q**k + 1) determine the trace at index k, lifted into the
+symmetric range; the run for k and k+2 sizes one set for k+2.  Each
+window of candidates below the limit is sieved once and cached.  The
+limit is the largest p with m (p/2 + 2)**2 + p < 2**53, m the largest
+inner dimension of any product the run makes on residues
+(:func:`_inner`): n for the ladder's and the finish's, and r + 1 for the
+base extension's from r ladder primes (and 4, for its digits).  Since r
+depends on the primes, the run starts at m = n and raises m to r + 1
+until it holds (:func:`_plan`; at most three rises for n from 3 to 8192
+and k up to 24,472).  At n = 100 that gives primes of 24.2 bits, two
+more than a floored reduction allowed.  The ladder itself never needs
+the whole set: every matrix it forms is M(t) with t at most top, the
+larger operand index of the finishes (ceil(k/2) for one k, j+1 for the
+pair), so the ladder runs on the shortest prefix of the set whose
+product exceeds 4 (q**top + 1), about half the primes, rounded up to
+whole prime blocks.  A request whose primes all fit in one block extends
+to nothing.  Nor does one where extending would cost more multiply-adds
+than it saves: one extended prime costs about r n(n+1) per operand for a
+prefix of r primes, one laddered prime n**3 per step, so the prefix may
+hold at most steps n**2 / ((n+1) operands) primes.  That keeps small
+graphs at small eps, where the prefix runs to hundreds of primes, on the
+whole set.
 
 Products.  Residues are float64 values, so each step after the exact
 prefix is the prefix's step, one BLAS product (dgemm) and its scalar
 correction, on a stack of n x n residue matrices, one per prime, then
-reduced.  A block's stacks start as the exact matrices reduced modulo
-its primes, so their entries lie in [-p, 2p) like every later step's.
-Reduction is delayed: r = x - p*floor(x * (1/p)) leaves r in [-p, 2p),
-so every value a step accumulates is an integer of modulus below
-n (2p)**2 + p, and the prime limit keeps that below 2**53, where float64
-arithmetic on integers is exact.  Each step's scalar
-(:func:`_scalar`) is reduced modulo every ladder prime once per
-request.  The primes run in blocks of 2**14 // n**2 (at least one), so
-one stack holds at most 2**14 entries unless a single n x n matrix is
-larger; a step keeps about five stacks alive, so the working set stays
-near 640 KiB.
+reduced.  The reduction r = x - p*rint(x * (1/p)) (:func:`_reduce`)
+leaves |r| <= (p+3)/2, so every value a step accumulates is an integer
+of modulus at most n ((p+3)/2)**2 + p, and the prime limit keeps that
+and the reduction's own products within 2**53, where float64 arithmetic
+on integers is exact.  A block's stacks start as the exact matrices
+reduced modulo its primes.  Each step's scalar (:func:`_scalar`) is
+reduced modulo every ladder prime once per request.  The primes run in
+blocks of 2**14 // n**2 (at least one), so one stack holds at most 2**14
+entries unless a single n x n matrix is larger; a block keeps two
+buffers of two stacks each, 512 KiB at most below n = 128.
 
-Storage.  After its last step each block writes the canonical residues,
-in [0, p), of every distinct finish operand's upper triangle (M(t) is
-symmetric) into an int32 array of n(n+1)/2 entries per ladder prime,
-zero-padded to whole rows of n entries; a square stores its operand once.
-That is 2 n**2 bytes per ladder prime and operand: 1.4 MiB for the pair
-at n = 100 with 35 ladder primes.
+Storage.  After its last step each block gathers, with one take, the
+reduced residues of every distinct finish operand's upper triangle (M(t)
+is symmetric), its diagonal first and then the entries above it, into an
+int32 array of n(n+1)/2 entries per ladder prime, zero-padded to whole
+rows of n entries; a square stores its operand once.  That is 2 n**2
+bytes per ladder prime and operand: 1.2 MiB for the pair at n = 100
+with 32 ladder primes.
 
 Base extension.  With P the product of the r ladder primes p_i and v_i
-an operand entry x modulo p_i, y_i = v_i (P/p_i)**-1 mod p_i gives
-sum_i y_i P/p_i = x + alpha P, so sum_i y_i/p_i = alpha + x/P with
-|x/P| < 1/4.  The wrap count alpha is read off in fixed point,
-sum_i y_i floor(2**s/p_i) < r 2**s, with 2**s >= 8 sum_i p_i so that the
-truncation stays below 1/8; a fractional part outside the window that
-leaves raises LadderInvariantError.  Then x mod e = sum_i y_i (P/p_i mod
-e) - alpha (P mod e) for every other prime e of the set, one dgemm of y
-with the high and low halves of the constants P/p_i mod e (Shenoy and
-Kumaresan, IEEE Trans. Computers 1989; Kawamura et al., EUROCRYPT
-2000).  Every float64 value stays an exact integer below 2**53;
-:func:`_certify` checks the bounds that ensure it, and the ladder runs
-on the whole set where they fail.
+an operand entry x modulo p_i, the balanced digit y_i = v_i (P/p_i)**-1
+mod p_i, |y_i| <= (p_i - 1)/2, gives sum_i y_i P/p_i = x + alpha P, so
+sum_i y_i/p_i = alpha + x/P with |x/P| < 1/4.  The wrap count alpha is
+read off in fixed point, sum_i y_i floor(2**s/p_i), with 2**s >= 8
+sum_i p_i so that the truncation stays below 1/16; a fractional part
+outside the window that leaves raises LadderInvariantError.  Then
+x = sum_i y_i (P/p_i) - alpha P modulo every other prime e of the set:
+alpha joins the digits as one more row, and one dgemm of the r + 1 rows
+with the balanced constants P/p_i mod e and -(P mod e), all of modulus
+at most e/2, gives every extended residue, followed by one reduction
+(Shenoy and Kumaresan, IEEE Trans. Computers 1989; Kawamura et al.,
+EUROCRYPT 2000).  Its sums stay below r p e/4 + (r/2 + 1) e/2, p and e
+the largest ladder and extension primes, which the prime limit at
+m >= r + 1 keeps below 2**53, so the tables' small graphs keep their
+extension; :func:`_certify` checks the limit, and the ladder runs on the
+whole set where the wrap sum's bound fails.
 
 Finish.  For every prime, the finish for operands X, Y contracts
 trace(X @ Y) = sum(w X Y) over the triangle, with weight w = 1 on the
-diagonal and 2 above it, in rows of n entries.  The triangle runs in
-chunks of about 2**14 residues, each extended and contracted at once,
-so the extended residues are never stored.  One CRT per trace follows,
-on weights built once for all traces of the run.
+diagonal and 2 above it.  The triangle runs in chunks of about 2**14
+residues with every prime's.  Each operand's chunk is one buffer, reused
+from chunk to chunk, with a row per prime: the stored residues on top,
+and below them the extended ones, which the extension's dgemm writes in
+place.  Each row of n products is summed unweighted, which the prime
+limit keeps exact, reduced, and only then weighted, so the weight 2
+costs no bit of prime.  The extended residues are never stored.  One CRT
+per trace follows, on weights built once for all traces of the run.
 
 Consumers that want every k in 1..K use one sweep of the three-term
 recurrence M(j+1) = A M(j) - q M(j-1) instead (:func:`chebyshev_sweep`).
@@ -256,22 +284,27 @@ def _primes_between(lo, hi):
     return primes
 
 
-def _prime_limit(n):
-    """The largest p with n (2p)**2 + p < 2**53."""
-    p = math.isqrt(_EXACT // (4 * n))
-    while n * (2 * p) ** 2 + p >= _EXACT:
+def _prime_limit(m):
+    """The largest p with m (p/2 + 2)**2 + p < 2**53.
+
+    m is the largest inner dimension of any product a run makes on
+    residues (see "Primes" above).
+    """
+    # m (p + 4)**2 + 4p < 2**55, with p + 4 <= 2 sqrt(2**53 / m) to start
+    p = 2 * math.isqrt(_EXACT // m)
+    while m * (p + 4) ** 2 + 4 * p >= 4 * _EXACT:
         p -= 1
     return p
 
 
-def _moduli(n, bound):
-    """The fewest primes, largest first below _prime_limit(n), with product > 2*bound.
+def _moduli(m, bound):
+    """The fewest primes, largest first below _prime_limit(m), with product > 2*bound.
 
     If even every prime below the limit falls short, returns them all,
     and :func:`_certify` rejects the set.
     """
-    top = _prime_limit(n) + 1
-    # windows of fixed widths, so that every call at one n shares them; the
+    top = _prime_limit(m) + 1
+    # windows of fixed widths, so that every call at one m shares them; the
     # first holds thousands of primes, enough for k in the thousands
     width = _WINDOW
     while True:
@@ -293,45 +326,78 @@ def _ladder_size(primes, entry, per_block, most):
     The shortest prefix whose product exceeds 4*entry, rounded up to
     whole blocks of ``per_block`` primes; the whole set if that leaves
     nothing to extend to, if the prefix is longer than ``most`` (the
-    extension would cost more than it saves), or if the base extension
-    would not be exact.
+    extension would cost more than it saves), or if the base extension's
+    wrap sum would not be exact.
     """
     size, product = 0, 1
     while size < len(primes) and product <= 4 * entry:
         product *= primes[size]
         size += 1
     size = min(len(primes), -(-size // per_block) * per_block)
-    return size if size <= most and _extension_bits(primes, size) else len(primes)
+    return size if size <= most and _extension_bits(primes, size) is not None else len(primes)
+
+
+def _inner(n, primes, size):
+    """The inner dimension m whose prime limit every prime must meet.
+
+    n, for the ladder's products and the contraction's rows of n
+    entries; when extending from r = size primes, also r + 1, for the
+    extension's dgemm of r digits and the wrap count, and 4, for its
+    digits: the limit at m = 4 keeps their products, at most
+    (p+3)(p-1)/4, below 2**51 - 1, where :func:`_reduce` balances
+    exactly.
+    """
+    return n if size == len(primes) else max(n, size + 1, 4)
+
+
+def _plan(n, bound, entry, per_block, most):
+    """(primes, size): the moduli for ``bound`` and the ladder's share of them.
+
+    The primes lie below the limit for the run's largest inner dimension
+    (:func:`_inner`), which the ladder's share sets in turn: starting from
+    n, the dimension rises to that share plus one until it holds.  It
+    only rises, and each rise shrinks the primes, so it settles, in a
+    step or two.  The arguments after ``bound`` are as for
+    :func:`_ladder_size`.
+    """
+    inner = n
+    while True:
+        primes = _moduli(inner, bound)
+        size = _ladder_size(primes, entry, per_block, most)
+        if _inner(n, primes, size) <= inner:
+            return primes, size
+        inner = _inner(n, primes, size)
 
 
 def _extension_bits(primes, size):
-    """(s, h) for extending from primes[:size] to the rest; None if inexact.
+    """The s for extending from primes[:size] to the rest; None if inexact.
 
     The wrap count is read off sum_i y_i floor(2**s / p_i), with 2**s the
-    least power of two at or above 8 sum_i p_i; the cofactors P/p_i mod e
-    are split at bit h, half the bits of the largest prime of the set.
-    Extending from r primes keeps every float64 value an exact integer
-    below 2**53 if (r + 1) 2**s <= 2**53 (the wrap sum plus a half) and
-    r 2**h max(primes) <= 2**53 (the dgemm of y with either half of the
-    cofactors); otherwise None.  With nothing to extend to, (0, 0).
+    least power of two at or above 8 sum_i p_i.  With exactly balanced
+    digits, |y_i| <= (p_i - 1)/2, the wrap sum plus a half stays below
+    (r + 1) 2**(s-1) for r = size, which must be at most 2**53.  The
+    digits' and the dgemm's bounds follow from the prime limit
+    (:func:`_inner`).  With nothing to extend to, 0.
     """
     if size == len(primes):
-        return 0, 0
+        return 0
     s = (8 * sum(primes[:size]) - 1).bit_length()
-    h = (max(primes).bit_length() + 1) // 2
-    if (size + 1) << s > _EXACT or (size * max(primes)) << h > _EXACT:
+    if (size + 1) << (s - 1) > _EXACT:
         return None
-    return s, h
+    return s
 
 
 def _certify(n, bound, primes, entry, size):
     """Raise unless the moduli make every step exact and determine the trace.
 
-    The ladder's primes[:size] must also determine every operand entry,
-    bounded by ``entry``, with the margin the base extension needs.
+    Every prime must lie below the limit for the run's largest inner
+    dimension (:func:`_inner`), and the ladder's primes[:size] must also
+    determine every operand entry, bounded by ``entry``, with the margin
+    the base extension needs.
     """
-    if any(n * (2 * p) ** 2 + p >= _EXACT for p in primes):
-        raise ArithmeticError(f"a modulus is too large for exact products of order {n}")
+    inner = _inner(n, primes, size)
+    if any(inner * (p + 4) ** 2 + 4 * p >= 4 * _EXACT for p in primes):
+        raise ArithmeticError(f"a modulus is too large for exact products of inner dimension {inner}")
     if math.prod(primes) <= 2 * bound:
         raise ArithmeticError(f"moduli do not determine a trace bounded by {bound}")
     if math.prod(primes[:size]) <= 4 * entry:
@@ -340,35 +406,30 @@ def _certify(n, bound, primes, entry, size):
         raise ArithmeticError(f"base extension from {size} moduli would not be exact")
 
 
-def _reduce(x, p, inv):
-    """x mod p in place, into [-p, 2p); x holds integers below 2**53 in modulus."""
-    t = x * inv
-    np.floor(t, out=t)
-    t *= p
-    x -= t
-    return x
+def _reduce(x, p, inv, out=None):
+    """x mod p, as x - p rint(x (1/p)), for odd p, into ``out``; returns it.
 
-
-def _canonical(x, p, inv):
-    """x mod p in place, into [0, p); x holds integers below 2**51 in modulus.
-
-    (x + 1/2)/p lies at least 1/(2p) from every integer, and for
-    |x| < 2**51 the rounding errors of (x + 1/2) * fl(1/p) stay below
-    that, so its floor is exact.
+    ``inv`` is fl(1/p), and ``out`` an array of the broadcast shape that
+    shares no memory with x, or None for a new one; x is left as it is,
+    so a dead buffer takes the result and no scratch is needed.  With
+    u = 2**-53, fl(x fl(1/p)) lies within |x/p| (2u + u**2) of x/p.  For
+    |x| < 2**53 that is below (2/p)(1 + 2**-54), so the result r has
+    |r| <= (p+3)/2, and p rint(...) = x - r is exact while
+    |x| + (p+3)/2 <= 2**53.  For |x| <= 2**51 - 2 it is below 1/(2p),
+    and x/p, p odd, lies at least 1/(2p) from every half-integer, so r is
+    exactly balanced: |r| <= (p-1)/2.
     """
-    t = x + 0.5
-    t *= inv
-    np.floor(t, out=t)
+    t = np.multiply(x, inv, out=out)
+    np.rint(t, out=t)
     t *= p
-    x -= t
-    return x
+    return np.subtract(x, t, out=t)
 
 
 def _scan(x, m):
     """Running products down the rows of x modulo m, in O(log len(x)) steps.
 
-    x holds int64 residues below m, with m < 2**26 broadcast along the
-    rows, so every product is below 2**52.
+    x holds int64 residues below m, with m < 2**31 broadcast along the
+    rows, so every product is below 2**62.
     """
     x = x.copy()
     d = 1
@@ -382,41 +443,41 @@ def _extender(primes, size, inverses, width):
     """Base extension from the ladder's primes[:size] to primes[size:].
 
     ``inverses`` holds (Q/p)**-1 mod p for each prime p of the set, Q the
-    product of all of them (the CRT's).  Returns extend(v): v is a
-    (size, m) float64 array, m <= ``width``, of the canonical residues of
-    m integers x with |x| < P/4, P = prod(primes[:size]), and extend(v)
-    is the (len(primes) - size, m) float64 array of their canonical
-    residues modulo each extension prime.  It raises LadderInvariantError
-    if some x breaks that bound so far that the wrap count's fractional
-    part leaves its window.  Needs _extension_bits(primes, size) to be
-    (s, h), not None.
+    product of all of them (the CRT's).  Returns extend(chunk): chunk is a
+    (len(primes), m) float64 array, m <= ``width``, whose first size rows
+    hold residues, of modulus at most (p+3)/2 (:func:`_reduce`), of m
+    integers x with |x| < P/4, P = prod(primes[:size]); extend writes
+    their residues modulo each extension prime e, of modulus at most
+    (e+3)/2, into the rows below.  It raises LadderInvariantError if some
+    x breaks that bound so far that the wrap count's fractional part
+    leaves its window.  Needs _extension_bits(primes, size) to be s, not
+    None; every ladder prime p below the limit for m = 4, which keeps the
+    digits' products within 2**51 - 2 (:func:`_inner`); and
+    r p e/4 + (r/2 + 1) e/2 < 2**53 for r = size and the largest ladder
+    and extension primes p and e, which the limit for m = r + 1 ensures
+    (see "Base extension").
 
     The constants: the cofactors P/p_i modulo each extension prime e come
     from running products of p_i mod e taken from either end, in
     O(log size) vectorised int64 steps (:func:`_scan`), and P mod e is
     the last running product; (P/p_i)**-1 = (Q/p_i)**-1 (Q/P) mod p_i.
-    In extend, with r = size and every prime below p_max < 2**26:
-    v (P/p_i)**-1 < p_max**2 < 2**52; the wrap sum plus a half is below
-    (r + 1) 2**s; each half of the cofactors' hi/lo split is below 2**h
-    and y below p_max, so the dgemm sums to below r 2**h p_max;
-    :func:`_extension_bits` checks these two.  After the reduction the
-    recombination stays below (2**(h+1) + r + 3) p_max, under 2**40.
+    All of them are balanced, of modulus at most half their prime.
     """
-    s, h = _extension_bits(primes, size)
+    s = _extension_bits(primes, size)
     ladder = np.array(primes[:size], dtype=np.int64)
     others = np.array(primes[size:], dtype=np.int64)
     rest = math.prod(primes[size:])
-    inv = [i * (rest % p) % p for i, p in zip(inverses, primes[:size])]
+    inv = [(i * (rest % p) + p // 2) % p - p // 2 for i, p in zip(inverses, primes[:size])]
     # P/p_i mod e, from running products of p_i mod e from either end
     factors = ladder[:, None] % others
     prefix, suffix = _scan(factors, others), _scan(factors[::-1], others)[::-1]
     cofactor = np.ones_like(factors)
     cofactor[1:] = prefix[:-1]
     cofactor[:-1] = cofactor[:-1] * suffix[1:] % others
-    # the cofactors' high and low halves, stacked: one dgemm with y gives
-    # both partial sums
-    basis = np.concatenate((cofactor.T >> h, cofactor.T & ((1 << h) - 1))).astype(np.float64)
-    wrap = prefix[-1].astype(np.float64)[:, None]  # P mod e
+    # the balanced constants, P/p_i mod e for the digits and -(P mod e) for
+    # the wrap count
+    basis = (np.vstack((cofactor, -prefix[-1])) + others // 2) % others - others // 2
+    basis = np.ascontiguousarray(basis.T, dtype=np.float64)
     fraction = ((1 << s) // ladder).astype(np.float64)  # floor(2**s / p_i)
 
     def full(column):
@@ -425,44 +486,47 @@ def _extender(primes, size, inverses, width):
                                                     (len(column), width)))
 
     inv, lp, ep = full(inv), full(ladder), full(others)
-    ep2 = np.concatenate((ep, ep))
-    linv, einv, einv2 = 1.0 / lp, 1.0 / ep, 1.0 / ep2
-    one, half, split = 2.0**s, 2.0 ** (s - 1), 2.0**h
-    count = len(others)
-    # |x|/P < 1/4 and a truncation below 2**(s-3) keep the fractional part
-    # of the wrap sum plus a half strictly inside (2**(s-3), 3 * 2**(s-2))
-    low, high = 2.0 ** (s - 3), 3 * 2.0 ** (s - 2)
+    linv, einv = 1.0 / lp, 1.0 / ep
+    digits = np.empty((size + 1, width))  # y, then alpha in the last row
+    # the digits' and the extended residues' values before they are reduced
+    raw = np.empty((max(size, len(others)), width))
+    one, half = 2.0**s, 2.0 ** (s - 1)
+    # |x|/P < 1/4 and a truncation below 2**(s-4) keep the fractional part
+    # of the wrap sum plus a half strictly inside (3 * 2**(s-4), 13 * 2**(s-4))
+    low, high = 3 * 2.0 ** (s - 4), 13 * 2.0 ** (s - 4)
 
-    def extend(v):
-        m = v.shape[1]
-        y = _canonical(v * inv[:, :m], lp[:, :m], linv[:, :m])
-        t = fraction @ y + half
-        alpha = np.floor(t * (1.0 / one))
-        t -= alpha * one
+    def extend(chunk):
+        m = chunk.shape[1]
+        y = digits[:, :m]
+        np.multiply(chunk[:size], inv[:, :m], out=raw[:size, :m])
+        _reduce(raw[:size, :m], lp[:, :m], linv[:, :m], y[:size])
+        t = fraction @ y[:size] + half
+        np.floor(t * (1.0 / one), out=y[size])
+        t -= y[size] * one
         if ((t <= low) | (t >= high)).any():
             raise LadderInvariantError(
                 "an operand entry lies outside the bound its moduli were sized for"
             )
-        halves = _reduce(basis @ y, ep2[:, :m], einv2[:, :m])
-        z = halves[:count] * split
-        z += halves[count:]
-        z -= alpha * wrap
-        return _canonical(z, ep[:, :m], einv[:, :m])
+        z = raw[:len(others), :m]
+        np.matmul(basis, y, out=z)
+        _reduce(z, ep[:, :m], einv[:, :m], chunk[size:])
 
     return extend
 
 
 def _contract(x, y, w, p, inv):
-    """Per prime, an integer congruent to sum(w * x * y) mod p.
+    """Per prime, an integer congruent to sum_g w_g (row g of x * y) mod p.
 
-    x, y are (primes, g * n) canonical residues and w is (g, n), 1 on the
-    triangle's diagonal, 2 above it and 0 in its padding.  Each row of n
-    products sums to below 2 n p**2 < n (2p)**2, and after one reduction
-    the g row sums stay below 2gp, so every value is exact.
+    x, y are (primes, g * n) residues of modulus at most (p+3)/2
+    (:func:`_reduce`) in g rows of n entries, and w the g row weights.
+    Each row of n products sums to at most n ((p+3)/2)**2, within 2**53
+    by the prime limit (m >= n), one reduction leaves every row sum
+    within (p+3)/2, and only then are they weighted, so the weighted sum
+    stays within max(w) g (p+3)/2.
     """
-    g, n = w.shape
-    rows = np.einsum("igc,igc,gc->ig", x.reshape(-1, g, n), y.reshape(-1, g, n), w)
-    return _reduce(rows, p, inv).sum(axis=1)
+    g = len(w)
+    rows = np.einsum("igc,igc->ig", x.reshape(len(x), g, -1), y.reshape(len(y), g, -1))
+    return _reduce(rows, p, inv) @ w
 
 
 def _crt_basis(primes):
@@ -491,20 +555,44 @@ def _scalar(t, q):
     return (2 - t % 2) * q ** (t // 2)
 
 
-def _step(mats, t, edges, c):
-    """M((t+1)//2) M(t//2) minus the scalar correction of index t.
+def _step(x, y, out, t, edges, c):
+    """out = x @ y, less the scalar correction of index t, on stacks of n x n matrices.
 
-    That is c A for odd t (A's ones at ``edges``) and c I for even t.
-    ``mats`` maps indices to one n x n matrix, with c a scalar, or to
-    stacks of them, with c one value per matrix of the stack.
+    x and y hold M((t+1)//2) and M(t//2) (exact, or residues, one matrix
+    per prime); the correction is c A for odd t (A's ones at ``edges``,
+    flat row-major indices) and c I for even t, with c one value per
+    matrix of the stack.
     """
-    step = np.matmul(mats[(t + 1) // 2], mats[t // 2])
-    c = np.asarray(c, dtype=np.float64)[..., None]
-    if t % 2:
-        step[..., edges[0], edges[1]] -= c
-    else:
-        step.reshape(*step.shape[:-2], -1)[..., ::step.shape[-1] + 1] -= c
-    return step
+    np.matmul(x, y, out=out)
+    flat = out.reshape(len(out), -1)
+    flat[:, edges if t % 2 else slice(None, None, out.shape[-1] + 1)] -= c[:, None]
+
+
+def _levels(operands):
+    """The levels from M(1) up to the finish operands, bottom up.
+
+    ``operands`` is [j, j+1] or [j], sorted.  Each level is (lo, width,
+    steps): it holds M(lo), ..., M(lo + width - 1) in slots 0, 1, and
+    each step (slot, t, x, y) forms M(t) into ``slot`` from slots x and y
+    (M((t+1)//2) and M(t//2)) of the level below.  The first level reads
+    M(1) = A in slot 0, and a level with lo = 1 keeps it there; every
+    other slot is formed.  The steps, in order, are the entries of
+    ladder_indices(j + j') between its first and its last, j' the last
+    operand.
+    """
+    lo, width = operands[0], len(operands)
+    chain = []
+    while lo > 1:
+        chain.append((lo, width))
+        # M(2h) and M(2h+1) read M(h) and M(h+1); M(2h) alone reads M(h)
+        lo, width = lo // 2, 2 if width == 2 or lo % 2 else 1
+    if width == 2:
+        chain.append((1, 2))
+    chain.append((1, 1))
+    chain.reverse()
+    return [(lo, width, [(slot, t, (t + 1) // 2 - below, t // 2 - below)
+                         for slot, t in enumerate(range(lo, lo + width)) if t > 1])
+            for (below, _), (lo, width) in zip(chain, chain[1:])]
 
 
 def _exact_split(built, q):
@@ -522,70 +610,78 @@ def _exact_split(built, q):
     return len(built)
 
 
-def _climb(mats, indices, edges, scalars, primes, references):
-    """Form each index of ``indices``, in order; returns the matrices left live.
+def _climb(cur, nxt, levels, edges, scalars, primes, references):
+    """Form each of ``levels`` in turn; returns (cur, nxt) after the last.
 
-    ``mats`` maps indices to exact n x n float64 matrices.  The climb runs
-    on them, or with ``primes`` on stacks of their residues, one matrix
-    per prime.  Each index t is formed by :func:`_step` (A's ones at
-    ``edges``), with scalars[t] :func:`_scalar` itself or its residues.
-    The indices never decrease, so the matrices below t//2 are dead and
-    are dropped before M(t) is formed.  Every start and formed matrix is
-    compared with ``references`` (index -> the sweep's matrix) when given.
+    cur and nxt are (2, P, n, n) buffers of two slots, each a stack of
+    one exact matrix (``primes`` None, P = 1) or of residues modulo each
+    of ``primes``.  cur holds the level the first one reads; any slot a
+    level does not form (M(1) = A, or the exact member of a level the
+    exact prefix cut) is already in place in nxt.  Each level forms its
+    steps into nxt (:func:`_step`, with scalars[t] :func:`_scalar` itself
+    or its residues).  Exact, nxt becomes cur; on residues, one call
+    reduces every slot of nxt into cur, whose level is dead by then.
+    Every slot of every level is compared with ``references`` (index ->
+    the sweep's matrix) when given.
     """
     if primes is not None:
         p = np.array(primes, dtype=np.float64)[:, None, None]
         inv = 1.0 / p
-        mats = {t: _reduce(np.repeat(m[None], len(primes), axis=0), p, inv)
-                for t, m in mats.items()}
-    if references is not None:
-        for t, m in mats.items():
-            _check_state(t, m, references[t], primes)
-    for t in indices:
-        mats = {i: m for i, m in mats.items() if i >= t // 2}
-        mats[t] = _step(mats, t, edges, scalars[t])
-        if primes is not None:
-            _reduce(mats[t], p, inv)
+    for lo, width, steps in levels:
+        for slot, t, x, y in steps:
+            _step(cur[x], cur[y], nxt[slot], t, edges, scalars[t])
+        if primes is None:
+            cur, nxt = nxt, cur
+        else:
+            _reduce(nxt[:width], p, inv, cur[:width])
         if references is not None:
-            _check_state(t, mats[t], references[t], primes)
-    return mats
+            for slot in range(width):
+                _check_state(lo + slot, cur[slot], references[lo + slot], primes)
+    return cur, nxt
 
 
 def _finish(store, finishes, primes, size, weights, inverses, triangles):
     """Per finish (x, y), per prime, an integer congruent to trace(M(x) @ M(y)).
 
     ``store`` maps each operand index to the int32 triangles of its
-    matrix modulo primes[:size], in rows of n entries, and ``weights`` is
-    the (rows, n) contraction weight.  Row groups of about _BLOCK_ENTRIES residues run
-    in turn: each is extended to primes[size:] (``inverses`` as for
-    :func:`_extender`), checked against ``triangles`` (index -> padded
-    triangle of the sweep's matrix) when given, and contracted for every
-    prime.  Returns one float64 array of integers below 2**51 per finish.
+    matrix modulo primes[:size], in rows of n entries, and ``weights``
+    holds each row's contraction weight.  Groups of rows, about
+    _BLOCK_ENTRIES residues with every prime's, run in turn: each
+    operand's group is copied into the top rows of a buffer with a row
+    per prime, reused from group to group, extended into the rows below
+    (``inverses`` as for :func:`_extender`), checked against
+    ``triangles`` (index -> padded triangle of the sweep's matrix) when
+    given, and contracted once per finish.  Returns one float64 array of
+    integers below 2**51 per finish.
     """
     p = np.array(primes, dtype=np.float64)[:, None]
     inv = 1.0 / p
-    rows, n = weights.shape
+    rows = len(weights)
+    n = next(iter(store.values())).shape[1] // rows
     group = max(1, _BLOCK_ENTRIES // (len(primes) * n))
     extend = _extender(primes, size, inverses, group * n) if size < len(primes) else None
     extension = np.array(primes[size:], dtype=np.int64)[:, None]
+    chunks = {x: np.empty((len(primes), group * n)) for x in store}
     totals = [np.zeros(len(primes)) for _ in finishes]
     for start in range(0, rows, group):
         cols = slice(start * n, (start + group) * n)
-        chunk = {}
         for x, tri in store.items():
-            chunk[x] = v = tri[:, cols].astype(np.float64)
+            part = tri[:, cols]
+            residues = chunks[x][:, :part.shape[1]]
+            residues[:size] = part
             if extend is None:
                 continue
-            z = extend(v)
+            extend(residues)
             if triangles is not None:
-                bad = np.flatnonzero((z != triangles[x][cols] % extension).any(axis=1))
+                wrong = residues[size:] % extension != triangles[x][cols] % extension
+                bad = np.flatnonzero(wrong.any(axis=1))
                 if bad.size:
                     raise LadderInvariantError(
                         f"extended residue mismatch in M({x}) modulo {primes[size + bad[0]]}"
                     )
-            chunk[x] = np.concatenate((v, z))
+        m = (min(start + group, rows) - start) * n
         for total, (x, y) in zip(totals, finishes):
-            total += _contract(chunk[x], chunk[y], weights[start:start + group], p, inv)
+            total += _contract(chunks[x][:, :m], chunks[y][:, :m], weights[start:start + group], p, inv)
     return totals
 
 
@@ -595,76 +691,104 @@ def _drive(graph, finishes, counter, checked):
     Each finish is an index pair (x, y) with x - y in {0, 1} and gives
     trace(M(x + y)) = trace(M(x) M(y)) - q**y trace(M(x - y)), where
     trace(M(0)) = 2n and trace(M(1)) = trace(A) = 0, since a validated
-    graph has no loops.  The ladder forms the entries of
-    ladder_indices(lo + hi) between its first and its last, lo and hi
-    the smallest and largest operand; they include every operand.  The
-    leading ones, as many as :func:`_exact_split` allows, are formed
-    exactly, once, and each prime block forms the rest from their
-    residues; one step loop (:func:`_climb`) runs both.
+    graph has no loops.  The ladder climbs the levels of :func:`_levels`
+    up to the operands.  The leading indices, as many as
+    :func:`_exact_split` allows, are formed exactly, once, and each prime
+    block forms the rest from their residues; one level loop
+    (:func:`_climb`) runs both.
 
     The traces are determined modulo the primes of :func:`_moduli` for
     the largest bound |trace| <= n (q**index + 1) among the finishes.
     The ladder runs, block by block, on the prefix of them that
-    :func:`_ladder_size` picks for hi; the finish extends the operands to
-    the other primes, contracts every trace modulo all of them, and one
-    CRT per trace follows.  ArithmeticError is raised, before any
-    product, if the primes could not make every step exact or could not
-    determine every trace and operand entry (before any power of q if
-    even all primes below the limit could not); each rebuilt trace must
-    lie within its own bound.  Products are counted on ``counter`` here
-    alone, once per formed index, however many prime blocks form it, and
-    once per finish.  With ``checked``, every matrix the run
-    forms, extends or traces is compared with one sweep's.
+    :func:`_ladder_size` picks for hi, the largest operand; the finish
+    extends the operands to the other primes, contracts every trace
+    modulo all of them, and one CRT per trace follows.  ArithmeticError
+    is raised, before any product, if the primes could not make every
+    step exact or could not determine every trace and operand entry
+    (before any power of q if even all primes below the limit for n
+    could not); each rebuilt trace must lie within its own bound.
+    Products are counted on ``counter`` here alone, once per formed
+    index, however many prime blocks form it, and once per finish.  With
+    ``checked``, every matrix the run forms, extends or traces is
+    compared with one sweep's.
     """
     q, n = graph.q, graph.n
     indices = [x + y for x, y in finishes]
     k = max(indices)
-    # the primes below L multiply to less than 4**L (Erdős) <= 2**(k floor(log2 q)) <= q**k
+    # the primes below L multiply to less than 4**L (Erdős) <= 2**(k floor(log2 q)) <= q**k,
+    # and no run's limit is above the one for inner dimension n
     if k * (q.bit_length() - 1) >= 2 * (_prime_limit(n) + 1):
         raise ArithmeticError(f"moduli do not determine a trace bounded by {n} * ({q}**{k} + 1)")
     operands = sorted({t for finish in finishes for t in finish})
-    built = ladder_indices(operands[0] + operands[-1])[-2:0:-1]
+    levels = _levels(operands)
+    built = [t for _, _, steps in levels for _, t, _, _ in steps]
     split = _exact_split(built, q)
-    exact, rest = built[:split], built[split:]
+    # the levels formed exactly and the rest; a level the split cuts forms
+    # its exact member (slot 0) in the first part and the other in the second
+    exact, rest, done = [], [], 0
+    for lo, width, steps in levels:
+        take = min(len(steps), max(0, split - done))
+        done += len(steps)
+        if take:
+            exact.append((lo, width if take == len(steps) else take, steps[:take]))
+        if take < len(steps):
+            rest.append((lo, width, steps[take:]))
     a = graph.adjacency.astype(np.float64)
     bound = n * (q**k + 1)
-    primes = _moduli(n, bound)
     per_block = max(1, _BLOCK_ENTRIES // (n * n))
     entry = q ** operands[-1] + 1
-    # extending one prime from r costs 2 r n(n+1)/2 multiply-adds per operand
-    # (the dgemm with both halves of the cofactors); the ladder spends n**3 per
-    # prime and index it forms, so extend only when that saves work
+    # the rule charges extending one prime from r 2 r n(n+1)/2 multiply-adds
+    # per operand: the one dgemm of the digits and the wrap count takes
+    # (r + 1) n(n+1)/2, and the elementwise passes around it cost about as
+    # much again; the ladder spends n**3 per prime and index it forms, so
+    # extend only when that saves work
     most = len(built) * n**2 // ((n + 1) * len(operands))
-    size = _ladder_size(primes, entry, per_block, most)
+    primes, size = _plan(n, bound, entry, per_block, most)
     _certify(n, bound, primes, entry, size)
-    # the operands' upper triangles, zero-padded to whole rows of n entries
+    # the operands' upper triangles, diagonal first, zero-padded to whole
+    # rows of n entries: row 0 weighs 1 in a trace and the others 2
     upper = np.arange(n)
-    triangle = np.nonzero(upper[:, None] <= upper)
+    flat = np.concatenate((upper * (n + 1), np.flatnonzero(upper[:, None] < upper)))
     width = n * ((n + 2) // 2)
+    weights = np.full(width // n, 2.0)
+    weights[0] = 1.0
     store = {t: np.zeros((size, width), dtype=np.int32) for t in operands}
-    edges = np.nonzero(a)
+    edges = np.flatnonzero(a)
     references = _references(graph, [1, *built, *indices]) if checked else None
-    live = _climb({1: a}, exact, edges, {t: _scalar(t, q) for t in exact}, None, references)
-    read = set(operands).union(*(((t + 1) // 2, t // 2) for t in rest))
-    live = {t: m for t, m in live.items() if t in read}
-    scalars = {t: np.array([c % p for p in primes[:size]]) for t in rest for c in [_scalar(t, q)]}
+    scalars = {t: _scalar(t, q) for t in built}
+    # two buffers of two slots, M(1) = A in slot 0 of both
+    state = np.empty((2, 2, 1, n, n))
+    state[:, 0, 0] = a
+    cur, other = _climb(state[0], state[1], exact, edges,
+                        {t: np.array([float(scalars[t])]) for t in built[:split]}, None, references)
+    # a prime block starts from the residues of the last whole exact level
+    # and, where the split cut the next one, of its exact member, which
+    # waits in the other buffer; held lists the slots each state fills
+    held = [1, 1] + [slots for _, slots, _ in exact]
+    starts = [(cur, held[-1])]
+    if rest and exact and rest[0][0] == exact[-1][0]:
+        starts = [(other, held[-2]), (cur, held[-1])]
+    residues = {t: np.array([c % p for p in primes[:size]], dtype=np.float64)
+                for t, c in scalars.items() if t in built[split:]}
+    buffers = np.empty((2, 2 * per_block * n * n))
     for start in range(0, size, per_block):
-        block = slice(start, start + per_block)
-        mats = _climb(live, rest, edges, {t: scalar[block] for t, scalar in scalars.items()},
-                      primes[block], references)
-        p = np.array(primes[block], dtype=np.float64)[:, None]
+        block = primes[start:start + per_block]
+        here, there = (b[:2 * len(block) * n * n].reshape(2, len(block), n, n) for b in buffers)
+        p = np.array(block, dtype=np.float64)[:, None, None]
+        for (source, slots), target in zip(starts, (here, there)):
+            _reduce(source[:slots], p, 1.0 / p, target[:slots])
+        top, _ = _climb(here, there, rest, edges,
+                        {t: c[start:start + len(block)] for t, c in residues.items()}, block,
+                        references)
         for t, tri in store.items():
-            residues = mats[t][:, triangle[0], triangle[1]]
-            tri[block, :residues.shape[1]] = _canonical(residues, p, 1.0 / p)
-        del mats, residues  # free this block's stacks before the next block forms its own
+            tri[start:start + len(block), :len(flat)] = np.take(
+                top[t - operands[0]].reshape(len(block), -1), flat, axis=1)
     for _ in [*built, *finishes]:
         counter.bump()
     triangles = None if references is None else {
-        t: np.pad(references[t][triangle], (0, width - len(triangle[0]))) for t in operands}
-    weights = np.zeros(width)
-    weights[:len(triangle[0])] = 2.0 - (triangle[0] == triangle[1])
+        t: np.pad(references[t].ravel()[flat], (0, width - len(flat))) for t in operands}
     basis = _crt_basis(primes)
-    totals = _finish(store, finishes, primes, size, weights.reshape(-1, n), basis[2], triangles)
+    totals = _finish(store, finishes, primes, size, weights, basis[2], triangles)
     rows = []
     for (x, y), total in zip(finishes, totals):
         fix = n * _scalar(2 * x, q) if x == y else 0
@@ -730,10 +854,10 @@ def _references(graph, indices):
 def _check_state(index, state, expect, primes):
     """Raise unless ``state`` holds M(index) = ``expect``.
 
-    ``state`` is the exact matrix (``primes`` None) or a stack of its
+    ``state`` is a stack of one exact matrix (``primes`` None) or of its
     residues modulo each of ``primes``.
     """
-    if primes is None and not np.array_equal(state.astype(np.int64), expect):
+    if primes is None and not np.array_equal(state.astype(np.int64), expect[None]):
         raise LadderInvariantError(f"register mismatch at index {index} in the exact prefix")
     for residues, p in zip(state, primes or []):
         if not np.array_equal(residues.astype(np.int64) % p, (expect % p).astype(np.int64)):

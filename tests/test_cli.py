@@ -275,6 +275,26 @@ def test_precision_sets_the_digits_of_each_decimal(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_float_fields_print_at_most_17_significant_digits(capsys):
+    # past 17 digits a double prints its binary expansion, not digits of
+    # the value; the exact slack decimals keep every digit asked for
+    code, out, _ = run(capsys, "estimate", "--name", "utility", "--epsilon", "2^-4",
+                       "--precision", "60")
+    assert code == 0
+    shown = next(l for l in out.splitlines() if l.startswith("estimate")).split()[-1]
+    assert shown == "2.1213201960456698" and float(shown) == 2.1213201960456698
+    code, out, _ = run(capsys, "oracle", "--name", "petersen", "--precision", "40")
+    assert code == 0
+    shown = out.splitlines()[0].split(": ")[1].split(", ")
+    eigenvalues = run_json(capsys, "oracle", "--name", "petersen")["results"]["eigenvalues"]
+    # each value round-trips to its double, in at most 17 significant digits
+    assert [float(v) for v in shown] == eigenvalues
+    assert all(len(re.sub(r"[-.]|e.*", "", v).lstrip("0")) <= 17 for v in shown)
+    (row,) = run_json(capsys, "hseq", "--name", "utility", "-k", "3",
+                      "--precision", "60")["results"]["slacks"]
+    assert len(row["decimal"].replace(".", "")) == 60
+
+
 @pytest.mark.parametrize("argv", [
     ["ngc", "--name", "petersen", "-k", "3"], ["gen", "--name", "petersen"],
 ])

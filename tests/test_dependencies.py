@@ -58,3 +58,32 @@ def test_the_ladder_forms_indices_in_one_loop_and_counts_in_one_place():
     bump = callers(lambda f: isinstance(f, ast.Attribute) and f.attr == "bump")
     assert len(step) == 1, step
     assert bump == {"_drive"}, bump
+
+
+def test_the_level_loop_writes_every_product_into_a_buffer():
+    # a fresh (P, n, n) product costs page faults at every level; the level
+    # loop and every function of ladder.py it reaches write theirs with out=
+    tree = ast.parse((ROOT / "src" / "specgap" / "ladder.py").read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+
+    def called(fn):
+        return {node.func.id for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions}
+
+    loops = {name for name, fn in functions.items() if "_step" in called(fn)}
+    assert len(loops) == 1, loops
+    reached, todo = set(), list(loops)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(called(functions[name]))
+    products = []
+    for name in sorted(reached):
+        for node in ast.walk(functions[name]):
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)), name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in ("matmul", "dot"):
+                products.append((name, node.func.attr, {k.arg for k in node.keywords}))
+    assert products and all(attr == "matmul" and "out" in keys for _, attr, keys in products), products

@@ -27,9 +27,9 @@ from specgap.estimator import EstimateReport, _decide, required_even_index
 from specgap.exact import MultCounter
 from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
-    LadderInvariantError, _canonical, _certify, _crt, _crt_basis, _extender, _extension_bits,
-    _ladder_size, _moduli, _primes_between, _reduce, _references, _run_ladder, _run_ladder_pair,
-    _scalar, _sweep, chebyshev_sweep, expansion_slacks,
+    LadderInvariantError, _certify, _crt, _crt_basis, _extender, _extension_bits, _inner,
+    _ladder_size, _levels, _moduli, _plan, _prime_limit, _primes_between, _reduce, _references,
+    _run_ladder, _run_ladder_pair, _scalar, _sweep, chebyshev_sweep, expansion_slacks,
 )
 from specgap.oracle import exact_slack_from_integer_spectrum
 
@@ -195,46 +195,118 @@ def test_moduli_at_one_order_share_one_window():
     assert not _primes_between(2, 400).flags.writeable
 
 
+def _under_limit(m, p):
+    """m (p/2 + 2)**2 + p < 2**53: exact products of inner dimension m on residues modulo p."""
+    return m * (p + 4) ** 2 + 4 * p < 2**55
+
+
 @pytest.mark.parametrize("n", [3, 20, 150, 2048, 4096])
 def test_moduli_are_exact_and_determine_the_trace(n):
     for q in (1, 2, 3, 7):
         for k in [1, 2, 3, *range(250, 5001, 250)]:
             bound = n * (q**k + 1)
-            primes = _moduli(n, bound)
-            assert primes == sorted(set(primes), reverse=True)
-            # every accumulation of a step is an exact float64 integer
-            assert all(n * (2 * p) ** 2 + p < 2**53 for p in primes)
-            # the fewest moduli that pin down a trace in [-bound, bound]
-            assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
-            # pairwise coprime, as the CRT needs
-            assert all(math.gcd(p, math.prod(primes[:i])) == 1 for i, p in enumerate(primes))
-            # the ladder's prefix: the fewest primes, in whole blocks, that
-            # pin down every operand entry with the extension's margin
             entry = q ** ((k + 1) // 2) + 1
             for per_block in (1, max(1, 2**14 // n**2)):
-                size = _ladder_size(primes, entry, per_block, len(primes))
+                primes, size = _plan(n, bound, entry, per_block, math.inf)
+                assert primes == sorted(set(primes), reverse=True)
+                # every accumulation of a step and of a contraction row (inner
+                # dimension n) and of the extension's dgemm (r + 1 rows) is an
+                # exact float64 integer; the primes are the largest that are
+                inner = n if size == len(primes) else max(n, size + 1, 4)
+                assert all(_under_limit(inner, p) for p in primes)
+                assert primes == _moduli(inner, bound)
+                # the fewest moduli that pin down a trace in [-bound, bound]
+                assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+                # pairwise coprime, as the CRT needs
+                assert all(math.gcd(p, math.prod(primes[:i])) == 1 for i, p in enumerate(primes))
+                # the ladder's prefix: the fewest primes, in whole blocks, that
+                # pin down every operand entry with the extension's margin
                 _certify(n, bound, primes, entry, size)
                 fewest = next(i for i in range(1, len(primes) + 1)
                               if math.prod(primes[:i]) > 4 * entry)
                 assert math.prod(primes[:fewest - 1]) <= 4 * entry
                 assert size == len(primes) or size == -(-fewest // per_block) * per_block
                 if size < len(primes):
-                    s, h = _extension_bits(primes, size)
+                    s = _extension_bits(primes, size)
                     assert 2**s >= 8 * sum(primes[:size]) > 2 ** (s - 1)
-                    assert (size + 1) * 2**s <= 2**53 and size * 2**h * primes[0] <= 2**53
+                    p, e = max(primes[:size]), max(primes[size:])
+                    # the wrap sum, the digits' products and the dgemm
+                    assert (size + 1) * 2 ** (s - 1) <= 2**53
+                    assert (p + 3) * (p - 1) // 4 <= 2**51 - 2
+                    assert size * p * e + (2 * size + 4) * e < 2**55
+
+
+def test_the_prime_limit_reaches_a_fixed_point_under_both_bounds(monkeypatch):
+    honest, calls = ladder._moduli, []
+
+    def spy(m, bound):
+        calls.append(m)
+        return honest(m, bound)
+
+    monkeypatch.setattr(ladder, "_moduli", spy)
+    cases = [(n, q, k) for n in (3, 4, 8, 24, 100, 300, 8192) for q in (2, 3, 7)
+             for k in (2, 50, 500, 1534, 5000, 24472)]
+    rises = set()
+    for n, q, k in cases:
+        calls.clear()
+        bound, entry = n * (q ** (k + 2) + 1), q ** (k // 2 + 1) + 1
+        per_block = max(1, 2**14 // n**2)
+        primes, size = _plan(n, bound, entry, per_block, math.inf)
+        # every prime is under the ladder's bound and, when it extends from
+        # r primes, under the extension's (r + 1) and its digits' (4) too
+        assert all(_under_limit(n, p) for p in primes), (n, q, k)
+        if size < len(primes):
+            assert all(_under_limit(size + 1, p) and _under_limit(4, p) for p in primes), (n, q, k)
+        # a fixed point: the inner dimension the prefix sets is the one the
+        # primes were chosen for, reached by rises only
+        assert calls[-1] == _inner(n, primes, size) and calls == sorted(set(calls)), (n, q, k)
+        assert calls[0] == n and _prime_limit(calls[-1]) <= _prime_limit(n)
+        rises.add(len(calls) - 1)
+    assert rises == {0, 1, 2, 3}
+
+
+def test_wider_primes_cut_the_deep_estimates_moduli(monkeypatch):
+    # (trace primes, ladder primes) of the benchmark's deep estimates and of
+    # the tables' worst row; a floored reduction needed (63, 32), (70, 35),
+    # (10, 5), (26, 16) and (299, 160)
+    seen = []
+    honest = ladder._certify
+
+    def spy(n, bound, primes, entry, size):
+        seen.append((len(primes), size))
+        return honest(n, bound, primes, entry, size)
+
+    monkeypatch.setattr(ladder, "_certify", spy)
+    for (n, q, eps), counts in zip(
+        [(60, 2, "2^-8"), (100, 2, "2^-8"), (150, 2, "2^-5"), (60, 3, "2^-6"), (20, 3, "2^-10")],
+        [(58, 32), (64, 32), (10, 5), (24, 12), (293, 160)],
+    ):
+        seen.clear()
+        sg.estimate_expansion(sg.random_regular(n, q, seed=1), eps)
+        assert seen == [counts], (n, q, eps)
 
 
 def test_reduction_is_exact_at_the_accumulation_bound():
-    for n in (3, 150, 4096):
-        p = _moduli(n, 1)[0]
-        top = n * (2 * p) ** 2 + p  # exclusive bound on what a step accumulates
-        values = [0, 1, -1, p - 1, p, -p, 2 * p, top - 1, -(top - 1), top // 3, -top // 7 + 5]
+    for m in (3, 150, 4096):
+        p = _moduli(m, 1)[0]
+        assert _under_limit(m, p) and p <= _prime_limit(m) < p + 100
+        # an integer floor of m (p/2 + 2)**2 + p: what a step, a contraction
+        # row or the extension's dgemm accumulates stays within it
+        top = (m * (p + 4) ** 2 + 4 * p) // 4
+        # the reduction's own product p rint(x/p) = x - r stays exact
+        assert top + (p + 3) // 2 <= 2**53
+        half = (p - 1) // 2
+        values = [0, 1, -1, p - 1, p, -p, 2 * p, top - 1, -(top - 1), top, -top, top // 3,
+                  -top // 7 + 5]
+        # next to odd multiples of p/2, where x/p rounds either way
+        values += [s * (j * p + half + d) for j in (0, 1, 2**20, top // p - 1)
+                   for s in (1, -1) for d in (0, 1)]
         x = np.array(values, dtype=np.float64)
         assert x.tolist() == values  # exactly representable
         r = _reduce(x.copy(), p, 1.0 / p)
         for v, got in zip(values, r.tolist()):
-            assert got == int(got) and -p <= got < 2 * p, (n, v, got)
-            assert (v - int(got)) % p == 0, (n, v, got)
+            assert got == int(got) and abs(got) <= (p + 3) / 2, (m, v, got)
+            assert (v - int(got)) % p == 0, (m, v, got)
 
 
 @pytest.mark.parametrize("name", ["cycle(5)", "petersen", "complete(5)", "complete(8)"])
@@ -408,16 +480,28 @@ def test_estimate_runs_one_ladder(monkeypatch):
 
 def _extension_case(n, q, t):
     """Primes for traces of index 2t at order n, and the ladder's prefix for entries of index t."""
-    primes = _moduli(n, n * (q ** (2 * t) + 1))
     entry = q**t + 1
-    return primes, _ladder_size(primes, entry, 1, len(primes)), entry
+    primes, size = _plan(n, n * (q ** (2 * t) + 1), entry, 1, math.inf)
+    return primes, size, entry
 
 
 def _extend(primes, size, values):
+    """The residues modulo primes[size:] that base extension gives for ``values``.
+
+    Each ladder residue is the representative of largest modulus within
+    (p+3)/2, the most a reduction leaves (:func:`_reduce`).
+    """
     extend = _extender(primes, size, _crt_basis(primes)[2], len(values))
-    ladder_primes = np.array(primes[:size], dtype=np.int64)[:, None]
-    v = (np.array(values, dtype=object)[None, :] % ladder_primes).astype(np.float64)
-    return extend(v)
+    chunk = np.zeros((len(primes), len(values)))
+    for i, p in enumerate(primes[:size]):
+        for j, v in enumerate(values):
+            r = (v + p // 2) % p - p // 2
+            chunk[i, j] = r + p if r <= -(p - 3) // 2 else r - p if r >= (p - 3) // 2 else r
+    assert (np.abs(chunk[:size]) <= (np.array(primes[:size])[:, None] + 3) // 2).all()
+    extend(chunk)
+    extension = np.array(primes[size:], dtype=np.float64)[:, None]
+    assert np.abs(chunk[size:]).max() <= (extension.max() + 3) / 2
+    return (chunk[size:] % extension).astype(np.int64)
 
 
 @pytest.mark.parametrize("n", [3, 150, 4096])
@@ -433,28 +517,90 @@ def test_extension_is_exact_across_the_entry_bound(n):
             assert row == [v % e for v in values], (n, q, t, e)
 
 
+def _worst_signs(primes, size, e):
+    """Digits at +-(p_i - 1)/2, signed like each constant P/p_i mod e, balanced;
+    for an odd count, the one with the smallest constant is 0, so that
+    their sum over p_i lies near an integer."""
+    modulus = math.prod(primes[:size])
+    constants = [(modulus // p % e + e // 2) % e - e // 2 for p in primes[:size]]
+    signs = [1 if c >= 0 else -1 for c in constants]
+    if size % 2:
+        signs[min(range(size), key=lambda i: abs(constants[i]))] = 0
+    return signs
+
+
+def _from_digits(primes, size, signs):
+    """x = sum_i y_i P/p_i - alpha P for the digits y_i = signs_i (p_i - 1)/2."""
+    modulus = math.prod(primes[:size])
+    total = sum(s * (p - 1) // 2 * (modulus // p) for s, p in zip(signs, primes[:size]))
+    alpha = (2 * total + modulus) // (2 * modulus)  # the nearest integer to total / P
+    x = total - alpha * modulus
+    assert 4 * abs(x) < modulus
+    return x, alpha
+
+
 def test_extension_is_exact_at_the_wrap_sum_bound():
-    # the largest ladder prefix whose wrap sum (r + 1) 2**s stays within
-    # 2**53, at the largest primes there are (n = 3); the dgemm bound
-    # r 2**h p_max is far looser there
-    primes = _moduli(3, 2**140_000)
-    low, high = 1, len(primes) - 1
-    assert _extension_bits(primes, low) and not _extension_bits(primes, high)
+    # the largest ladder prefix whose wrap sum (r + 1) 2**(s-1) stays within
+    # 2**53, on the largest primes whose digits balance exactly (below
+    # 2**26); small extension primes keep the dgemm, r p e/4, exact there,
+    # since its own bound binds long before the wrap sum's on primes of the
+    # limit (see the dgemm case below)
+    ladder_primes = [int(p) for p in _primes_between(2**26 - 2**18, 2**26)[::-1]]
+    assert _under_limit(4, ladder_primes[0])
+    low, high = 1, len(ladder_primes) - 1
+    assert _extension_bits(ladder_primes, low) is not None
+    assert _extension_bits(ladder_primes, high) is None
     while high - low > 1:
         mid = (low + high) // 2
-        low, high = (mid, high) if _extension_bits(primes, mid) else (low, mid)
+        low, high = (mid, high) if _extension_bits(ladder_primes, mid) is not None else (low, mid)
     size = low
-    primes = primes[:size + 3]
-    s, h = _extension_bits(primes, size)
-    assert (size + 1) * 2**s <= 2**53 and _extension_bits(primes, size + 1) is None
-    assert 4 * size * 2**h * primes[0] <= 2**53
+    small = [4093, 4091, 4079]
+    primes = ladder_primes[:size] + small
+    s = _extension_bits(primes, size)
+    assert (size + 1) * 2 ** (s - 1) <= 2**53
+    assert _extension_bits(ladder_primes[:size + 1] + small, size + 1) is None
+    assert 4 * size * primes[0] * max(small) <= 2**53
     limit = (math.prod(primes[:size]) - 1) // 4  # the largest |x| < P/4
     rng = random.Random(7)
     # every value costs size big-integer residues, so only a few
     values = [-limit, -1, 0, 1, limit, rng.randint(-limit, limit)]
+    # and the worst signs: every digit at +-(p-1)/2 against the largest
+    # extension prime's constants, and all digits of one sign, which puts
+    # the wrap count at either extreme, about +-size/2
+    signs = _worst_signs(primes, size, max(small))
+    extremes = [_from_digits(primes, size, sg_) for sg_ in
+                (signs, [1] * (size - size % 2), [-1] * (size - size % 2))]
+    assert extremes[1][1] >= size // 2 - 1 and extremes[2][1] <= -(size // 2) + 1
+    values += [x for x, _ in extremes]
     z = _extend(primes, size, values)
     for row, e in zip(z.tolist(), primes[size:]):
         assert row == [v % e for v in values]
+
+
+def test_extension_is_exact_at_the_dgemm_bound():
+    # the dgemm of r balanced digits and the wrap count with the balanced
+    # constants sums to below r p e/4 + (r/2 + 1) e/2, which the prime
+    # limit for inner dimension r + 1 keeps below 2**53; at that limit,
+    # with the signs that make it largest, the extension is still exact
+    for size in (3, 40, 400):
+        primes = _moduli(size + 1, 2**100_000)[:size + 3]
+        p, e = primes[0], primes[size]
+        assert all(_under_limit(size + 1, x) for x in primes)
+        # the largest prime the limit allows
+        assert p == _primes_between(p, _prime_limit(size + 1) + 1)[-1]
+        assert size * p * e + (2 * size + 4) * e < 2**55
+        values = []
+        for row in range(3):
+            signs = _worst_signs(primes, size, primes[size + row])
+            values += [x for x, _ in (_from_digits(primes, size, signs),
+                                      _from_digits(primes, size, [-s for s in signs]))]
+        for one in (1, -1):  # the wrap count at either extreme
+            x, alpha = _from_digits(primes, size, [one] * (size - size % 2) + [0] * (size % 2))
+            assert abs(alpha) >= size // 2 - 1
+            values.append(x)
+        z = _extend(primes, size, values)
+        for row, e in zip(z.tolist(), primes[size:]):
+            assert row == [v % e for v in values], size
 
 
 def test_wrap_guard_raises_outside_the_bound():
@@ -471,16 +617,23 @@ def test_wrap_guard_raises_outside_the_bound():
 
 
 def test_canonical_reduction_is_exact_at_its_bound():
-    for n in (3, 150, 4096):
-        p = _moduli(n, 1)[0]
-        top = 2**51 - 1
-        values = [0, 1, -1, p - 1, p, -p, 2 * p - 1, -2 * p, top, -top, top - top % p, p * p - 1]
+    # within 2**51 - 2 the reduction leaves the balanced representative,
+    # in [-(p-1)/2, (p-1)/2], as the extension's digits need
+    for m in (3, 150, 4096):
+        p = _moduli(m, 1)[0]
+        half = (p - 1) // 2
+        top = 2**51 - 2
+        values = [0, 1, -1, p - 1, p, -p, 2 * p - 1, -2 * p, top, -top, top - top % p,
+                  min(p * p - 1, top), min((p + 3) * (p - 1) // 4, top)]
         # multiples of p, where a plain floor(x * (1/p)) can land one low
-        values += [s * m * p + d for m in range(1, 65) for s in (1, -1) for d in (-1, 0, 1)]
+        values += [s * j * p + d for j in range(1, 65) for s in (1, -1) for d in (-1, 0, 1)]
+        # next to odd multiples of p/2, where x/p rounds either way
+        values += [s * (j * p + half + d) for j in (0, 1, 2**20, top // p - 1)
+                   for s in (1, -1) for d in (0, 1)]
         x = np.array(values, dtype=np.float64)
         assert x.tolist() == values
-        r = _canonical(x.copy(), p, 1.0 / p)
-        assert r.tolist() == [v % p for v in values], n
+        r = _reduce(x.copy(), p, 1.0 / p)
+        assert r.tolist() == [(v + half) % p - half for v in values], m
 
 
 @settings(max_examples=20, deadline=None)
@@ -541,20 +694,20 @@ def _ladder_runs(monkeypatch, g, eps):
 
 
 def test_extension_halves_the_deep_estimates(monkeypatch):
-    # the benchmark's estimate-deep requests: half the parent's ladder
-    # blocks (16, 70, 10, 7), then one extension each
+    # the benchmark's estimate-deep requests: about half the blocks of the
+    # whole prime set (15, 64, 10, 6), then one extension each
     for (n, q, eps), blocks in zip(
-        [(60, 2, "2^-8"), (100, 2, "2^-8"), (150, 2, "2^-5"), (60, 3, "2^-6")], [8, 35, 5, 4]
+        [(60, 2, "2^-8"), (100, 2, "2^-8"), (150, 2, "2^-5"), (60, 3, "2^-6")], [8, 32, 5, 3]
     ):
         assert _ladder_runs(monkeypatch, sg.random_regular(n, q, seed=1), eps) == (blocks, 1)
 
 
 def test_extension_is_skipped_where_it_would_cost_more(monkeypatch):
-    # chvatal at eps 2^-12: 1018 primes in blocks of 113 and 25 steps; one
+    # chvatal at eps 2^-12: 939 primes in blocks of 113 and 25 steps; one
     # prime extended from the 565 of five blocks would take about
     # 2 * 565 * 78 multiply-adds per operand, one laddered prime 25 * 12**3
     g = sg.named_graph("chvatal")
-    assert _ladder_runs(monkeypatch, g, "2^-12") == (10, 0)
+    assert _ladder_runs(monkeypatch, g, "2^-12") == (9, 0)
 
 
 # ---- exact prefix: the leading indices, formed once in float64 ----
@@ -567,7 +720,7 @@ def _per_prime_steps(monkeypatch):
     def spy(*args):
         arguments = inspect.signature(honest).bind(*args).arguments
         if arguments["primes"] is not None:
-            rests.append(list(arguments["indices"]))
+            rests.append([t for _, _, steps in arguments["levels"] for _, t, _, _ in steps])
         return honest(*args)
 
     monkeypatch.setattr(ladder, "_climb", spy)
@@ -633,3 +786,86 @@ def test_prefix_takes_the_deep_estimates_leading_steps(monkeypatch):
         sg.estimate_expansion(sg.random_regular(n, q, seed=1), eps)
         monkeypatch.undo()
         assert rests and {len(rest) for rest in rests} == {steps}, (n, q, eps)
+
+
+# ---- one level loop: two slots per level, exact or on residues ----
+
+
+def test_levels_form_the_schedule():
+    # the levels' steps, in order, are the schedule's formed indices, and
+    # each reads slots the level below holds
+    for k in range(2, 3000):
+        for operands, top in (([(k + 1) // 2, k // 2], k), ([k // 2, k // 2 + 1], k + 1)):
+            if top != k and k % 2:
+                continue
+            levels = _levels(sorted(set(operands)))
+            built = [t for _, _, steps in levels for _, t, _, _ in steps]
+            assert built == sg.ladder_indices(top)[-2:0:-1], (k, top)
+            below = 1
+            for lo, width, steps in levels:
+                assert 0 < width <= 2 and [lo + slot for slot, *_ in steps] == [
+                    t for _, t, _, _ in steps]
+                assert all(x < below and y < below for _, _, x, y in steps), (k, lo)
+                below = width
+            assert (levels[-1][:2] if levels else (1, 1)) == (min(operands), len(set(operands)))
+
+
+def _level_runs(monkeypatch):
+    """The levels (lo, width, formed indices) each prime block's _climb call runs."""
+    honest, runs = ladder._climb, []
+
+    def spy(*args):
+        arguments = inspect.signature(honest).bind(*args).arguments
+        if arguments["primes"] is not None:
+            runs.append([(lo, width, [t for _, t, _, _ in steps])
+                         for lo, width, steps in arguments["levels"]])
+        return honest(*args)
+
+    monkeypatch.setattr(ladder, "_climb", spy)
+    return runs
+
+
+def test_checked_levels_equal_the_sweep_where_the_split_cuts_a_level(monkeypatch):
+    # n = 150, q = 2, k = 208: the pair's schedule forms M(52) exactly and
+    # M(53), beside it on the same level, modulo each prime
+    g = sg.random_regular(150, 2, seed=1)
+    runs = _level_runs(monkeypatch)
+    traces = _sweep_traces(g, 210)
+    assert _pair_traces(g, 208, checked=True) == [traces[207], traces[209]]
+    assert runs and all(run == [(52, 2, [53]), (104, 2, [104, 105])] for run in runs)
+    runs.clear()
+    assert _run_ladder(g, 208, MultCounter(), checked=True) == traces[207]
+    # the single run at 208 squares its way up from M(13): no level is cut,
+    # and only its top is formed modulo the primes
+    assert runs and all(run == [(104, 1, [104])] for run in runs)
+
+
+@pytest.mark.parametrize("k", [192, 384])
+def test_checked_square_only_tops_equal_the_sweep(k, monkeypatch):
+    # an even single k ends in levels that hold one matrix, each the square
+    # of the one below: 192 = 3 * 2**6 and 384 = 3 * 2**7
+    g = sg.named_graph("petersen")
+    runs = _level_runs(monkeypatch)
+    traces = _sweep_traces(g, k)
+    counter = MultCounter()
+    assert _run_ladder(g, k, counter, checked=True) == traces[k - 1]
+    assert counter.count == len(sg.ladder_indices(k)) - 1
+    assert runs and all(width == 1 for run in runs for _, width, _ in run)
+    assert runs[0][-1][0] == k // 2
+
+
+@pytest.mark.parametrize("name", ["cycle(9)", "utility", "bipartite", "complete(8)"])
+def test_checked_levels_equal_the_sweep_for_q_1_bipartite_and_q_7(name, monkeypatch):
+    # q = 1 runs wholly exact; utility and a random bipartite graph have
+    # -(q+1) in their spectrum; complete(8) has q = 7
+    g = random_bipartite(6, 3, 2) if name == "bipartite" else sg.named_graph(name)
+    runs = _level_runs(monkeypatch)
+    traces = _sweep_traces(g, 202)
+    for k in (2, 3, 11, 40, 77, 131, 200):
+        runs.clear()
+        assert _run_ladder(g, k, MultCounter(), checked=True) == traces[k - 1], (name, k)
+        if k % 2 == 0:
+            assert _pair_traces(g, k, checked=True) == [traces[k - 1], traces[k + 1]], (name, k)
+    # at k = 200 every block of a q = 1 run starts from the exact state and
+    # forms nothing; the others form their top levels on residues
+    assert runs and all((run == []) == (g.q == 1) for run in runs), name

@@ -133,6 +133,15 @@ def test_estimate_chvatal_always_true():
         assert rep.within_bound is True and rep.estimate is None
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_epsilon_is_refused_by_name(bad):
+    g = sg.named_graph("utility")
+    with pytest.raises(ValueError, match="^epsilon must be a finite number"):
+        sg.parse_epsilon(bad)
+    with pytest.raises(ValueError, match="^epsilon must be a finite number"):
+        sg.estimate_expansion(g, bad)
+
+
 def test_estimate_epsilon_validation():
     g = sg.named_graph("utility")
     with pytest.raises(ValueError):

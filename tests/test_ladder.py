@@ -252,11 +252,11 @@ def test_hopeless_indices_are_refused_before_any_power(monkeypatch):
             assert bool(calls) == reached, (run.__name__, k)
     # petersen (n = 10, q = 2) at its own limit: the least refused k is
     # 2 (limit + 1), and it returns at once
-    assert 2 * (_prime_limit(g.n) + 1) == 30_011_998
+    assert 2 * (_prime_limit(g.n) + 1) == 120_047_978
     calls.clear()
     started = time.perf_counter()
-    with pytest.raises(ArithmeticError, match=r"bounded by 10 \* \(2\*\*30011998 \+ 1\)"):
-        _run_ladder(g, 30_011_998, MultCounter())
+    with pytest.raises(ArithmeticError, match=r"bounded by 10 \* \(2\*\*120047978 \+ 1\)"):
+        _run_ladder(g, 120_047_978, MultCounter())
     assert time.perf_counter() - started < 0.5 and calls == []
 
 
@@ -366,16 +366,15 @@ def _pair(g, checked=False, k=10):
     return _run_ladder_pair(g, k, MultCounter(), checked=checked)
 
 
-def _corrupt_step(monkeypatch, index, ndim):
-    """Add 1 to one entry of M(index) as _step forms it, on one matrix
-    (ndim 2, the exact prefix) or on a prime block's stack (ndim 3)."""
+def _corrupt_step(monkeypatch, index):
+    """Add 1 to one entry of M(index) as _step forms it, in the first
+    matrix of its stack: the exact matrix, or one prime's residues."""
     honest = ladder._step
 
-    def corrupted(mats, t, edges, c):
-        out = honest(mats, t, edges, c)
-        if t == index and out.ndim == ndim:
-            out[(0,) * ndim] += 1
-        return out
+    def corrupted(x, y, out, t, edges, c):
+        honest(x, y, out, t, edges, c)
+        if t == index:
+            out[0, 0, 0] += 1
 
     monkeypatch.setattr(ladder, "_step", corrupted)
 
@@ -386,7 +385,7 @@ def test_checked_mode_covers_both_pair_registers(monkeypatch, which, index):
     # M(5) and M(6) are exact matrices here
     g = sg.named_graph("utility")
     truth = _pair(g)
-    _corrupt_step(monkeypatch, index, 2)
+    _corrupt_step(monkeypatch, index)
     wrong = _pair(g)
     assert wrong[which] != truth[which] and wrong[1 - which] == truth[1 - which]
     with pytest.raises(LadderInvariantError,
@@ -405,13 +404,13 @@ def test_checked_mode_covers_both_per_prime_registers(monkeypatch, index):
     def spy(*args):
         arguments = inspect.signature(honest).bind(*args).arguments
         if arguments["primes"] is not None:
-            rests.append(arguments["indices"])
+            rests.append([t for _, _, steps in arguments["levels"] for _, t, _, _ in steps])
         return honest(*args)
 
     monkeypatch.setattr(ladder, "_climb", spy)
     truth = _pair(g, k=106)
     assert rests and all(rest == [53, 54] for rest in rests)
-    _corrupt_step(monkeypatch, index, 3)
+    _corrupt_step(monkeypatch, index)
     # one wrong residue sends the rebuilt trace far outside its bound
     with pytest.raises(LadderInvariantError, match=f"at index {2 * index} exceeds its bound"):
         _pair(g, k=106)
@@ -459,12 +458,11 @@ def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
     def corrupting(primes, size, inverses, width):
         extend = honest(primes, size, inverses, width)
 
-        def corrupted(v):
+        def corrupted(chunk):
             calls.append(1)
-            z = extend(v)
+            extend(chunk)
             if (len(calls) - 1) % 2 == index - 30:  # M(30), M(31) extend in turn
-                z[0, 0] = (z[0, 0] + 1) % primes[size]
-            return z
+                chunk[size, 0] += 1
 
         return corrupted
 
