@@ -636,6 +636,29 @@ def test_canonical_reduction_is_exact_at_its_bound():
         assert r.tolist() == [(v + half) % p - half for v in values], m
 
 
+def test_contraction_is_exact_at_the_accumulation_bound():
+    # rows of n products of residues of modulus up to (p+3)/2, the most a
+    # reduction leaves, at the largest prime the limit allows for inner
+    # dimension n; the diagonal row weighs 1 and the others 2
+    rng = random.Random(5)
+    for n in (3, 150, 4096):
+        p = _moduli(n, 1)[0]
+        top = (p + 3) // 2
+        g = 3
+        x = np.full((2, g * n), float(top))
+        y = np.full((2, g * n), float(top))
+        y[1, ::2] = -top  # mixed signs in the second prime's rows
+        x[1] = [rng.choice((top, -top, top - 1, -(top - 1))) for _ in range(g * n)]
+        w = np.array([1.0, 2.0, 2.0])
+        primes = np.array([[p], [p]], dtype=np.float64)
+        got = ladder._contract(x, y, w, primes, 1.0 / primes)
+        for row in range(2):
+            xs, ys = [int(v) for v in x[row]], [int(v) for v in y[row]]
+            expect = sum(int(w[r]) * sum(a * b for a, b in zip(xs[r * n:(r + 1) * n], ys[r * n:(r + 1) * n]))
+                         for r in range(g))
+            assert got[row] == int(got[row]) and (int(got[row]) - expect) % p == 0, (n, row)
+
+
 @settings(max_examples=20, deadline=None)
 @given(regular_graphs(), st.integers(1, 70), st.booleans())
 def test_extended_ladders_equal_the_sweep(g, k, one_prime_blocks):
