@@ -664,11 +664,12 @@ def _finish(store, finishes, primes, size, weights, inverses, triangles):
     chunks = {x: np.empty((len(primes), group * n)) for x in store}
     totals = [np.zeros(len(primes)) for _ in finishes]
     for start in range(0, rows, group):
-        cols = slice(start * n, (start + group) * n)
+        w = weights[start:start + group]
+        m = len(w) * n
+        cols = slice(start * n, start * n + m)
         for x, tri in store.items():
-            part = tri[:, cols]
-            residues = chunks[x][:, :part.shape[1]]
-            residues[:size] = part
+            residues = chunks[x][:, :m]
+            residues[:size] = tri[:, cols]
             if extend is None:
                 continue
             extend(residues)
@@ -679,9 +680,8 @@ def _finish(store, finishes, primes, size, weights, inverses, triangles):
                     raise LadderInvariantError(
                         f"extended residue mismatch in M({x}) modulo {primes[size + bad[0]]}"
                     )
-        m = (min(start + group, rows) - start) * n
         for total, (x, y) in zip(totals, finishes):
-            total += _contract(chunks[x][:, :m], chunks[y][:, :m], weights[start:start + group], p, inv)
+            total += _contract(chunks[x][:, :m], chunks[y][:, :m], w, p, inv)
     return totals
 
 
