@@ -411,7 +411,7 @@ def _reduce(x, p, inv, out=None):
 
     ``inv`` is fl(1/p), and ``out`` an array of the broadcast shape that
     shares no memory with x, or None for a new one; x is left as it is,
-    so a dead buffer takes the result and no scratch is needed.  With
+    so a dead buffer takes the result and no third buffer is needed.  With
     u = 2**-53, fl(x fl(1/p)) lies within |x/p| (2u + u**2) of x/p.  For
     |x| < 2**53 that is below (2/p)(1 + 2**-54), so the result r has
     |r| <= (p+3)/2, and p rint(...) = x - r is exact while
