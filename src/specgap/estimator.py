@@ -279,14 +279,28 @@ class ScanReport:
         return self.first_negative_k is None
 
 
+def _violations(graph, k_max):
+    """Yield (k, dev) for each k <= k_max whose deviation breaks its bound.
+
+    The deviation is dev = trace M(k) - q**k - 1, and the bound
+    |dev| <= 2(n-1) q**(k/2) breaks exactly when dev**2 > 4(n-1)**2 q**k,
+    so no sqrt(q) is needed.  The slack at k is
+    2(n-1) - dev / q**(k/2), negative exactly when a positive dev breaks
+    the bound.  The traces come from one sweep, one step per k.
+    """
+    q = graph.q
+    margin = 4 * (graph.n - 1) ** 2
+    for k, trace in zip(range(1, k_max + 1), chebyshev_sweep(graph)):
+        dev = trace - q**k - 1
+        if dev * dev > margin * q**k:
+            yield k, dev
+
+
 def ramanujan_scan(graph, k_max):
     """Scan slack signs for k = 1..k_max; stop at the first negative."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    for slack in expansion_slacks(graph, k_max):
-        if slack.sign() < 0:
-            return ScanReport(k_max, slack.k)
-    return ScanReport(k_max, None)
+    return ScanReport(k_max, next((k for k, dev in _violations(graph, k_max) if dev > 0), None))
 
 
 def geodesic_bounds_hold(graph, k_max):
@@ -294,8 +308,8 @@ def geodesic_bounds_hold(graph, k_max):
 
     expected_k is q**k + 1, plus n(q-1) when k is even, and count_k is
     trace M(k), plus the same n(q-1) when k is even, so the deviation is
-    trace M(k) - q**k - 1 at every k.  Comparisons are exact: both sides
-    are squared so the odd-k bound needs no sqrt(q).
+    trace M(k) - q**k - 1 at every k (:func:`_violations`).  Comparisons
+    are exact.
 
     Holding for every k >= 1 is equivalent to the normalized nontrivial
     spectral radius being at most 2; a finite k_max only certifies the
@@ -303,10 +317,4 @@ def geodesic_bounds_hold(graph, k_max):
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    q = graph.q
-    margin = 4 * (graph.n - 1) ** 2
-    for k, trace in zip(range(1, k_max + 1), chebyshev_sweep(graph)):
-        dev = trace - q**k - 1
-        if dev * dev > margin * q**k:
-            return False
-    return True
+    return next(_violations(graph, k_max), None) is None

@@ -55,9 +55,10 @@ one float64 product (any BLAS) and its scalar correction form M(t)
 exactly, with entries at most q**t + 1 < 2**53.  The ladder forms the
 schedule's indices this way, on one n x n matrix, while the rule holds:
 for q = 2 every index up to 52, for q = 3 up to 33, and for q = 1, whose
-entries never pass 2, all of them (:func:`_exact_split`, known before
-any array exists).  The schedule's duplicated M(2)
-(:func:`ladder_indices`) thus costs one exact product per run.
+entries never pass 2, all of them.  :func:`_exact_levels` applies the
+rule to the list of levels (below), before any array exists.  The
+schedule's duplicated M(2) (:func:`ladder_indices`) thus costs one exact
+product per run.
 
 Levels.  The schedule climbs in levels (:func:`_levels`): each holds
 M(lo) and M(lo+1), formed from the level below by one square and one
@@ -105,19 +106,20 @@ leaves |r| <= (p+3)/2, so every value a step accumulates is an integer
 of modulus at most n ((p+3)/2)**2 + p, and the prime limit keeps that
 and the reduction's own products within 2**53, where float64 arithmetic
 on integers is exact.  A block's stacks start as the exact matrices
-reduced modulo its primes.  Each step's scalar (:func:`_scalar`) is
-reduced modulo every ladder prime once per request.  The primes run in
+reduced modulo its primes.  The run keeps one table of the steps'
+scalars (:func:`_scalar`), and each block reduces it modulo its own
+primes into one array, a row per step.  The primes run in
 blocks of 2**14 // n**2 (at least one), so one stack holds at most 2**14
 entries unless a single n x n matrix is larger; a block keeps two
 buffers of two stacks each, 512 KiB at most below n = 128.
 
 Storage.  After its last step each block gathers, with one take, the
 reduced residues of every distinct finish operand's upper triangle (M(t)
-is symmetric), its diagonal first and then the entries above it, into an
-int32 array of n(n+1)/2 entries per ladder prime, zero-padded to whole
-rows of n entries; a square stores its operand once.  That is 2 n**2
-bytes per ladder prime and operand: 1.2 MiB for the pair at n = 100
-with 32 ladder primes.
+is symmetric), its diagonal first and then the entries above it, into
+one int32 array of shape (ladder primes, operands, width): n(n+1)/2
+entries per prime and operand, zero-padded to whole rows of n entries;
+a square stores its operand once.  That is 2 n**2 bytes per ladder prime
+and operand: 1.2 MiB for the pair at n = 100 with 32 ladder primes.
 
 Base extension.  With P the product of the r ladder primes p_i and v_i
 an operand entry x modulo p_i, the balanced digit y_i = v_i (P/p_i)**-1
@@ -140,10 +142,12 @@ whole set where the wrap sum's bound fails.
 Finish.  For every prime, the finish for operands X, Y contracts
 trace(X @ Y) = sum(w X Y) over the triangle, with weight w = 1 on the
 diagonal and 2 above it.  The triangle runs in chunks of about 2**14
-residues with every prime's.  Each operand's chunk is one buffer, reused
-from chunk to chunk, with a row per prime: the stored residues on top,
-and below them the extended ones, which the extension's dgemm writes in
-place.  Each row of n products is summed unweighted, which the prime
+residues per operand with every prime's.  Every operand's chunk goes into
+one buffer, reused from chunk to chunk, with a row per prime and the
+operands side by side along it: the stored residues on top, and below
+them the extended ones, which one extension call, one dgemm for all
+operands, writes in place.  Each finish contracts its operands' column
+slices.  Each row of n products is summed unweighted, which the prime
 limit keeps exact, reduced, and only then weighted, so the weight 2
 costs no bit of prime.  The extended residues are never stored.  One CRT
 per trace follows, on weights built once for all traces of the run.
@@ -479,13 +483,8 @@ def _extender(primes, size, inverses, width):
     basis = (np.vstack((cofactor, -prefix[-1])) + others // 2) % others - others // 2
     basis = np.ascontiguousarray(basis.T, dtype=np.float64)
     fraction = ((1 << s) // ladder).astype(np.float64)  # floor(2**s / p_i)
-
-    def full(column):
-        # elementwise steps run fastest on operands of one contiguous shape
-        return np.ascontiguousarray(np.broadcast_to(np.array(column, dtype=np.float64)[:, None],
-                                                    (len(column), width)))
-
-    inv, lp, ep = full(inv), full(ladder), full(others)
+    # one column per prime, broadcast along the chunk
+    inv, lp, ep = (np.array(column, dtype=np.float64)[:, None] for column in (inv, ladder, others))
     linv, einv = 1.0 / lp, 1.0 / ep
     digits = np.empty((size + 1, width))  # y, then alpha in the last row
     # the digits' and the extended residues' values before they are reduced
@@ -498,8 +497,8 @@ def _extender(primes, size, inverses, width):
     def extend(chunk):
         m = chunk.shape[1]
         y = digits[:, :m]
-        np.multiply(chunk[:size], inv[:, :m], out=raw[:size, :m])
-        _reduce(raw[:size, :m], lp[:, :m], linv[:, :m], y[:size])
+        np.multiply(chunk[:size], inv, out=raw[:size, :m])
+        _reduce(raw[:size, :m], lp, linv, y[:size])
         t = fraction @ y[:size] + half
         np.floor(t * (1.0 / one), out=y[size])
         t -= y[size] * one
@@ -509,7 +508,7 @@ def _extender(primes, size, inverses, width):
             )
         z = raw[:len(others), :m]
         np.matmul(basis, y, out=z)
-        _reduce(z, ep[:, :m], einv[:, :m], chunk[size:])
+        _reduce(z, ep, einv, chunk[size:])
 
     return extend
 
@@ -595,19 +594,26 @@ def _levels(operands):
             for (below, _), (lo, width) in zip(chain, chain[1:])]
 
 
-def _exact_split(built, q):
-    """How many leading entries of ``built`` the ladder forms exactly.
+def _exact_levels(levels, q):
+    """(exact, rest): the parts of ``levels`` formed exactly and on residues.
 
     Index t, from M((t+1)//2) = M(x) and M(t//2) = M(y), is formed on
     one float64 matrix while (q**x + 1)(q**y + 1) + 2 q**y < 2**53, which
     keeps every value of the product and of its correction an exact
-    integer (see "Exact prefix" above).
+    integer (see "Exact prefix" above).  The rule holds for the leading
+    indices and fails for the rest, so a level it cuts forms its exact
+    member (slot 0) in ``exact``, as a level of width 1, and the other in
+    ``rest``.
     """
-    for split, t in enumerate(built):
-        x, y = (t + 1) // 2, t // 2
-        if (q**x + 1) * (q**y + 1) + 2 * q**y >= _EXACT:
-            return split
-    return len(built)
+    exact, rest = [], []
+    for lo, width, steps in levels:
+        take = sum((q ** ((t + 1) // 2) + 1) * (q ** (t // 2) + 1) + 2 * q ** (t // 2) < _EXACT
+                   for _, t, _, _ in steps)
+        if take:
+            exact.append((lo, width if take == len(steps) else take, steps[:take]))
+        if take < len(steps):
+            rest.append((lo, width, steps[take:]))
+    return exact, rest
 
 
 def _climb(cur, nxt, levels, edges, scalars, primes, references):
@@ -617,19 +623,23 @@ def _climb(cur, nxt, levels, edges, scalars, primes, references):
     one exact matrix (``primes`` None, P = 1) or of residues modulo each
     of ``primes``.  cur holds the level the first one reads; any slot a
     level does not form (M(1) = A, or the exact member of a level the
-    exact prefix cut) is already in place in nxt.  Each level forms its
-    steps into nxt (:func:`_step`, with scalars[t] :func:`_scalar` itself
-    or its residues).  Exact, nxt becomes cur; on residues, one call
-    reduces every slot of nxt into cur, whose level is dead by then.
-    Every slot of every level is compared with ``references`` (index ->
-    the sweep's matrix) when given.
+    exact rule cut) is already in place in nxt.  Each level forms its
+    steps into nxt (:func:`_step`, with the step's scalar, scalars[t],
+    exact or reduced modulo each of ``primes``).  Exact, nxt becomes cur;
+    on residues, one call reduces every slot of nxt into cur, whose level
+    is dead by then.  Every slot of every level is compared with
+    ``references`` (index -> the sweep's matrix) when given.
     """
     if primes is not None:
         p = np.array(primes, dtype=np.float64)[:, None, None]
         inv = 1.0 / p
+    # one row per step: its scalar, exact (below 2**53 by the exact rule)
+    # or modulo each prime
+    rows = iter(np.array([[scalars[t] % m for m in primes] if primes else [scalars[t]]
+                          for _, _, steps in levels for _, t, _, _ in steps], dtype=np.float64))
     for lo, width, steps in levels:
         for slot, t, x, y in steps:
-            _step(cur[x], cur[y], nxt[slot], t, edges, scalars[t])
+            _step(cur[x], cur[y], nxt[slot], t, edges, next(rows))
         if primes is None:
             cur, nxt = nxt, cur
         else:
@@ -640,48 +650,47 @@ def _climb(cur, nxt, levels, edges, scalars, primes, references):
     return cur, nxt
 
 
-def _finish(store, finishes, primes, size, weights, inverses, triangles):
+def _finish(store, lo, finishes, primes, size, weights, inverses, triangles):
     """Per finish (x, y), per prime, an integer congruent to trace(M(x) @ M(y)).
 
-    ``store`` maps each operand index to the int32 triangles of its
-    matrix modulo primes[:size], in rows of n entries, and ``weights``
-    holds each row's contraction weight.  Groups of rows, about
-    _BLOCK_ENTRIES residues with every prime's, run in turn: each
-    operand's group is copied into the top rows of a buffer with a row
-    per prime, reused from group to group, extended into the rows below
-    (``inverses`` as for :func:`_extender`), checked against
-    ``triangles`` (index -> padded triangle of the sweep's matrix) when
-    given, and contracted once per finish.  Returns one float64 array of
-    integers below 2**51 per finish.
+    ``store`` holds the int32 triangles of M(lo), M(lo + 1), ... modulo
+    primes[:size], shaped (size, operands, rows of n entries), and
+    ``weights`` each row's contraction weight.  Groups of rows, about
+    _BLOCK_ENTRIES residues per operand with every prime's, run in turn:
+    every operand's group is copied into the top rows of one buffer with
+    a row per prime, reused from group to group, and one call extends
+    them all into the rows below (``inverses`` as for :func:`_extender`);
+    the residues are checked against ``triangles``, the sweep's padded
+    triangles stacked like ``store``'s operands, when given, and
+    contracted once per finish, from the operands' column slices.
+    Returns one float64 array of integers below 2**51 per finish.
     """
     p = np.array(primes, dtype=np.float64)[:, None]
     inv = 1.0 / p
-    rows = len(weights)
-    n = next(iter(store.values())).shape[1] // rows
+    rows, count = len(weights), store.shape[1]
+    n = store.shape[2] // rows
     group = max(1, _BLOCK_ENTRIES // (len(primes) * n))
-    extend = _extender(primes, size, inverses, group * n) if size < len(primes) else None
-    extension = np.array(primes[size:], dtype=np.int64)[:, None]
-    chunks = {x: np.empty((len(primes), group * n)) for x in store}
+    extend = _extender(primes, size, inverses, count * group * n) if size < len(primes) else None
+    extension = np.array(primes[size:], dtype=np.int64)[:, None, None]
+    buffer = np.empty((len(primes), count * group * n))
     totals = [np.zeros(len(primes)) for _ in finishes]
     for start in range(0, rows, group):
         w = weights[start:start + group]
         m = len(w) * n
         cols = slice(start * n, start * n + m)
-        for x, tri in store.items():
-            residues = chunks[x][:, :m]
-            residues[:size] = tri[:, cols]
-            if extend is None:
-                continue
-            extend(residues)
+        chunk = buffer[:, :count * m]
+        operands = chunk.reshape(len(primes), count, m)
+        operands[:size] = store[:, :, cols]
+        if extend is not None:
+            extend(chunk)
             if triangles is not None:
-                wrong = residues[size:] % extension != triangles[x][cols] % extension
-                bad = np.flatnonzero(wrong.any(axis=1))
+                wrong = operands[size:] % extension != triangles[:, cols] % extension
+                bad = np.argwhere(wrong.any(axis=2).T)
                 if bad.size:
-                    raise LadderInvariantError(
-                        f"extended residue mismatch in M({x}) modulo {primes[size + bad[0]]}"
-                    )
+                    raise LadderInvariantError(f"extended residue mismatch in M({lo + bad[0, 0]}) "
+                                               f"modulo {primes[size + bad[0, 1]]}")
         for total, (x, y) in zip(totals, finishes):
-            total += _contract(chunks[x][:, :m], chunks[y][:, :m], w, p, inv)
+            total += _contract(operands[:, x - lo], operands[:, y - lo], w, p, inv)
     return totals
 
 
@@ -692,15 +701,15 @@ def _drive(graph, finishes, counter, checked):
     trace(M(x + y)) = trace(M(x) M(y)) - q**y trace(M(x - y)), where
     trace(M(0)) = 2n and trace(M(1)) = trace(A) = 0, since a validated
     graph has no loops.  The ladder climbs the levels of :func:`_levels`
-    up to the operands.  The leading indices, as many as
-    :func:`_exact_split` allows, are formed exactly, once, and each prime
-    block forms the rest from their residues; one level loop
-    (:func:`_climb`) runs both.
+    up to the operands.  The leading ones, as far as
+    :func:`_exact_levels` allows, are formed exactly, once, and each
+    prime block forms the rest from their residues; one level loop
+    (:func:`_climb`) runs both, from one table of scalars.
 
     The traces are determined modulo the primes of :func:`_moduli` for
     the largest bound |trace| <= n (q**index + 1) among the finishes.
     The ladder runs, block by block, on the prefix of them that
-    :func:`_ladder_size` picks for hi, the largest operand; the finish
+    :func:`_ladder_size` picks for the largest operand; the finish
     extends the operands to the other primes, contracts every trace
     modulo all of them, and one CRT per trace follows.  ArithmeticError
     is raised, before any product, if the primes could not make every
@@ -721,18 +730,8 @@ def _drive(graph, finishes, counter, checked):
         raise ArithmeticError(f"moduli do not determine a trace bounded by {n} * ({q}**{k} + 1)")
     operands = sorted({t for finish in finishes for t in finish})
     levels = _levels(operands)
+    exact, rest = _exact_levels(levels, q)
     built = [t for _, _, steps in levels for _, t, _, _ in steps]
-    split = _exact_split(built, q)
-    # the levels formed exactly and the rest; a level the split cuts forms
-    # its exact member (slot 0) in the first part and the other in the second
-    exact, rest, done = [], [], 0
-    for lo, width, steps in levels:
-        take = min(len(steps), max(0, split - done))
-        done += len(steps)
-        if take:
-            exact.append((lo, width if take == len(steps) else take, steps[:take]))
-        if take < len(steps):
-            rest.append((lo, width, steps[take:]))
     a = graph.adjacency.astype(np.float64)
     bound = n * (q**k + 1)
     per_block = max(1, _BLOCK_ENTRIES // (n * n))
@@ -752,24 +751,21 @@ def _drive(graph, finishes, counter, checked):
     width = n * ((n + 2) // 2)
     weights = np.full(width // n, 2.0)
     weights[0] = 1.0
-    store = {t: np.zeros((size, width), dtype=np.int32) for t in operands}
+    store = np.zeros((size, len(operands), width), dtype=np.int32)
     edges = np.flatnonzero(a)
     references = _references(graph, [1, *built, *indices]) if checked else None
     scalars = {t: _scalar(t, q) for t in built}
     # two buffers of two slots, M(1) = A in slot 0 of both
     state = np.empty((2, 2, 1, n, n))
     state[:, 0, 0] = a
-    cur, other = _climb(state[0], state[1], exact, edges,
-                        {t: np.array([float(scalars[t])]) for t in built[:split]}, None, references)
+    cur, other = _climb(state[0], state[1], exact, edges, scalars, None, references)
     # a prime block starts from the residues of the last whole exact level
-    # and, where the split cut the next one, of its exact member, which
+    # and, where the rule cut the next one, of its exact member, which
     # waits in the other buffer; held lists the slots each state fills
     held = [1, 1] + [slots for _, slots, _ in exact]
     starts = [(cur, held[-1])]
     if rest and exact and rest[0][0] == exact[-1][0]:
         starts = [(other, held[-2]), (cur, held[-1])]
-    residues = {t: np.array([c % p for p in primes[:size]], dtype=np.float64)
-                for t, c in scalars.items() if t in built[split:]}
     buffers = np.empty((2, 2 * per_block * n * n))
     for start in range(0, size, per_block):
         block = primes[start:start + per_block]
@@ -777,18 +773,15 @@ def _drive(graph, finishes, counter, checked):
         p = np.array(block, dtype=np.float64)[:, None, None]
         for (source, slots), target in zip(starts, (here, there)):
             _reduce(source[:slots], p, 1.0 / p, target[:slots])
-        top, _ = _climb(here, there, rest, edges,
-                        {t: c[start:start + len(block)] for t, c in residues.items()}, block,
-                        references)
-        for t, tri in store.items():
-            tri[start:start + len(block), :len(flat)] = np.take(
-                top[t - operands[0]].reshape(len(block), -1), flat, axis=1)
+        top, _ = _climb(here, there, rest, edges, scalars, block, references)
+        gathered = np.take(top[:len(operands)].reshape(len(operands), len(block), -1), flat, axis=2)
+        store[start:start + len(block), :, :len(flat)] = gathered.transpose(1, 0, 2)
     for _ in [*built, *finishes]:
         counter.bump()
-    triangles = None if references is None else {
-        t: np.pad(references[t].ravel()[flat], (0, width - len(flat))) for t in operands}
+    triangles = None if references is None else np.array(
+        [np.pad(references[t].ravel()[flat], (0, width - len(flat))) for t in operands])
     basis = _crt_basis(primes)
-    totals = _finish(store, finishes, primes, size, weights, basis[2], triangles)
+    totals = _finish(store, operands[0], finishes, primes, size, weights, basis[2], triangles)
     rows = []
     for (x, y), total in zip(finishes, totals):
         fix = n * _scalar(2 * x, q) if x == y else 0
@@ -819,6 +812,8 @@ def _run_ladder(graph, k, counter, checked=False):
     uncounted work, gives every matrix the run forms, extends and traces
     to compare with (see :func:`_drive`).
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:  # M(1) = A; no step
         return int(graph.adjacency.trace())
     [trace] = _drive(graph, [((k + 1) // 2, k // 2)], counter, checked)

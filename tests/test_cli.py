@@ -57,6 +57,13 @@ def test_ngc_k1(capsys):
     assert payload["graph"] == {"n": 6, "q": 2, "degree": 3, "source": "utility"}
 
 
+@pytest.mark.parametrize("k", ["0", "-4"])
+def test_ngc_refuses_lengths_below_one(capsys, k):
+    code, out, err = run(capsys, "ngc", "--name", "petersen", "-k", k)
+    assert code == 1 and out == ""
+    assert err == f"error: k must be >= 1, got {k}\n"
+
+
 def test_ngc_oracle_flag(capsys, tmp_path):
     path = tmp_path / "k33.edges"
     path.write_text(sg.write_edge_list(sg.named_graph("utility")))

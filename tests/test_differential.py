@@ -753,15 +753,32 @@ def _per_prime_steps(monkeypatch):
 @pytest.mark.parametrize("q", range(1, 8))
 def test_exact_split_is_the_leading_indices_that_pass_the_bound(q):
     # index t is formed exactly while (q**x + 1)(q**y + 1) + 2 q**y < 2**53,
-    # x = (t+1)//2 and y = t//2; the split counts the leading ones
-    for k in range(1, 301):
-        built = sg.ladder_indices(k)[-2:0:-1]
-        passes = [(q ** ((t + 1) // 2) + 1) * (q ** (t // 2) + 1) + 2 * q ** (t // 2) < 2**53
-                  for t in built]
-        leading = passes.index(False) if False in passes else len(passes)
-        assert ladder._exact_split(built, q) == leading, (q, k)
-        if q == 1:
-            assert leading == len(built), k
+    # x = (t+1)//2 and y = t//2; the exact levels form the leading ones and
+    # the rest form the others, and a level the rule cuts is in both: its
+    # first slot in the exact part, as a level of width 1
+    cuts = 0
+    for k in range(2, 301):
+        for operands in ([k // 2, (k + 1) // 2], [k // 2, k // 2 + 1]):
+            levels = _levels(sorted(set(operands)))
+            built = [t for _, _, steps in levels for _, t, _, _ in steps]
+            passes = [(q ** ((t + 1) // 2) + 1) * (q ** (t // 2) + 1) + 2 * q ** (t // 2) < 2**53
+                      for t in built]
+            leading = passes.index(False) if False in passes else len(passes)
+            exact, rest = ladder._exact_levels(levels, q)
+            assert [t for _, _, steps in exact for _, t, _, _ in steps] == built[:leading], (q, k)
+            assert [t for _, _, steps in rest for _, t, _, _ in steps] == built[leading:], (q, k)
+            assert len(exact) + len(rest) - len(levels) in (0, 1), (q, k)
+            if exact and rest and exact[-1][0] == rest[0][0]:
+                (lo, width, steps), cut = exact[-1], rest[0]
+                assert width == len(steps) == 1 and cut[1] == 2 and [s[1] for s in cut[2]] == [lo + 1]
+                assert levels[len(exact) - 1] == (lo, 2, steps + cut[2]), (q, k)
+                cuts += 1
+            else:
+                assert exact + rest == levels, (q, k)
+            if q == 1:
+                assert leading == len(built) and rest == [], k
+    # from q = 2 on, some schedule below 300 cuts a level
+    assert (cuts > 0) == (q > 1), q
 
 
 @pytest.mark.parametrize("name", ["cycle(7)", "petersen", "complete(5)", "complete(6)", "complete(7)",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import specgap as sg
 from specgap.estimator import _decide, _estimate_at_most
 from specgap.exact import Quadratic, rational_text
-from specgap.ladder import SlackValue
+from specgap.ladder import SlackValue, expansion_slacks
 
 
 def test_parse_epsilon_forms():
@@ -258,6 +258,34 @@ def test_scan_agrees_with_spectral_radius(corpus):
         if abs(mu - 2) < 1e-6:
             continue
         assert sg.ramanujan_scan(g, 50).all_nonneg == (mu < 2), g.source
+
+
+# a 3-regular graph on 20 vertices (mu about 2.01) whose first broken
+# deviation bound, at k = 37, is a negative deviation: its slack stays
+# nonnegative there, and the first negative slack is at k = 38
+_LATE_EDGES = [
+    (0, 1), (0, 9), (0, 13), (1, 3), (1, 5), (2, 7), (2, 12), (2, 16), (3, 14), (3, 18),
+    (4, 8), (4, 18), (4, 19), (5, 13), (5, 17), (6, 7), (6, 10), (6, 12), (7, 15), (8, 10),
+    (8, 11), (9, 15), (9, 16), (10, 17), (11, 13), (11, 14), (12, 18), (14, 16), (15, 19),
+    (17, 19),
+]
+
+
+def test_scan_stops_at_the_first_negative_slack(corpus):
+    # the scan and the bound test read one deviation test; the scan's
+    # answer is the first k whose exact slack value is negative
+    rows = [[0] * 20 for _ in range(20)]
+    for u, v in _LATE_EDGES:
+        rows[u][v] = rows[v][u] = 1
+    late = sg.validate(rows, source="late")
+    for g in [*corpus, late]:
+        slacks = list(expansion_slacks(g, 60))
+        for k_max in (1, 2, 5, 20, 37, 38, 60):
+            first = next((s.k for s in slacks[:k_max] if s.sign() < 0), None)
+            assert sg.ramanujan_scan(g, k_max).first_negative_k == first, (g.source, k_max)
+    assert sg.geodesic_bounds_hold(late, 36) and not sg.geodesic_bounds_hold(late, 37)
+    assert sg.ramanujan_scan(late, 37).all_nonneg
+    assert sg.ramanujan_scan(late, 60).first_negative_k == 38
 
 
 def test_scan_rejects_bad_kmax():

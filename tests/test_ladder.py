@@ -149,6 +149,15 @@ def test_count_matches_trace_oracle(corpus):
             assert sg.geodesic_count(g, k) == sg.geodesic_count_trace(g, k)
 
 
+@pytest.mark.parametrize("k", [0, -1, -4])
+def test_single_index_ladders_refuse_indices_below_one(k):
+    # the schedule and the edge-matrix oracle refuse them with this message
+    g = sg.named_graph("petersen")
+    for run in (sg.geodesic_count, sg.expansion_slack, sg.ladder_mult_count):
+        with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+            run(g, k)
+
+
 def test_bipartite_odd_counts_vanish():
     for name in ["utility", "cube", "cycle(4)"]:
         g = sg.named_graph(name)
@@ -445,24 +454,22 @@ def test_checked_mode_covers_both_squaring_finishes(monkeypatch, which, index):
 @pytest.mark.parametrize("index", [30, 31])
 def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
     # k = 60 on blocks of one prime: the ladder runs on 2 primes and the
-    # finish extends M(30) and M(31) to a third one; corrupt one extended
-    # residue of either operand
+    # finish extends M(30) and M(31) to a third one, both in one call per
+    # chunk, M(30)'s columns first; corrupt one extended residue of either
+    # operand
     g = sg.named_graph("utility")
     monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
     primes = _moduli(g.n, g.n * (g.q**62 + 1))
     size = ladder._ladder_size(primes, g.q**31 + 1, 1, len(primes))
     assert 0 < size < len(primes)
     honest = ladder._extender
-    calls = []
 
     def corrupting(primes, size, inverses, width):
         extend = honest(primes, size, inverses, width)
 
         def corrupted(chunk):
-            calls.append(1)
             extend(chunk)
-            if (len(calls) - 1) % 2 == index - 30:  # M(30), M(31) extend in turn
-                chunk[size, 0] += 1
+            chunk[size, (index - 30) * chunk.shape[1] // 2] += 1
 
         return corrupted
 
@@ -476,3 +483,50 @@ def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
         _run_ladder_pair(g, 60, MultCounter())
     with pytest.raises(LadderInvariantError, match=rf"extended residue mismatch in M\({index}\) "):
         _run_ladder_pair(g, 60, MultCounter(), checked=True)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3])
+def test_one_extension_per_chunk_covers_every_operand(monkeypatch, rows_per_chunk):
+    # the pair at k = 60 on utility runs its ladder on 2 primes and extends
+    # M(30) and M(31) to a third; the finish reads the 4 rows of 6 entries
+    # that hold each operand's triangle in chunks of rows_per_chunk rows,
+    # and each chunk is one extend call whose columns hold M(30)'s rows,
+    # then M(31)'s, every residue of them right modulo every prime
+    g = sg.named_graph("utility")
+    n = g.n
+    primes = _moduli(n, n * (g.q**62 + 1))
+    monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", rows_per_chunk * len(primes) * n)
+    size = ladder._ladder_size(primes, g.q**31 + 1, 1, len(primes))
+    assert 0 < size < len(primes)
+    honest, chunks = ladder._extender, []
+
+    def spy(primes, size, inverses, width):
+        extend = honest(primes, size, inverses, width)
+
+        def recorded(chunk):
+            extend(chunk)
+            chunks.append(chunk.copy())
+
+        return recorded
+
+    monkeypatch.setattr(ladder, "_extender", spy)
+    truth = _run_ladder_pair(g, 60, MultCounter(), checked=True)
+    sweep = ladder.chebyshev_sweep(g)
+    traces = [next(sweep) for _ in range(62)]
+    assert truth == [traces[59], traces[61]]
+    rows = (n + 2) // 2
+    assert len(chunks) == -(-rows // rows_per_chunk)
+    # each operand's triangle, diagonal first, zero-padded to whole rows
+    upper = np.arange(n)
+    flat = np.concatenate((upper * (n + 1), np.flatnonzero(upper[:, None] < upper)))
+    references = _references(g, [30, 31])
+    triangles = [np.pad(references[t].ravel()[flat], (0, rows * n - len(flat))) for t in (30, 31)]
+    start = 0
+    for chunk in chunks:
+        assert chunk.shape[0] == len(primes) and chunk.shape[1] % (2 * n) == 0
+        m = chunk.shape[1] // 2
+        expect = np.concatenate([tri[start:start + m] for tri in triangles])
+        for residues, p in zip(chunk, primes):
+            assert np.array_equal(residues.astype(np.int64) % p, expect % p), (start, p)
+        start += m
+    assert start == rows * n
