@@ -44,6 +44,7 @@ from .estimator import (
     ScanReport,
     convergent_estimates,
     estimate_expansion,
+    estimate_expansions,
     geodesic_bounds_hold,
     parse_epsilon,
     ramanujan_scan,
@@ -83,6 +84,7 @@ __all__ = [
     "ScanReport",
     "convergent_estimates",
     "estimate_expansion",
+    "estimate_expansions",
     "parse_epsilon",
     "ramanujan_scan",
     "required_even_index",

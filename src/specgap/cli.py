@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .estimator import estimate_expansion, geodesic_bounds_hold, parse_epsilon
+from .estimator import estimate_expansion, estimate_expansions, geodesic_bounds_hold
 from .exact import rational_text
 from .graphs import (
     GraphGenerationError,
@@ -212,10 +212,8 @@ def _cmd_estimate(args):
 def _cmd_table(args):
     started = time.perf_counter()
     graph = _load_graph(args)
-    rows = []
-    for label in _EPS_SWEEP:
-        report = estimate_expansion(graph, parse_epsilon(label))
-        rows.append((label, report))
+    # one ladder for the whole sweep
+    rows = list(zip(_EPS_SWEEP, estimate_expansions(graph, _EPS_SWEEP)))
     results = {
         "rows": [
             {

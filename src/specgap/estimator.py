@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .exact import rational_text
 from .graphs import RegularGraph
-from .ladder import SlackValue, chebyshev_sweep, expansion_slack_pair, expansion_slacks
+from .ladder import SlackValue, _slack_pairs, chebyshev_sweep, expansion_slacks
 
 _POWER_OF_TWO = re.compile(r"^2\^(-?\d+)$")
 # the exponent of a decimal string, as Fraction reads it
@@ -221,25 +221,42 @@ def estimate_expansion(graph, epsilon):
 
     Runs one ladder, which yields the slacks at the derived even k and at
     k+2, and decides from exact sign tests; the only floating point in
-    the report is the final estimate.
+    the report is the final estimate.  The one-eps case of
+    :func:`estimate_expansions`.
+    """
+    [report] = estimate_expansions(graph, [epsilon])
+    return report
+
+
+def estimate_expansions(graph, epsilons):
+    """[estimate_expansion(graph, e) for e in epsilons], from shared ladders.
+
+    Every eps's k is derived first.  One ladder climbs to the largest k's
+    half pair, and each smaller k reads its own pair off that ladder's
+    levels, a few three-term steps above one of them, with its traces
+    rebuilt from its own prefix of the one prime set.  A k too far above
+    every level climbs a ladder of its own (ladder._run_ladder_pairs);
+    the table's eps = 2^-1 .. 2^-10 share one.  Reports come in input
+    order; equal ks share one pair.
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    eps = parse_epsilon(epsilon)
-    k = required_even_index(graph.n, eps)
-    k_next = k + 2
-    slack, slack_next = expansion_slack_pair(graph, k)
-    within, estimate, caveat = _decide(slack, slack_next, eps)
-    return EstimateReport(
-        epsilon=eps,
-        k=k,
-        k_next=k_next,
-        slack=slack,
-        slack_next=slack_next,
-        within_bound=within,
-        estimate=estimate,
-        caveat_flag=caveat,
-    )
+    eps = [parse_epsilon(epsilon) for epsilon in epsilons]
+    ks = [required_even_index(graph.n, e) for e in eps]
+    reports = []
+    for e, k, (slack, slack_next) in zip(eps, ks, _slack_pairs(graph, ks)):
+        within, estimate, caveat = _decide(slack, slack_next, e)
+        reports.append(EstimateReport(
+            epsilon=e,
+            k=k,
+            k_next=k + 2,
+            slack=slack,
+            slack_next=slack_next,
+            within_bound=within,
+            estimate=estimate,
+            caveat_flag=caveat,
+        ))
+    return reports
 
 
 def convergent_estimates(graph, k_max):

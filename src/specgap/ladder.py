@@ -30,7 +30,12 @@ The decision procedure needs the traces at an even k = 2j and at k+2
 together; the schedule for k+1 = 2j+1 forms the half pair M(j), M(j+1)
 for its last step, so one ladder ends instead with two trace
 contractions, the squares M(j)**2 and M(j+1)**2, and counts
-len(ladder_indices(k + 1)) products.
+len(ladder_indices(k + 1)) products.  Several such pairs, one per eps of
+a table, share one ladder: it climbs to the largest k's half pair, and
+every smaller k reads its own pair off that ladder's levels (see
+Levels).  Such a run counts each formed index once and each finish
+once; the steps that take a level's pair up to a smaller k's are
+additions, not products, and count nothing.
 
 The ladder forms its leading indices exactly, once, and the rest on
 residues modulo word-size primes; the Chinese remainder theorem rebuilds
@@ -74,10 +79,27 @@ buffers are allocated once per run.  Where the exact prefix ends inside
 a level (its square is exact, its cross product is not), each prime
 block starts that level from the residues of the exact member.
 
+A run serves one or more targets, each a set of finishes on M(j) and
+M(j+1) (or M(j) alone).  The levels climb to the top target's operands,
+the largest; every other target attaches to the highest level that holds
+a pair M(a), M(a+1) with a <= j, and :func:`_shift` takes that pair
+j - a steps up by the three-term recurrence M(t+1) = A M(t) - q M(t-1),
+each a sum of q+1 neighbour rows on residues, O(q n**2) additions per
+prime and no product.  A pair on an exact level is kept once, as exact
+matrices, and reduced modulo each block's primes.  For the table's eps =
+2^-1 .. 2^-10, whose indices about double from one to the next, j - a
+is 0 to 4 at every n measured (4 to 199 and up to 5000).  A pair of
+ks closer together could sit hundreds of steps above every level, so
+a k shares a ladder only while j - a is below the products a ladder of
+its own would count (:func:`_run_ladder_pairs`).
+
 Primes.  The fewest primes, largest first below a limit, whose product
 exceeds 2 n (q**k + 1) determine the trace at index k, lifted into the
-symmetric range; the run for k and k+2 sizes one set for k+2.  Each
-window of candidates below the limit is sieved once and cached.  The
+symmetric range; the run for k and k+2 sizes one set for k+2, and a run
+for several targets one set for the top target's largest index.  Every
+other target's traces are determined by its own prefix of that list,
+the fewest leading primes whose product exceeds twice its own largest
+bound, so the targets' prefixes are nested.  Each window of candidates below the limit is sieved once and cached.  The
 limit is the largest p with m (p/2 + 2)**2 + p < 2**53, m the largest
 inner dimension of any product the run makes on residues
 (:func:`_inner`): n for the ladder's and the finish's, and r + 1 for the
@@ -86,11 +108,11 @@ depends on the primes, the run starts at m = n and raises m to r + 1
 until it holds (:func:`_plan`; at most three rises for n from 3 to 8192
 and k up to 24,472).  At n = 100 that gives primes of 24.2 bits, two
 more than a floored reduction allowed.  The ladder itself never needs
-the whole set: every matrix it forms is M(t) with t at most top, the
-larger operand index of the finishes (ceil(k/2) for one k, j+1 for the
-pair), so the ladder runs on the shortest prefix of the set whose
-product exceeds 4 (q**top + 1), about half the primes, rounded up to
-whole prime blocks.  A request whose primes all fit in one block extends
+the whole set: every matrix it forms or shifts to is M(t) with t at
+most top, the larger operand index of the top target's finishes
+(ceil(k/2) for one k, j+1 for the pair), so the ladder runs on the
+shortest prefix of the set whose product exceeds 4 (q**top + 1), about
+half the primes, rounded up to whole prime blocks.  A request whose primes all fit in one block extends
 to nothing.  Nor does one where extending would cost more multiply-adds
 than it saves: one extended prime costs about r n(n+1) per operand for a
 prefix of r primes, one laddered prime n**3 per step, so the prefix may
@@ -113,13 +135,19 @@ blocks of 2**14 // n**2 (at least one), so one stack holds at most 2**14
 entries unless a single n x n matrix is larger; a block keeps two
 buffers of two stacks each, 512 KiB at most below n = 128.
 
-Storage.  After its last step each block gathers, with one take, the
-reduced residues of every distinct finish operand's upper triangle (M(t)
-is symmetric), its diagonal first and then the entries above it, into
-one int32 array of shape (ladder primes, operands, width): n(n+1)/2
-entries per prime and operand, zero-padded to whole rows of n entries;
-a square stores its operand once.  That is 2 n**2 bytes per ladder prime
-and operand: 1.2 MiB for the pair at n = 100 with 32 ladder primes.
+Storage.  A target whose prefix fits inside the ladder's primes never
+needs an extended residue: each block that holds primes of its prefix
+gathers its operands' upper triangles (M(t) is symmetric), the diagonal
+first and then the entries above it, into a small buffer and contracts
+them at once (see Finish).  Only a target whose prefix passes the
+ladder's primes is stored: the top one whenever the ladder runs on fewer
+than all primes, and any other whose prefix passes them too (eps 2^-11
+beside 2^-12 on one random q = 3, n = 60 graph, for instance).  Each
+block gathers, with one take per operand, its reduced residues into one
+int32 array of shape (ladder primes, operands, width): n(n+1)/2 entries
+per prime and operand, zero-padded to whole rows of n entries; a square
+stores its operand once.  That is 2 n**2 bytes per ladder prime and
+operand: 1.2 MiB for the pair at n = 100 with 32 ladder primes.
 
 Base extension.  With P the product of the r ladder primes p_i and v_i
 an operand entry x modulo p_i, the balanced digit y_i = v_i (P/p_i)**-1
@@ -141,16 +169,19 @@ whole set where the wrap sum's bound fails.
 
 Finish.  For every prime, the finish for operands X, Y contracts
 trace(X @ Y) = sum(w X Y) over the triangle, with weight w = 1 on the
-diagonal and 2 above it.  The triangle runs in chunks of about 2**14
-residues per operand with every prime's.  Every operand's chunk goes into
-one buffer, reused from chunk to chunk, with a row per prime and the
-operands side by side along it: the stored residues on top, and below
+diagonal and 2 above it: in the prime blocks for a target inside the
+ladder's primes, and after the ladder for the stored ones.  The stored
+triangles run in chunks of about 2**14 residues per operand with every
+prime's.  Every operand's chunk goes into one buffer, reused from chunk
+to chunk, with a row per prime and the operands side by side along it: the stored residues on top, and below
 them the extended ones, which one extension call, one dgemm for all
 operands, writes in place.  Each finish contracts its operands' column
 slices.  Each row of n products is summed unweighted, which the prime
 limit keeps exact, reduced, and only then weighted, so the weight 2
 costs no bit of prime.  The extended residues are never stored.  One CRT
-per trace follows, on weights built once for all traces of the run.
+per trace follows, over its target's own prefix: Garner's mixed-radix
+constants, built once for the run's list of primes, serve every prefix
+of it.
 
 Consumers that want every k in 1..K use one sweep of the three-term
 recurrence M(j+1) = A M(j) - q M(j-1) instead (:func:`chebyshev_sweep`).
@@ -168,7 +199,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -400,7 +431,9 @@ def _certify(n, bound, primes, entry, size):
     the base extension needs.
     """
     inner = _inner(n, primes, size)
-    if any(inner * (p + 4) ** 2 + 4 * p >= 4 * _EXACT for p in primes):
+    # the limit test grows with p, so the largest prime decides it
+    p = max(primes)
+    if inner * (p + 4) ** 2 + 4 * p >= 4 * _EXACT:
         raise ArithmeticError(f"a modulus is too large for exact products of inner dimension {inner}")
     if math.prod(primes) <= 2 * bound:
         raise ArithmeticError(f"moduli do not determine a trace bounded by {bound}")
@@ -443,11 +476,10 @@ def _scan(x, m):
     return x
 
 
-def _extender(primes, size, inverses, width):
+def _extender(primes, size, width):
     """Base extension from the ladder's primes[:size] to primes[size:].
 
-    ``inverses`` holds (Q/p)**-1 mod p for each prime p of the set, Q the
-    product of all of them (the CRT's).  Returns extend(chunk): chunk is a
+    Returns extend(chunk): chunk is a
     (len(primes), m) float64 array, m <= ``width``, whose first size rows
     hold residues, of modulus at most (p+3)/2 (:func:`_reduce`), of m
     integers x with |x| < P/4, P = prod(primes[:size]); extend writes
@@ -464,14 +496,14 @@ def _extender(primes, size, inverses, width):
     The constants: the cofactors P/p_i modulo each extension prime e come
     from running products of p_i mod e taken from either end, in
     O(log size) vectorised int64 steps (:func:`_scan`), and P mod e is
-    the last running product; (P/p_i)**-1 = (Q/p_i)**-1 (Q/P) mod p_i.
+    the last running product; (P/p_i)**-1 mod p_i comes from P itself.
     All of them are balanced, of modulus at most half their prime.
     """
     s = _extension_bits(primes, size)
     ladder = np.array(primes[:size], dtype=np.int64)
     others = np.array(primes[size:], dtype=np.int64)
-    rest = math.prod(primes[size:])
-    inv = [(i * (rest % p) + p // 2) % p - p // 2 for i, p in zip(inverses, primes[:size])]
+    modulus = math.prod(primes[:size])
+    inv = [(pow(modulus // p, -1, p) + p // 2) % p - p // 2 for p in primes[:size]]
     # P/p_i mod e, from running products of p_i mod e from either end
     factors = ladder[:, None] % others
     prefix, suffix = _scan(factors, others), _scan(factors[::-1], others)[::-1]
@@ -529,22 +561,32 @@ def _contract(x, y, w, p, inv):
 
 
 def _crt_basis(primes):
-    """Q = prod(primes) and, per prime p, the cofactor Q/p and (Q/p)**-1 mod p."""
-    modulus = math.prod(primes)
-    cofactors = [modulus // p for p in primes]
-    return modulus, cofactors, [pow(c, -1, p) for c, p in zip(cofactors, primes)]
+    """Per prime p_i, (p_0 p_1 ... p_(i-1))**-1 mod p_i: Garner's constants.
+
+    They serve every prefix of ``primes`` at once (:func:`_crt`).
+    """
+    inverses, modulus = [], 1
+    for p in primes:
+        inverses.append(pow(modulus, -1, p))
+        modulus *= p
+    return inverses
 
 
 def _crt(rows, primes, basis):
-    """Per row of residues, the integer in (-Q/2, Q/2] congruent to each.
+    """Per row of residues modulo a prefix of ``primes``, the integer in
+    (-Q/2, Q/2] congruent to each, Q the product of that prefix.
 
-    ``basis`` is _crt_basis(primes), built once for all rows.
+    A row's length is its prefix's.  Garner's mixed-radix recurrence
+    x += Q_i ((r_i - x) Q_i**-1 mod p_i), Q_i = p_0 ... p_(i-1), keeps x
+    in [0, Q_(i+1)); ``basis`` is _crt_basis(primes), built once for all
+    rows and prefixes.
     """
-    modulus, cofactors, inverses = basis
     out = []
     for residues in rows:
-        total = sum(r * i % p * c for r, p, c, i in zip(residues, primes, cofactors, inverses))
-        total %= modulus
+        total, modulus = 0, 1
+        for r, p, inverse in zip(residues, primes, basis):
+            total += modulus * ((r - total % p) * inverse % p)
+            modulus *= p
         out.append(total - modulus if 2 * total > modulus else total)
     return out
 
@@ -605,10 +647,18 @@ def _exact_levels(levels, q):
     member (slot 0) in ``exact``, as a level of width 1, and the other in
     ``rest``.
     """
+    def formed_exactly(t):
+        # the product exceeds q**t >= 2**(t floor(log2 q)), so past 53 such
+        # bits the rule fails before any power is formed; below them every
+        # power has at most about 106 bits
+        if t * (q.bit_length() - 1) >= 53:
+            return False
+        x, y = (t + 1) // 2, t // 2
+        return (q**x + 1) * (q**y + 1) + 2 * q**y < _EXACT
+
     exact, rest = [], []
     for lo, width, steps in levels:
-        take = sum((q ** ((t + 1) // 2) + 1) * (q ** (t // 2) + 1) + 2 * q ** (t // 2) < _EXACT
-                   for _, t, _, _ in steps)
+        take = sum(formed_exactly(t) for _, t, _, _ in steps)
         if take:
             exact.append((lo, width if take == len(steps) else take, steps[:take]))
         if take < len(steps):
@@ -617,7 +667,7 @@ def _exact_levels(levels, q):
 
 
 def _climb(cur, nxt, levels, edges, scalars, primes, references):
-    """Form each of ``levels`` in turn; returns (cur, nxt) after the last.
+    """Form each of ``levels`` in turn, yielding (lo, width, cur, nxt) after each.
 
     cur and nxt are (2, P, n, n) buffers of two slots, each a stack of
     one exact matrix (``primes`` None, P = 1) or of residues modulo each
@@ -627,8 +677,10 @@ def _climb(cur, nxt, levels, edges, scalars, primes, references):
     steps into nxt (:func:`_step`, with the step's scalar, scalars[t],
     exact or reduced modulo each of ``primes``).  Exact, nxt becomes cur;
     on residues, one call reduces every slot of nxt into cur, whose level
-    is dead by then.  Every slot of every level is compared with
-    ``references`` (index -> the sweep's matrix) when given.
+    is dead by then.  Either way the yielded cur holds the level, in
+    slots 0 to width - 1, until the next level is formed.  Every slot of
+    every level is compared with ``references`` (index -> the sweep's
+    matrix) when given.
     """
     if primes is not None:
         p = np.array(primes, dtype=np.float64)[:, None, None]
@@ -647,30 +699,53 @@ def _climb(cur, nxt, levels, edges, scalars, primes, references):
         if references is not None:
             for slot in range(width):
                 _check_state(lo + slot, cur[slot], references[lo + slot], primes)
-    return cur, nxt
+        yield lo, width, cur, nxt
 
 
-def _finish(store, lo, finishes, primes, size, weights, inverses, triangles):
-    """Per finish (x, y), per prime, an integer congruent to trace(M(x) @ M(y)).
+def _shift(pair, steps, neighbours, q, p, inv, out, raw):
+    """(M(a + steps), M(a + steps + 1)) from pair = (M(a), M(a + 1)), on residues.
 
-    ``store`` holds the int32 triangles of M(lo), M(lo + 1), ... modulo
-    primes[:size], shaped (size, operands, rows of n entries), and
-    ``weights`` each row's contraction weight.  Groups of rows, about
-    _BLOCK_ENTRIES residues per operand with every prime's, run in turn:
-    every operand's group is copied into the top rows of one buffer with
-    a row per prime, reused from group to group, and one call extends
-    them all into the rows below (``inverses`` as for :func:`_extender`);
-    the residues are checked against ``triangles``, the sweep's padded
-    triangles stacked like ``store``'s operands, when given, and
-    contracted once per finish, from the operands' column slices.
-    Returns one float64 array of integers below 2**51 per finish.
+    Each step is the three-term recurrence M(t+1) = A M(t) - q M(t-1),
+    with A M(t) summed from the q+1 neighbour rows of each row
+    (``neighbours`` as in :func:`_sweep`): O(q n**2) additions per prime
+    and no product.  The stacks hold residues of modulus at most (p+3)/2
+    (:func:`_reduce`, ``p`` and ``inv`` as there), so the sum stays within
+    (2q + 1)(p+3)/2, and one reduction per step writes it into out[0] and
+    out[1] in turn; ``out`` may be ``pair`` itself, since M(t-1) is dead
+    once the sum is formed.  ``raw`` is a spare buffer of one stack's shape.
+    """
+    below, here = pair
+    for step in range(steps):
+        np.take(here, neighbours[0], axis=1, out=raw)
+        for rows in neighbours[1:]:
+            raw += here[:, rows]
+        raw -= q * below
+        below, here = here, _reduce(raw, p, inv, out[step % 2])
+    return below, here
+
+
+def _finish(store, operands, finishes, primes, size, weights, triangles):
+    """Per finish (x, y), per prime, an integer congruent to trace(X @ Y).
+
+    ``store`` holds int32 triangles modulo primes[:size], shaped (size,
+    slots, rows of n entries): slot s holds M(operands[s]), and X and Y
+    are the matrices of slots x and y.  ``weights`` is each row's
+    contraction weight.  Groups of rows, about _BLOCK_ENTRIES residues
+    per slot with every prime's, run in turn: every slot's group is
+    copied into the top rows of one buffer with a row per prime, reused
+    from group to group, and one call extends them all into the rows
+    below (:func:`_extender`); the residues are checked against
+    ``triangles``, the sweep's padded triangles stacked like ``store``'s
+    slots, when given, and contracted once per finish, from the slots'
+    column slices.  Returns one float64 array of integers below 2**51 per
+    finish.
     """
     p = np.array(primes, dtype=np.float64)[:, None]
     inv = 1.0 / p
     rows, count = len(weights), store.shape[1]
     n = store.shape[2] // rows
     group = max(1, _BLOCK_ENTRIES // (len(primes) * n))
-    extend = _extender(primes, size, inverses, count * group * n) if size < len(primes) else None
+    extend = _extender(primes, size, count * group * n)
     extension = np.array(primes[size:], dtype=np.int64)[:, None, None]
     buffer = np.empty((len(primes), count * group * n))
     totals = [np.zeros(len(primes)) for _ in finishes]
@@ -679,71 +754,112 @@ def _finish(store, lo, finishes, primes, size, weights, inverses, triangles):
         m = len(w) * n
         cols = slice(start * n, start * n + m)
         chunk = buffer[:, :count * m]
-        operands = chunk.reshape(len(primes), count, m)
-        operands[:size] = store[:, :, cols]
-        if extend is not None:
-            extend(chunk)
-            if triangles is not None:
-                wrong = operands[size:] % extension != triangles[:, cols] % extension
-                bad = np.argwhere(wrong.any(axis=2).T)
-                if bad.size:
-                    raise LadderInvariantError(f"extended residue mismatch in M({lo + bad[0, 0]}) "
-                                               f"modulo {primes[size + bad[0, 1]]}")
+        slots = chunk.reshape(len(primes), count, m)
+        slots[:size] = store[:, :, cols]
+        extend(chunk)
+        if triangles is not None:
+            wrong = slots[size:] % extension != triangles[:, cols] % extension
+            bad = np.argwhere(wrong.any(axis=2).T)
+            if bad.size:
+                raise LadderInvariantError(f"extended residue mismatch in M({operands[bad[0, 0]]}) "
+                                           f"modulo {primes[size + bad[0, 1]]}")
         for total, (x, y) in zip(totals, finishes):
-            total += _contract(operands[:, x - lo], operands[:, y - lo], w, p, inv)
+            total += _contract(slots[:, x], slots[:, y], w, p, inv)
     return totals
 
 
-def _drive(graph, finishes, counter, checked):
-    """Run the ladder and finish it with ``finishes``; returns their traces.
+def _prefixes(primes, bounds):
+    """Per bound, the fewest leading primes whose product exceeds 2*bound.
 
-    Each finish is an index pair (x, y) with x - y in {0, 1} and gives
-    trace(M(x + y)) = trace(M(x) M(y)) - q**y trace(M(x - y)), where
-    trace(M(0)) = 2n and trace(M(1)) = trace(A) = 0, since a validated
-    graph has no loops.  The ladder climbs the levels of :func:`_levels`
-    up to the operands.  The leading ones, as far as
+    The primes must suffice for the largest bound.
+    """
+    out, product, size = {}, 1, 0
+    for bound in sorted(set(bounds)):
+        while product <= 2 * bound:
+            product *= primes[size]
+            size += 1
+        out[bound] = size
+    return [out[bound] for bound in bounds]
+
+
+def _drive(graph, targets, counter, checked):
+    """Run one ladder for every target; returns their traces, target by target.
+
+    A target is a list of finishes on two operands M(j), M(j+1) or one,
+    M(j).  Each finish is an index pair (x, y) with x - y in {0, 1} and
+    gives trace(M(x + y)) = trace(M(x) M(y)) - q**y trace(M(x - y)),
+    where trace(M(0)) = 2n and trace(M(1)) = trace(A) = 0, since a
+    validated graph has no loops.  The ladder climbs the levels of
+    :func:`_levels` up to the operands of the top target, the one with
+    the largest operand.  The leading levels, as far as
     :func:`_exact_levels` allows, are formed exactly, once, and each
     prime block forms the rest from their residues; one level loop
-    (:func:`_climb`) runs both, from one table of scalars.
+    (:func:`_climb`) runs both, from one table of scalars.  Every other
+    target attaches to the highest level that holds a pair M(a), M(a+1)
+    with a <= j (every level of a top pair does), and :func:`_shift`
+    takes that pair j - a steps up, in each prime block; a pair on an
+    exact level is kept once and reduced in each block.  For the table's
+    eps = 2^-1 .. 2^-10, whose indices about double from one to the
+    next, j - a is at most 4.
 
-    The traces are determined modulo the primes of :func:`_moduli` for
-    the largest bound |trace| <= n (q**index + 1) among the finishes.
-    The ladder runs, block by block, on the prefix of them that
-    :func:`_ladder_size` picks for the largest operand; the finish
-    extends the operands to the other primes, contracts every trace
-    modulo all of them, and one CRT per trace follows.  ArithmeticError
-    is raised, before any product, if the primes could not make every
-    step exact or could not determine every trace and operand entry
-    (before any power of q if even all primes below the limit for n
-    could not); each rebuilt trace must lie within its own bound.
-    Products are counted on ``counter`` here alone, once per formed
-    index, however many prime blocks form it, and once per finish.  With
-    ``checked``, every matrix the run forms, extends or traces is
-    compared with one sweep's.
+    The primes are those of :func:`_moduli` for the top target's largest
+    bound |trace| <= n (q**index + 1), largest first.  Each target's
+    traces are determined by its own prefix of them, the fewest whose
+    product exceeds twice its own largest bound, so the prefixes are
+    nested.  The ladder runs, block by block, on the prefix of the
+    primes that :func:`_ladder_size` picks for the top operand.  A
+    target whose prefix fits inside the ladder's primes is contracted in
+    the blocks that hold its prefix, and no block beyond them serves it.
+    The operands of every other target, the top one among them whenever
+    the ladder's primes fall short of the whole set, are stored; the
+    finish extends them to the other primes and contracts every stored
+    trace modulo all of them.  One CRT per trace, over its own prefix,
+    follows.  ArithmeticError is raised, before any product, if the
+    primes could not make every step exact or could not determine every
+    trace and operand entry (before any power of q if even all primes
+    below the limit for n could not); each rebuilt trace must lie within
+    its own bound.  Products are counted on ``counter`` here alone, once
+    per formed index, however many prime blocks form it, and once per
+    finish; a shift's steps are additions and count nothing.  With
+    ``checked``, every matrix the run forms, reduces from an exact
+    level, shifts, extends or traces is compared with one sweep's.
     """
     q, n = graph.q, graph.n
-    indices = [x + y for x, y in finishes]
-    k = max(indices)
+    indices = [[x + y for x, y in finishes] for finishes in targets]
+    k = max(map(max, indices))
     # the primes below L multiply to less than 4**L (Erdős) <= 2**(k floor(log2 q)) <= q**k,
     # and no run's limit is above the one for inner dimension n
     if k * (q.bit_length() - 1) >= 2 * (_prime_limit(n) + 1):
         raise ArithmeticError(f"moduli do not determine a trace bounded by {n} * ({q}**{k} + 1)")
-    operands = sorted({t for finish in finishes for t in finish})
-    levels = _levels(operands)
+    operands = [sorted({t for finish in finishes for t in finish}) for finishes in targets]
+    top = max(range(len(targets)), key=lambda i: operands[i][-1])
+    levels = _levels(operands[top])
     exact, rest = _exact_levels(levels, q)
     built = [t for _, _, steps in levels for _, t, _, _ in steps]
+    # the level each target reads, as (lo, width): the top one its own,
+    # every other one the highest pair at or below its least operand
+    pair_levels = [lo for lo, width, _ in levels if width == 2]
+    bases = [(ops[0], len(ops)) if i == top else (max(lo for lo in pair_levels if lo <= ops[0]), 2)
+             for i, ops in enumerate(operands)]
     a = graph.adjacency.astype(np.float64)
     bound = n * (q**k + 1)
     per_block = max(1, _BLOCK_ENTRIES // (n * n))
-    entry = q ** operands[-1] + 1
+    entry = q ** operands[top][-1] + 1
     # the rule charges extending one prime from r 2 r n(n+1)/2 multiply-adds
     # per operand: the one dgemm of the digits and the wrap count takes
     # (r + 1) n(n+1)/2, and the elementwise passes around it cost about as
     # much again; the ladder spends n**3 per prime and index it forms, so
     # extend only when that saves work
-    most = len(built) * n**2 // ((n + 1) * len(operands))
+    most = len(built) * n**2 // ((n + 1) * len(operands[top]))
     primes, size = _plan(n, bound, entry, per_block, most)
     _certify(n, bound, primes, entry, size)
+    prefixes = _prefixes(primes, [n * (q ** max(own) + 1) for own in indices])
+    # the store's first slot for each target whose prefix passes the ladder's primes
+    slots, stored = {}, []
+    for i, ops in enumerate(operands):
+        if prefixes[i] > size:
+            slots[i] = len(stored)
+            stored += ops
     # the operands' upper triangles, diagonal first, zero-padded to whole
     # rows of n entries: row 0 weighs 1 in a trace and the others 2
     upper = np.arange(n)
@@ -751,50 +867,107 @@ def _drive(graph, finishes, counter, checked):
     width = n * ((n + 2) // 2)
     weights = np.full(width // n, 2.0)
     weights[0] = 1.0
-    store = np.zeros((size, len(operands), width), dtype=np.int32)
+    store = np.zeros((size, len(stored), width), dtype=np.int32)
     edges = np.flatnonzero(a)
-    references = _references(graph, [1, *built, *indices]) if checked else None
+    # neighbours[c, u] is the c-th neighbour of row u, as in _sweep
+    neighbours = (edges % n).reshape(n, q + 1).T
+    wanted = [1, *built, *(t for own in indices for t in own)]
+    for (lo, _), ops in zip(bases, operands):
+        wanted += range(lo, ops[0] + len(ops))
+    references = _references(graph, wanted) if checked else None
     scalars = {t: _scalar(t, q) for t in built}
-    # two buffers of two slots, M(1) = A in slot 0 of both
+    attached = {}
+    for i, base in enumerate(bases):
+        attached.setdefault(base, []).append(i)
+    # two buffers of two slots, M(1) = A in slot 0 of both; the exact
+    # levels some target reads are kept, M(1) alone as a level of width 1
     state = np.empty((2, 2, 1, n, n))
     state[:, 0, 0] = a
-    cur, other = _climb(state[0], state[1], exact, edges, scalars, None, references)
+    kept, cur, other = {}, state[0], state[1]
+    climb = _climb(cur, other, exact, edges, scalars, None, references)
+    for lo, filled, cur, other in chain([(1, 1, cur, other)], climb):
+        for i in attached.get((lo, filled), ()):
+            kept[i] = cur[:filled, 0].copy()
     # a prime block starts from the residues of the last whole exact level
     # and, where the rule cut the next one, of its exact member, which
     # waits in the other buffer; held lists the slots each state fills
-    held = [1, 1] + [slots for _, slots, _ in exact]
+    held = [1, 1] + [filled for _, filled, _ in exact]
     starts = [(cur, held[-1])]
     if rest and exact and rest[0][0] == exact[-1][0]:
         starts = [(other, held[-2]), (cur, held[-1])]
     buffers = np.empty((2, 2 * per_block * n * n))
+    moving, raw = np.empty((2, per_block, n, n)), np.empty((per_block, n, n))
+    triangle = np.zeros((2, per_block, width))
+    sums = [[np.zeros(prefixes[i]) for _ in finishes] for i, finishes in enumerate(targets)]
+
+    def serve(i, pair, start, block, p, inv):
+        """Store or contract target i's operands, read off ``pair``, the
+        residues of its base level modulo ``block`` (None: a kept level)."""
+        count = min(len(block), prefixes[i] - start)
+        if count <= 0:
+            return
+        block, p, inv = block[:count], p[:count], inv[:count]
+        lo, j = bases[i][0], operands[i][0]
+        if pair is None:
+            pair = _reduce(kept[i][:, None], p, inv, moving[:len(kept[i]), :count])
+        else:
+            pair = pair[:, :count]
+        if j > lo:
+            pair = _shift(pair, j - lo, neighbours, q, p, inv, moving[:, :count], raw[:count])
+        members = pair[:len(operands[i])]
+        if references is not None and (j > lo or i in kept):
+            for slot, member in enumerate(members):
+                _check_state(j + slot, member, references[j + slot], block)
+        out = store[start:start + count, slots[i]:].transpose(1, 0, 2) if i in slots else triangle
+        for slot, member in enumerate(members):
+            out[slot, :count, :len(flat)] = np.take(member.reshape(count, -1), flat, axis=1)
+        if i not in slots:
+            for total, (x, y) in zip(sums[i], targets[i]):
+                total[start:start + count] = _contract(triangle[x - j, :count], triangle[y - j, :count],
+                                                       weights, p[:, :, 0], inv[:, :, 0])
+
     for start in range(0, size, per_block):
         block = primes[start:start + per_block]
-        here, there = (b[:2 * len(block) * n * n].reshape(2, len(block), n, n) for b in buffers)
         p = np.array(block, dtype=np.float64)[:, None, None]
-        for (source, slots), target in zip(starts, (here, there)):
-            _reduce(source[:slots], p, 1.0 / p, target[:slots])
-        top, _ = _climb(here, there, rest, edges, scalars, block, references)
-        gathered = np.take(top[:len(operands)].reshape(len(operands), len(block), -1), flat, axis=2)
-        store[start:start + len(block), :, :len(flat)] = gathered.transpose(1, 0, 2)
-    for _ in [*built, *finishes]:
+        inv = 1.0 / p
+        for i in kept:
+            serve(i, None, start, block, p, inv)
+        here, there = (b[:2 * len(block) * n * n].reshape(2, len(block), n, n) for b in buffers)
+        if rest:
+            for (source, filled), target in zip(starts, (here, there)):
+                _reduce(source[:filled], p, inv, target[:filled])
+        for lo, filled, level, _ in _climb(here, there, rest, edges, scalars, block, references):
+            for i in attached.get((lo, filled), ()):
+                serve(i, level[:filled], start, block, p, inv)
+    for _ in [*built, *(finish for finishes in targets for finish in finishes)]:
         counter.bump()
-    triangles = None if references is None else np.array(
-        [np.pad(references[t].ravel()[flat], (0, width - len(flat))) for t in operands])
-    basis = _crt_basis(primes)
-    totals = _finish(store, operands[0], finishes, primes, size, weights, basis[2], triangles)
+    if stored:
+        triangles = None if references is None else np.array(
+            [np.pad(references[t].ravel()[flat], (0, width - len(flat))) for t in stored])
+        finishes = [(slots[i] + x - operands[i][0], slots[i] + y - operands[i][0])
+                    for i in slots for x, y in targets[i]]
+        totals = iter(_finish(store, stored, finishes, primes, size, weights, triangles))
+        for i in slots:
+            for total in sums[i]:
+                total[:] = next(totals)[:prefixes[i]]
     rows = []
-    for (x, y), total in zip(finishes, totals):
-        fix = n * _scalar(2 * x, q) if x == y else 0
-        rows.append([(int(t) - fix % p) % p for t, p in zip(total.tolist(), primes)])
+    for finishes, totals in zip(targets, sums):
+        for (x, y), total in zip(finishes, totals):
+            fix = n * _scalar(2 * x, q) if x == y else 0
+            rows.append([(int(t) - fix % p) % p for t, p in zip(total.tolist(), primes)])
+    traces = iter(_crt(rows, primes, _crt_basis(primes)))
     out = []
-    for index, trace in zip(indices, _crt(rows, primes, basis)):
-        own = n * (q**index + 1)
-        if abs(trace) > own:
-            raise LadderInvariantError(f"trace {trace} at index {index} exceeds its bound {own}")
-        expect = trace if references is None else _exact_trace(references[index])
-        if trace != expect:
-            raise LadderInvariantError(f"final trace {trace} at index {index}, expected {expect}")
-        out.append(trace)
+    for own in indices:
+        out.append([])
+        for index in own:
+            trace = next(traces)
+            limit = n * (q**index + 1)
+            if abs(trace) > limit:
+                raise LadderInvariantError(f"trace {trace} at index {index} exceeds its bound {limit}")
+            expect = trace if references is None else _exact_trace(references[index])
+            if trace != expect:
+                raise LadderInvariantError(f"final trace {trace} at index {index}, expected {expect}")
+            out[-1].append(trace)
     return out
 
 
@@ -816,27 +989,63 @@ def _run_ladder(graph, k, counter, checked=False):
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:  # M(1) = A; no step
         return int(graph.adjacency.trace())
-    [trace] = _drive(graph, [((k + 1) // 2, k // 2)], counter, checked)
+    [[trace]] = _drive(graph, [[((k + 1) // 2, k // 2)]], counter, checked)
     return trace
+
+
+def _run_ladder_pairs(graph, ks, counter, checked=False):
+    """[trace_k, trace_k+2] for each even k >= 2 of ``ks``, from shared ladders.
+
+    With j = k/2, the schedule for the odd index k+1 = 2j+1 forms the
+    half pair M(j), M(j+1) for its last step.  Instead of that step, two
+    trace finishes square them: M(2j) = M(j)**2 - 2 q**j I and
+    M(2j+2) = M(j+1)**2 - 2 q**(j+1) I.  One ladder climbs to the largest
+    k's pair, and a smaller k reads its own pair off that ladder's levels
+    (see :func:`_drive`), j - a three-term steps above the level M(a),
+    M(a+1), while j - a is below len(ladder_indices(k + 1)), the products
+    a ladder of its own would count: a step costs about as much as a
+    product at small n and less at large n.  The table's ks, whose
+    j - a is at most 4, all share one ladder; a k too far above every
+    level climbs its own, shared in turn by the smaller ks near it.
+    Each ladder, for its largest k, K, counts len(ladder_indices(K + 1))
+    products plus two finishes for each other distinct k it serves, uses
+    one prime set sized for index K+2, each trace's CRT on its own
+    prefix, and in checked mode compares every formed and shifted matrix
+    and every trace with one sweep to K+2.
+    """
+    for k in ks:
+        if k < 2 or k % 2:
+            raise ValueError(f"k must be even and >= 2, got {k}")
+    ladders = []
+    for j in sorted({k // 2 for k in ks}, reverse=True):
+        for halves in ladders:
+            # the highest level of the pair ladder for halves[0] at or below j
+            a = halves[0]
+            while a > j:
+                a //= 2
+            if j - a < len(ladder_indices(2 * j + 1)):
+                halves.append(j)
+                break
+        else:
+            ladders.append([j])
+    found = {}
+    for halves in ladders:
+        halves.sort()
+        found.update(zip(halves, _drive(graph, [[(j, j), (j + 1, j + 1)] for j in halves],
+                                        counter, checked)))
+    return [found[k // 2] for k in ks]
 
 
 def _run_ladder_pair(graph, k, counter, checked=False):
     """Traces of the scaled Chebyshev matrices for indices k and k+2, one ladder.
 
-    k must be even and at least 2.  With j = k/2, the schedule for the odd
-    index k+1 = 2j+1 forms the half pair M(j), M(j+1) for its last step.
-    Instead of that step, two trace finishes square them:
-    M(2j) = M(j)**2 - 2 q**j I and M(2j+2) = M(j+1)**2 - 2 q**(j+1) I.
-    Returns [trace_k, trace_k+2].  Exactly len(ladder_indices(k + 1))
-    products are counted: one per formed index, exact or on residues,
-    and one per finish (see :func:`_drive`).  One
-    prime set, sized for index k+2, serves both traces; checked mode
-    compares every formed matrix and both traces with one sweep to k+2.
+    k must be even and at least 2; the one-k case of
+    :func:`_run_ladder_pairs`.  Returns [trace_k, trace_k+2] and counts
+    exactly len(ladder_indices(k + 1)) products: one per formed index,
+    exact or on residues, and one per finish.
     """
-    if k < 2 or k % 2:
-        raise ValueError(f"k must be even and >= 2, got {k}")
-    j = k // 2
-    return _drive(graph, [(j, j), (j + 1, j + 1)], counter, checked)
+    [pair] = _run_ladder_pairs(graph, [k], counter, checked)
+    return pair
 
 
 def _references(graph, indices):
@@ -923,8 +1132,15 @@ def expansion_slack_pair(graph, k):
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    trace, trace_next = _run_ladder_pair(graph, k, MultCounter())
-    return _slack_from_trace(graph, k, trace), _slack_from_trace(graph, k + 2, trace_next)
+    [pair] = _slack_pairs(graph, [k])
+    return pair
+
+
+def _slack_pairs(graph, ks):
+    """(slack at k, slack at k+2) for each even k of ``ks``, from one ladder."""
+    traces = _run_ladder_pairs(graph, ks, MultCounter())
+    return [(_slack_from_trace(graph, k, trace), _slack_from_trace(graph, k + 2, trace_next))
+            for k, (trace, trace_next) in zip(ks, traces)]
 
 
 def expansion_slacks(graph, k_max):

@@ -320,6 +320,16 @@ def test_table_utility(capsys):
     assert abs(rows[3]["estimate"] - 2.121320196) < 1e-5
 
 
+def test_table_runs_one_ladder(capsys, monkeypatch):
+    # every eps of the sweep reads its traces off the largest k's ladder
+    plans = spy(monkeypatch, ladder, "_plan")
+    counters = spy(monkeypatch, ladder, "MultCounter")
+    drives = spy(monkeypatch, ladder, "_drive")
+    rows = run_json(capsys, "table", "--name", "petersen")["results"]["rows"]
+    assert len(rows) == 10
+    assert len(plans) == len(counters) == len(drives) == 1
+
+
 def test_table_chvatal_all_nil(capsys):
     code, out, _ = run(capsys, "table", "--name", "chvatal")
     assert code == 0

@@ -29,7 +29,8 @@ from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
     LadderInvariantError, _certify, _crt, _crt_basis, _extender, _extension_bits, _inner,
     _ladder_size, _levels, _moduli, _plan, _prime_limit, _primes_between, _reduce, _references,
-    _run_ladder, _run_ladder_pair, _scalar, _sweep, chebyshev_sweep, expansion_slacks,
+    _run_ladder, _run_ladder_pair, _run_ladder_pairs, _scalar, _sweep, chebyshev_sweep,
+    expansion_slacks,
 )
 from specgap.oracle import exact_slack_from_integer_spectrum
 
@@ -475,6 +476,265 @@ def test_estimate_runs_one_ladder(monkeypatch):
             assert counters[0].count == len(sg.ladder_indices(k + 1)) < two, (g.source, eps)
 
 
+# ---- one ladder for many pairs: every eps of a table off the largest k's ladder ----
+
+
+TABLE = [Fraction(1, 2**i) for i in range(1, 11)]
+EPSILON_LISTS = {
+    "table": TABLE,
+    "unsorted": ["2^-7", "1/4", "2^-10", "0.5", Fraction(1, 32)],
+    "duplicates": ["2^-3", "2^-6", Fraction(1, 8), "2^-6", "0.015625"],
+    "single": ["2^-8"],
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(regular_graphs(), st.sampled_from(sorted(EPSILON_LISTS)))
+def test_estimates_equal_one_estimate_per_epsilon(g, shape):
+    # q = 1 cycles run wholly in the exact prefix, and bipartite graphs
+    # have -(q+1) in their spectrum
+    epsilons = EPSILON_LISTS[shape]
+    expected = [sg.estimate_expansion(g, eps) for eps in epsilons]
+    assert sg.estimate_expansions(g, epsilons) == expected, (g.source, shape)
+
+
+def test_no_epsilon_runs_no_ladder(monkeypatch):
+    drives = []
+    monkeypatch.setattr(ladder, "_drive", lambda *args: drives.append(args))
+    assert sg.estimate_expansions(sg.named_graph("petersen"), []) == [] and drives == []
+
+
+def test_a_table_plans_once_and_counts_each_index_and_finish_once(monkeypatch):
+    counters, plans = [], []
+
+    class Recording(MultCounter):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            counters.append(self)
+
+    honest = ladder._plan
+
+    def spy(*args):
+        plans.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(ladder, "MultCounter", Recording)
+    monkeypatch.setattr(ladder, "_plan", spy)
+    for g in _table_graphs():
+        counters.clear()
+        plans.clear()
+        ks = {report.k for report in sg.estimate_expansions(g, TABLE)}
+        assert len(counters) == 1 and len(plans) == 1, g.source
+        # the largest k's ladder, then two finishes for every other k; the
+        # shifts are additions and count nothing
+        expected = len(sg.ladder_indices(max(ks) + 1)) + 2 * (len(ks) - 1)
+        assert counters[0].count == expected, g.source
+
+
+def test_table_targets_sit_at_most_four_steps_above_the_ladders_levels():
+    # each smaller k = 2j of the table reads its pair off the highest
+    # level M(a), M(a+1) of the largest k's ladder with a <= j, j - a
+    # steps up
+    distances = {}
+    for n in [*range(4, 200), 250, 300, 500, 1000, 2000, 5000]:
+        halves = [required_even_index(n, eps) // 2 for eps in TABLE]
+        top = max(halves)
+        assert len(set(halves)) == len(halves), n
+        for j in halves:
+            if j != top:
+                delta = _shift_steps(top, j)
+                assert delta < len(sg.ladder_indices(2 * j + 1)), (n, j)
+                distances[delta] = distances.get(delta, 0) + 1
+    assert distances == {0: 1, 1: 220, 2: 1118, 3: 471, 4: 8}
+
+
+def _shift_steps(top, j):
+    """j - a for the highest level M(a), M(a+1) of the pair ladder for top with a <= j."""
+    pairs = [lo for lo, width, _ in _levels([top, top + 1]) if width == 2]
+    return j - max(lo for lo in pairs if lo <= j)
+
+
+@settings(max_examples=20, deadline=None)
+@given(regular_graphs(), st.lists(st.integers(1, 60), min_size=1, max_size=6), st.booleans())
+def test_pairs_off_shared_ladders_equal_the_sweep(g, halves, one_prime_blocks):
+    # any list of even k, duplicates included; a k shares a larger one's
+    # ladder while its shift is shorter than its own schedule, and checked
+    # mode reads every reference of a ladder off one sweep
+    ks = [2 * half for half in halves]
+    traces = _sweep_traces(g, max(ks) + 2)
+    sweeps, drives = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        if one_prime_blocks:
+            mp.setattr(ladder, "_BLOCK_ENTRIES", 1)
+        honest, drive = ladder._sweep, ladder._drive
+        mp.setattr(ladder, "_sweep", lambda *args: sweeps.append(args) or honest(*args))
+        mp.setattr(ladder, "_drive", lambda *args: drives.append(args[1]) or drive(*args))
+        counter = MultCounter()
+        pairs = _run_ladder_pairs(g, ks, counter, checked=True)
+    assert pairs == [[traces[k - 1], traces[k + 1]] for k in ks], (g.source, ks)
+    assert len(sweeps) == len(drives) and drives
+    expected = 0
+    served = []
+    for targets in drives:
+        tops = [x for (x, _), _ in targets]
+        top = max(tops)
+        assert all(_shift_steps(top, j) < len(sg.ladder_indices(2 * j + 1)) for j in tops), tops
+        expected += len(sg.ladder_indices(2 * top + 1)) + 2 * (len(targets) - 1)
+        served += tops
+    assert sorted(served) == sorted({k // 2 for k in ks})
+    assert counter.count == expected
+
+
+def test_a_k_far_above_every_level_climbs_its_own_ladder(monkeypatch):
+    # g60 at eps 2^-8 and 1/250: k = 1366 would read M(683) 333 steps
+    # above the level M(350), M(351) of k = 1400's ladder, against 21
+    # products of a ladder of its own, so it climbs its own
+    g = sg.random_regular(60, 2, seed=1)
+    ks = [required_even_index(g.n, eps) for eps in ("2^-8", "1/250")]
+    assert ks == [1400, 1366]
+    assert _shift_steps(700, 683) == 333 and len(sg.ladder_indices(1367)) == 21
+    drives = []
+    honest = ladder._drive
+    monkeypatch.setattr(ladder, "_drive", lambda *args: drives.append(args[1]) or honest(*args))
+    reports = sg.estimate_expansions(g, ["2^-8", "1/250"])
+    assert reports == [sg.estimate_expansion(g, "2^-8"), sg.estimate_expansion(g, "1/250")]
+    assert drives[:2] == [[[(700, 700), (701, 701)]], [[(683, 683), (684, 684)]]]
+
+
+def test_each_trace_is_rebuilt_from_its_own_prefix(monkeypatch):
+    # one descending list of primes, the largest k's; each k's two traces
+    # are rebuilt from the fewest leading primes whose product exceeds
+    # twice its own bound n (q**(k+2) + 1)
+    seen = []
+    honest = ladder._crt
+
+    def spy(rows, primes, basis):
+        seen.append((rows, primes))
+        return honest(rows, primes, basis)
+
+    monkeypatch.setattr(ladder, "_crt", spy)
+    for g in _table_graphs():
+        seen.clear()
+        ks = sorted({report.k for report in sg.estimate_expansions(g, TABLE)})
+        [(rows, primes)] = seen
+        assert primes == sorted(set(primes), reverse=True) and len(rows) == 2 * len(ks)
+        for k, first, second in zip(ks, rows[::2], rows[1::2]):
+            bound = g.n * (g.q ** (k + 2) + 1)
+            fewest = next(i for i in range(1, len(primes) + 1) if math.prod(primes[:i]) > 2 * bound)
+            assert len(first) == len(second) == fewest, (g.source, k)
+        assert len(rows[-1]) == len(primes), g.source
+
+
+def test_checked_mode_covers_the_shifted_operands(monkeypatch):
+    # petersen's table: k = 10 reads M(5), M(6) two steps above the exact
+    # level M(3), M(4), k = 1792 reads the level M(896), M(897) itself, and
+    # every other smaller k reads its pair one step above a level; corrupt
+    # the upper member of every shifted pair
+    g = sg.named_graph("petersen")
+    ks = [required_even_index(g.n, eps) for eps in TABLE]
+    assert ks[0] == 10
+    honest, checks = ladder._check_state, []
+
+    def recorded(index, state, expect, primes):
+        checks.append((index, tuple(primes or ())))
+        return honest(index, state, expect, primes)
+
+    monkeypatch.setattr(ladder, "_check_state", recorded)
+    truth = _run_ladder_pairs(g, ks, MultCounter(), checked=True)
+    # each smaller k's shifted operands, the ones no level holds, are
+    # compared modulo every prime of its prefix, once
+    primes = ladder._moduli(g.n, g.n * (g.q ** (ks[-1] + 2) + 1))
+    formed = set(sg.ladder_indices(ks[-1] + 1))
+    shifted = 0
+    for k in ks[:-1]:
+        fewest = next(i for i in range(1, len(primes) + 1)
+                      if math.prod(primes[:i]) > 2 * g.n * (g.q ** (k + 2) + 1))
+        for index in {k // 2, k // 2 + 1} - formed:
+            compared = [p for t, block in checks if t == index for p in block]
+            assert compared == primes[:fewest], (k, index)
+            shifted += 1
+    assert shifted == 9
+    monkeypatch.undo()
+    honest_shift = ladder._shift
+
+    def corrupted(pair, steps, *args):
+        below, here = honest_shift(pair, steps, *args)
+        here[0, 0, 1] += 1
+        return below, here
+
+    monkeypatch.setattr(ladder, "_shift", corrupted)
+    with pytest.raises(LadderInvariantError, match="exceeds its bound"):
+        _run_ladder_pairs(g, ks, MultCounter())
+    with pytest.raises(LadderInvariantError, match="register mismatch at index 6 modulo "):
+        _run_ladder_pairs(g, ks, MultCounter(), checked=True)
+    monkeypatch.undo()
+    assert _run_ladder_pairs(g, ks, MultCounter()) == truth
+
+
+def _stored_operands(monkeypatch):
+    """The operands each _finish call stores, as runs make them."""
+    honest, stored = ladder._finish, []
+
+    def spy(store, operands, *args):
+        stored.append(list(operands))
+        return honest(store, operands, *args)
+
+    monkeypatch.setattr(ladder, "_finish", spy)
+    return stored
+
+
+def _fewest_ladder_primes(primes, entry, per_block, most):
+    return next(i for i in range(1, len(primes) + 1) if math.prod(primes[:i]) > 4 * entry)
+
+
+def test_a_table_k_past_the_ladders_primes_is_stored_and_extended(monkeypatch):
+    # chvatal's table on blocks of one prime and the fewest ladder primes:
+    # the prefix of k = 1904 (2^-9) passes them, so M(952) and M(953) are
+    # stored beside the top's M(1903) and M(1904) and extended with them
+    g = sg.named_graph("chvatal")
+    ks = [required_even_index(g.n, eps) for eps in TABLE]
+    truth = _run_ladder_pairs(g, ks, MultCounter())
+    stored = _stored_operands(monkeypatch)
+    assert stored == []
+    monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(ladder, "_ladder_size", _fewest_ladder_primes)
+    assert _run_ladder_pairs(g, ks, MultCounter(), checked=True) == truth
+    assert stored == [[952, 953, 1903, 1904]]
+
+
+def test_checked_mode_covers_a_smaller_ks_extended_residues(monkeypatch):
+    # utility at k = 32 and 22 on blocks of one prime and the fewest ladder
+    # primes: M(11), M(12), three steps above the exact level M(8), M(9),
+    # need more primes than the ladder's, so they are stored beside M(16),
+    # M(17); corrupt one extended residue of M(11)
+    g = sg.named_graph("utility")
+    monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(ladder, "_ladder_size", _fewest_ladder_primes)
+    stored = _stored_operands(monkeypatch)
+    traces = _sweep_traces(g, 34)
+    assert _run_ladder_pairs(g, [32, 22], MultCounter(), checked=True) == [
+        traces[31:34:2], traces[21:24:2]]
+    assert stored == [[11, 12, 16, 17]]
+    honest = ladder._extender
+
+    def corrupting(primes, size, width):
+        extend = honest(primes, size, width)
+
+        def corrupted(chunk):
+            extend(chunk)
+            chunk[size, 0] += 1
+
+        return corrupted
+
+    monkeypatch.setattr(ladder, "_extender", corrupting)
+    with pytest.raises(LadderInvariantError, match="exceeds its bound"):
+        _run_ladder_pairs(g, [32, 22], MultCounter())
+    with pytest.raises(LadderInvariantError, match=r"extended residue mismatch in M\(11\) "):
+        _run_ladder_pairs(g, [32, 22], MultCounter(), checked=True)
+
+
 # ---- base extension from the ladder's primes to the trace's ----
 
 
@@ -491,7 +751,7 @@ def _extend(primes, size, values):
     Each ladder residue is the representative of largest modulus within
     (p+3)/2, the most a reduction leaves (:func:`_reduce`).
     """
-    extend = _extender(primes, size, _crt_basis(primes)[2], len(values))
+    extend = _extender(primes, size, len(values))
     chunk = np.zeros((len(primes), len(values)))
     for i, p in enumerate(primes[:size]):
         for j, v in enumerate(values):

@@ -464,8 +464,8 @@ def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
     assert 0 < size < len(primes)
     honest = ladder._extender
 
-    def corrupting(primes, size, inverses, width):
-        extend = honest(primes, size, inverses, width)
+    def corrupting(primes, size, width):
+        extend = honest(primes, size, width)
 
         def corrupted(chunk):
             extend(chunk)
@@ -500,8 +500,8 @@ def test_one_extension_per_chunk_covers_every_operand(monkeypatch, rows_per_chun
     assert 0 < size < len(primes)
     honest, chunks = ladder._extender, []
 
-    def spy(primes, size, inverses, width):
-        extend = honest(primes, size, inverses, width)
+    def spy(primes, size, width):
+        extend = honest(primes, size, width)
 
         def recorded(chunk):
             extend(chunk)
