@@ -212,7 +212,6 @@ def _cmd_estimate(args):
 def _cmd_table(args):
     started = time.perf_counter()
     graph = _load_graph(args)
-    # one ladder for the whole sweep
     rows = list(zip(_EPS_SWEEP, estimate_expansions(graph, _EPS_SWEEP)))
     results = {
         "rows": [

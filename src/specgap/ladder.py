@@ -636,6 +636,11 @@ def _levels(operands):
             for (below, _), (lo, width) in zip(chain, chain[1:])]
 
 
+def _pair_below(levels, j):
+    """a of the highest level of ``levels`` that holds a pair M(a), M(a+1) with a <= j."""
+    return max(lo for lo, width, _ in levels if width == 2 and lo <= j)
+
+
 def _exact_levels(levels, q):
     """(exact, rest): the parts of ``levels`` formed exactly and on residues.
 
@@ -838,8 +843,7 @@ def _drive(graph, targets, counter, checked):
     built = [t for _, _, steps in levels for _, t, _, _ in steps]
     # the level each target reads, as (lo, width): the top one its own,
     # every other one the highest pair at or below its least operand
-    pair_levels = [lo for lo, width, _ in levels if width == 2]
-    bases = [(ops[0], len(ops)) if i == top else (max(lo for lo in pair_levels if lo <= ops[0]), 2)
+    bases = [(ops[0], len(ops)) if i == top else (_pair_below(levels, ops[0]), 2)
              for i, ops in enumerate(operands)]
     a = graph.adjacency.astype(np.float64)
     bound = n * (q**k + 1)
@@ -923,8 +927,8 @@ def _drive(graph, targets, counter, checked):
             out[slot, :count, :len(flat)] = np.take(member.reshape(count, -1), flat, axis=1)
         if i not in slots:
             for total, (x, y) in zip(sums[i], targets[i]):
-                total[start:start + count] = _contract(triangle[x - j, :count], triangle[y - j, :count],
-                                                       weights, p[:, :, 0], inv[:, :, 0])
+                total[start:start + count] = _contract(
+                    triangle[x - j, :count], triangle[y - j, :count], weights, p[:, :, 0], inv[:, :, 0])
 
     for start in range(0, size, per_block):
         block = primes[start:start + per_block]
@@ -1019,11 +1023,8 @@ def _run_ladder_pairs(graph, ks, counter, checked=False):
     ladders = []
     for j in sorted({k // 2 for k in ks}, reverse=True):
         for halves in ladders:
-            # the highest level of the pair ladder for halves[0] at or below j
-            a = halves[0]
-            while a > j:
-                a //= 2
-            if j - a < len(ladder_indices(2 * j + 1)):
+            steps = j - _pair_below(_levels([halves[0], halves[0] + 1]), j)
+            if steps < len(ladder_indices(2 * j + 1)):
                 halves.append(j)
                 break
         else:
