@@ -237,10 +237,13 @@ def estimate_expansions(graph, epsilons):
     rebuilt from its own prefix of the one prime set.  A k too far above
     every level climbs a ladder of its own (ladder._run_ladder_pairs);
     the table's eps = 2^-1 .. 2^-10 share one.  Reports come in input
-    order; equal ks share one pair.
+    order; equal ks share one pair.  A str or bytes ``epsilons`` is
+    refused: it would be read one character at a time.
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
+    if isinstance(epsilons, (str, bytes)):
+        raise TypeError("epsilons must be a collection of eps values, not one string")
     eps = [parse_epsilon(epsilon) for epsilon in epsilons]
     ks = [required_even_index(graph.n, e) for e in eps]
     reports = []

@@ -99,26 +99,30 @@ symmetric range; the run for k and k+2 sizes one set for k+2, and a run
 for several targets one set for the top target's largest index.  Every
 other target's traces are determined by its own prefix of that list,
 the fewest leading primes whose product exceeds twice its own largest
-bound, so the targets' prefixes are nested.  Each window of candidates below the limit is sieved once and cached.  The
-limit is the largest p with m (p/2 + 2)**2 + p < 2**53, m the largest
-inner dimension of any product the run makes on residues
-(:func:`_inner`): n for the ladder's and the finish's, and r + 1 for the
-base extension's from r ladder primes (and 4, for its digits).  Since r
-depends on the primes, the run starts at m = n and raises m to r + 1
-until it holds (:func:`_plan`; at most three rises for n from 3 to 8192
-and k up to 24,472).  At n = 100 that gives primes of 24.2 bits, two
-more than a floored reduction allowed.  The ladder itself never needs
-the whole set: every matrix it forms or shifts to is M(t) with t at
-most top, the larger operand index of the top target's finishes
-(ceil(k/2) for one k, j+1 for the pair), so the ladder runs on the
-shortest prefix of the set whose product exceeds 4 (q**top + 1), about
-half the primes, rounded up to whole prime blocks.  A request whose primes all fit in one block extends
-to nothing.  Nor does one where extending would cost more multiply-adds
-than it saves: one extended prime costs about r n(n+1) per operand for a
-prefix of r primes, one laddered prime n**3 per step, so the prefix may
-hold at most steps n**2 / ((n+1) operands) primes.  That keeps small
-graphs at small eps, where the prefix runs to hundreds of primes, on the
-whole set.
+bound, so the targets' prefixes are nested.  Each window of candidates
+below the limit is sieved once and cached.  The limit is the largest p
+with m (p/2 + 2)**2 + p < 2**53, m the largest inner dimension of any
+product the run makes on residues (:func:`_inner`): n for the ladder's
+and the finish's, and r + 1 for the base extension's from r ladder
+primes (and 4, for its digits).  Since r depends on the primes, the run
+starts at m = n and raises m to r + 1 until it holds (:func:`_plan`; at
+most three rises for n from 3 to 8192 and k up to 24,472).  At n = 100
+that gives primes of 24.2 bits, two more than a floored reduction
+allowed.  The ladder itself never needs the whole set: every matrix it
+forms or shifts to is M(t) with t at most top, the larger operand index
+of the top target's finishes (ceil(k/2) for one k, j+1 for the pair).
+So the ladder runs on the shortest prefix of the set whose product
+exceeds both 4 (q**top + 1) and twice every other target's largest
+trace bound, rounded up to whole prime blocks.  That is still about
+half the primes, since every other target's operands lie a few steps
+above a level below the top one (see Levels), and every target but the
+top one is then determined inside the ladder's primes (see Storage).  A
+request whose primes all fit in one block extends to nothing.  Nor does
+one where extending would cost more multiply-adds than it saves: one
+extended prime costs about r n(n+1) per operand for a prefix of r
+primes, one laddered prime n**3 per step, so the prefix may hold at most
+steps n**2 / ((n+1) operands) primes.  That keeps small graphs at small
+eps, where the prefix runs to hundreds of primes, on the whole set.
 
 Products.  Residues are float64 values, so each step after the exact
 prefix is the prefix's step, one BLAS product (dgemm) and its scalar
@@ -135,19 +139,18 @@ blocks of 2**14 // n**2 (at least one), so one stack holds at most 2**14
 entries unless a single n x n matrix is larger; a block keeps two
 buffers of two stacks each, 512 KiB at most below n = 128.
 
-Storage.  A target whose prefix fits inside the ladder's primes never
-needs an extended residue: each block that holds primes of its prefix
-gathers its operands' upper triangles (M(t) is symmetric), the diagonal
-first and then the entries above it, into a small buffer and contracts
-them at once (see Finish).  Only a target whose prefix passes the
-ladder's primes is stored: the top one whenever the ladder runs on fewer
-than all primes, and any other whose prefix passes them too (eps 2^-11
-beside 2^-12 on one random q = 3, n = 60 graph, for instance).  Each
-block gathers, with one take per operand, its reduced residues into one
-int32 array of shape (ladder primes, operands, width): n(n+1)/2 entries
-per prime and operand, zero-padded to whole rows of n entries; a square
-stores its operand once.  That is 2 n**2 bytes per ladder prime and
-operand: 1.2 MiB for the pair at n = 100 with 32 ladder primes.
+Storage.  Every target but the top one has its prefix inside the
+ladder's primes (see Primes), so it never needs an extended residue:
+each block that holds primes of its prefix gathers its operands' upper
+triangles (M(t) is symmetric), the diagonal first and then the entries
+above it, into a small buffer and contracts them at once (see Finish).
+So does the top target when the ladder runs on every prime.  Otherwise
+its operands, and only they, are stored: each block gathers, with one
+take per operand, its reduced residues into one int32 array of shape
+(ladder primes, operands, width): n(n+1)/2 entries per prime and
+operand, zero-padded to whole rows of n entries; a square stores its
+operand once.  That is 2 n**2 bytes per ladder prime and operand:
+1.2 MiB for the pair at n = 100 with 32 ladder primes.
 
 Base extension.  With P the product of the r ladder primes p_i and v_i
 an operand entry x modulo p_i, the balanced digit y_i = v_i (P/p_i)**-1
@@ -169,11 +172,12 @@ whole set where the wrap sum's bound fails.
 
 Finish.  For every prime, the finish for operands X, Y contracts
 trace(X @ Y) = sum(w X Y) over the triangle, with weight w = 1 on the
-diagonal and 2 above it: in the prime blocks for a target inside the
-ladder's primes, and after the ladder for the stored ones.  The stored
-triangles run in chunks of about 2**14 residues per operand with every
-prime's.  Every operand's chunk goes into one buffer, reused from chunk
-to chunk, with a row per prime and the operands side by side along it: the stored residues on top, and below
+diagonal and 2 above it: in the prime blocks for every target the
+ladder's primes determine, and after the ladder for the stored top
+target.  Its stored triangles run in chunks of about 2**14 residues per
+operand with every prime's.  Every operand's chunk goes into one
+buffer, reused from chunk to chunk, with a row per prime and the
+operands side by side along it: the stored residues on top, and below
 them the extended ones, which one extension call, one dgemm for all
 operands, writes in place.  Each finish contracts its operands' column
 slices.  Each row of n products is summed unweighted, which the prime
@@ -359,8 +363,10 @@ def _ladder_size(primes, entry, per_block, most):
     """How many of ``primes`` the ladder runs on.
 
     The shortest prefix whose product exceeds 4*entry, rounded up to
-    whole blocks of ``per_block`` primes; the whole set if that leaves
-    nothing to extend to, if the prefix is longer than ``most`` (the
+    whole blocks of ``per_block`` primes: ``entry`` bounds the top
+    operand's entries and half of every other target's trace bound
+    (:func:`_drive`), so that prefix determines all of them.  The whole
+    set if that leaves nothing to extend to, if the prefix is longer than ``most`` (the
     extension would cost more than it saves), or if the base extension's
     wrap sum would not be exact.
     """
@@ -388,6 +394,8 @@ def _inner(n, primes, size):
 def _plan(n, bound, entry, per_block, most):
     """(primes, size): the moduli for ``bound`` and the ladder's share of them.
 
+    The share determines every value ``entry`` bounds: the top operand's
+    entries and every smaller target's traces (:func:`_ladder_size`).
     The primes lie below the limit for the run's largest inner dimension
     (:func:`_inner`), which the ladder's share sets in turn: starting from
     n, the dimension rises to that share plus one until it holds.  It
@@ -428,7 +436,8 @@ def _certify(n, bound, primes, entry, size):
     Every prime must lie below the limit for the run's largest inner
     dimension (:func:`_inner`), and the ladder's primes[:size] must also
     determine every operand entry, bounded by ``entry``, with the margin
-    the base extension needs.
+    the base extension needs, and so every trace bounded by 2*entry: each
+    target's but the top one's, whose prefix then lies inside them.
     """
     inner = _inner(n, primes, size)
     # the limit test grows with p, so the largest prime decides it
@@ -438,7 +447,8 @@ def _certify(n, bound, primes, entry, size):
     if math.prod(primes) <= 2 * bound:
         raise ArithmeticError(f"moduli do not determine a trace bounded by {bound}")
     if math.prod(primes[:size]) <= 4 * entry:
-        raise ArithmeticError(f"ladder moduli do not determine entries bounded by {entry}")
+        raise ArithmeticError(f"ladder moduli do not determine entries bounded by {entry} "
+                              f"and smaller traces bounded by {2 * entry}")
     if _extension_bits(primes, size) is None:
         raise ArithmeticError(f"base extension from {size} moduli would not be exact")
 
@@ -733,17 +743,17 @@ def _finish(store, operands, finishes, primes, size, weights, triangles):
     """Per finish (x, y), per prime, an integer congruent to trace(X @ Y).
 
     ``store`` holds int32 triangles modulo primes[:size], shaped (size,
-    slots, rows of n entries): slot s holds M(operands[s]), and X and Y
-    are the matrices of slots x and y.  ``weights`` is each row's
-    contraction weight.  Groups of rows, about _BLOCK_ENTRIES residues
-    per slot with every prime's, run in turn: every slot's group is
-    copied into the top rows of one buffer with a row per prime, reused
-    from group to group, and one call extends them all into the rows
-    below (:func:`_extender`); the residues are checked against
-    ``triangles``, the sweep's padded triangles stacked like ``store``'s
-    slots, when given, and contracted once per finish, from the slots'
-    column slices.  Returns one float64 array of integers below 2**51 per
-    finish.
+    slots, rows of n entries): slot s holds M(operands[s]), an operand of
+    the top target, and X and Y are the matrices of slots x and y.
+    ``weights`` is each row's contraction weight.  Groups of rows, about
+    _BLOCK_ENTRIES residues per slot with every prime's, run in turn:
+    every slot's group is copied into the top rows of one buffer with a
+    row per prime, reused from group to group, and one call extends them
+    all into the rows below (:func:`_extender`); the residues are checked
+    against ``triangles``, the sweep's padded triangles stacked like
+    ``store``'s slots, when given, and contracted once per finish, from
+    the slots' column slices.  Returns one float64 array of integers
+    below 2**51 per finish.
     """
     p = np.array(primes, dtype=np.float64)[:, None]
     inv = 1.0 / p
@@ -812,13 +822,13 @@ def _drive(graph, targets, counter, checked):
     traces are determined by its own prefix of them, the fewest whose
     product exceeds twice its own largest bound, so the prefixes are
     nested.  The ladder runs, block by block, on the prefix of the
-    primes that :func:`_ladder_size` picks for the top operand.  A
-    target whose prefix fits inside the ladder's primes is contracted in
-    the blocks that hold its prefix, and no block beyond them serves it.
-    The operands of every other target, the top one among them whenever
-    the ladder's primes fall short of the whole set, are stored; the
-    finish extends them to the other primes and contracts every stored
-    trace modulo all of them.  One CRT per trace, over its own prefix,
+    primes that :func:`_ladder_size` picks for the top operand's entries
+    and every other target's traces, so every target but the top one is
+    contracted in the blocks that hold its prefix, and no block beyond
+    them serves it.  So is the top one when the ladder runs on every
+    prime; otherwise its operands, and only they, are stored, and the
+    finish extends them to the other primes and contracts the top's
+    traces modulo all of them.  One CRT per trace, over its own prefix,
     follows.  ArithmeticError is raised, before any product, if the
     primes could not make every step exact or could not determine every
     trace and operand entry (before any power of q if even all primes
@@ -848,7 +858,10 @@ def _drive(graph, targets, counter, checked):
     a = graph.adjacency.astype(np.float64)
     bound = n * (q**k + 1)
     per_block = max(1, _BLOCK_ENTRIES // (n * n))
-    entry = q ** operands[top][-1] + 1
+    # the ladder's primes determine the top operand's entries and, with a
+    # product above 4 ceil(B/2) >= 2 B, every other target's traces within B
+    entry = max([q ** operands[top][-1] + 1] +
+                [-(-n * (q ** max(own) + 1) // 2) for i, own in enumerate(indices) if i != top])
     # the rule charges extending one prime from r 2 r n(n+1)/2 multiply-adds
     # per operand: the one dgemm of the digits and the wrap count takes
     # (r + 1) n(n+1)/2, and the elementwise passes around it cost about as
@@ -858,12 +871,8 @@ def _drive(graph, targets, counter, checked):
     primes, size = _plan(n, bound, entry, per_block, most)
     _certify(n, bound, primes, entry, size)
     prefixes = _prefixes(primes, [n * (q ** max(own) + 1) for own in indices])
-    # the store's first slot for each target whose prefix passes the ladder's primes
-    slots, stored = {}, []
-    for i, ops in enumerate(operands):
-        if prefixes[i] > size:
-            slots[i] = len(stored)
-            stored += ops
+    # only the top target's prefix can pass the ladder's primes
+    stored = operands[top] if size < len(primes) else []
     # the operands' upper triangles, diagonal first, zero-padded to whole
     # rows of n entries: row 0 weighs 1 in a trace and the others 2
     upper = np.arange(n)
@@ -922,10 +931,11 @@ def _drive(graph, targets, counter, checked):
         if references is not None and (j > lo or i in kept):
             for slot, member in enumerate(members):
                 _check_state(j + slot, member, references[j + slot], block)
-        out = store[start:start + count, slots[i]:].transpose(1, 0, 2) if i in slots else triangle
+        extended = i == top and bool(stored)
+        out = store[start:start + count].transpose(1, 0, 2) if extended else triangle
         for slot, member in enumerate(members):
             out[slot, :count, :len(flat)] = np.take(member.reshape(count, -1), flat, axis=1)
-        if i not in slots:
+        if not extended:
             for total, (x, y) in zip(sums[i], targets[i]):
                 total[start:start + count] = _contract(
                     triangle[x - j, :count], triangle[y - j, :count], weights, p[:, :, 0], inv[:, :, 0])
@@ -948,12 +958,8 @@ def _drive(graph, targets, counter, checked):
     if stored:
         triangles = None if references is None else np.array(
             [np.pad(references[t].ravel()[flat], (0, width - len(flat))) for t in stored])
-        finishes = [(slots[i] + x - operands[i][0], slots[i] + y - operands[i][0])
-                    for i in slots for x, y in targets[i]]
-        totals = iter(_finish(store, stored, finishes, primes, size, weights, triangles))
-        for i in slots:
-            for total in sums[i]:
-                total[:] = next(totals)[:prefixes[i]]
+        finishes = [(x - stored[0], y - stored[0]) for x, y in targets[top]]
+        sums[top] = _finish(store, stored, finishes, primes, size, weights, triangles)
     rows = []
     for finishes, totals in zip(targets, sums):
         for (x, y), total in zip(finishes, totals):

@@ -673,66 +673,107 @@ def test_checked_mode_covers_the_shifted_operands(monkeypatch):
     assert _run_ladder_pairs(g, ks, MultCounter()) == truth
 
 
-def _stored_operands(monkeypatch):
-    """The operands each _finish call stores, as runs make them."""
-    honest, stored = ladder._finish, []
+def test_only_the_top_targets_operands_are_stored(monkeypatch):
+    # the table of one random q = 3, n = 21 graph runs its ladder on 185 of
+    # 298 primes, sized for the traces at k = 2228 (2^-9) as well as for
+    # the top operands: only M(2226) and M(2227) are stored and extended,
+    # every other k is contracted in the prime blocks
+    g = sg.random_regular(21, 3, seed=1)
+    ks = [required_even_index(g.n, eps) for eps in TABLE]
+    assert ks[-2:] == [2228, 4452]
+    honest, stored, plans = ladder._finish, [], []
+    honest_plan = ladder._plan
 
     def spy(store, operands, *args):
         stored.append(list(operands))
         return honest(store, operands, *args)
 
+    def plan(*args):
+        primes, size = honest_plan(*args)
+        plans.append((len(primes), size))
+        return primes, size
+
     monkeypatch.setattr(ladder, "_finish", spy)
-    return stored
-
-
-def _fewest_ladder_primes(primes, entry, per_block, most):
-    return next(i for i in range(1, len(primes) + 1) if math.prod(primes[:i]) > 4 * entry)
-
-
-def test_a_table_k_past_the_ladders_primes_is_stored_and_extended(monkeypatch):
-    # chvatal's table on blocks of one prime and the fewest ladder primes:
-    # the prefix of k = 1904 (2^-9) passes them, so M(952) and M(953) are
-    # stored beside the top's M(1903) and M(1904) and extended with them
-    g = sg.named_graph("chvatal")
-    ks = [required_even_index(g.n, eps) for eps in TABLE]
+    monkeypatch.setattr(ladder, "_plan", plan)
     truth = _run_ladder_pairs(g, ks, MultCounter())
-    stored = _stored_operands(monkeypatch)
-    assert stored == []
-    monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(ladder, "_ladder_size", _fewest_ladder_primes)
+    assert stored == [[2226, 2227]] and plans == [(298, 185)]
     assert _run_ladder_pairs(g, ks, MultCounter(), checked=True) == truth
-    assert stored == [[952, 953, 1903, 1904]]
+    assert stored == [[2226, 2227]] * 2
+    assert sg.estimate_expansions(g, TABLE) == [sg.estimate_expansion(g, eps) for eps in TABLE]
 
 
-def test_checked_mode_covers_a_smaller_ks_extended_residues(monkeypatch):
-    # utility at k = 32 and 22 on blocks of one prime and the fewest ladder
-    # primes: M(11), M(12), three steps above the exact level M(8), M(9),
-    # need more primes than the ladder's, so they are stored beside M(16),
-    # M(17); corrupt one extended residue of M(11)
-    g = sg.named_graph("utility")
-    monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(ladder, "_ladder_size", _fewest_ladder_primes)
-    stored = _stored_operands(monkeypatch)
-    traces = _sweep_traces(g, 34)
-    assert _run_ladder_pairs(g, [32, 22], MultCounter(), checked=True) == [
-        traces[31:34:2], traces[21:24:2]]
-    assert stored == [[11, 12, 16, 17]]
-    honest = ladder._extender
+class _Planned(Exception):
+    """Raised once a ladder has planned its primes, before it climbs."""
 
-    def corrupting(primes, size, width):
-        extend = honest(primes, size, width)
 
-        def corrupted(chunk):
-            extend(chunk)
-            chunk[size, 0] += 1
+def _ladder_plans(monkeypatch, g, ks):
+    """(size, prefixes) of each ladder _run_ladder_pairs plans for ks, none climbed.
 
-        return corrupted
+    prefixes holds each target's prefix, the top target's last.
+    """
+    plans = []
+    honest_plan, honest_prefixes, honest_drive = ladder._plan, ladder._prefixes, ladder._drive
 
-    monkeypatch.setattr(ladder, "_extender", corrupting)
-    with pytest.raises(LadderInvariantError, match="exceeds its bound"):
-        _run_ladder_pairs(g, [32, 22], MultCounter())
-    with pytest.raises(LadderInvariantError, match=r"extended residue mismatch in M\(11\) "):
-        _run_ladder_pairs(g, [32, 22], MultCounter(), checked=True)
+    def plan(*args):
+        primes, size = honest_plan(*args)
+        plans.append(size)
+        return primes, size
+
+    def prefixes(primes, bounds):
+        plans[-1] = plans[-1], honest_prefixes(primes, bounds)
+        raise _Planned
+
+    def drive(graph, targets, counter, checked):
+        with pytest.raises(_Planned):
+            honest_drive(graph, targets, counter, checked)
+        return [[0, 0] for _ in targets]
+
+    monkeypatch.setattr(ladder, "_plan", plan)
+    monkeypatch.setattr(ladder, "_prefixes", prefixes)
+    monkeypatch.setattr(ladder, "_drive", drive)
+    _run_ladder_pairs(g, ks, MultCounter())
+    monkeypatch.undo()
+    return plans
+
+
+def test_every_smaller_targets_prefix_lies_inside_the_ladders_primes(monkeypatch):
+    # the table and the pair 2^-11, 2^-12 at q = 1..4 and n <= 60: the
+    # ladder's share covers every target's prefix but the top one's, so
+    # no other target is ever stored
+    for q in (1, 2, 3, 4):
+        for n in range(q + 2, 61):
+            if n * (q + 1) % 2:
+                continue
+            g = sg.random_regular(n, q, seed=1)
+            for epsilons in (TABLE, ["2^-11", "2^-12"]):
+                ks = [required_even_index(n, eps) for eps in epsilons]
+                for size, prefixes in _ladder_plans(monkeypatch, g, ks):
+                    assert max(prefixes[:-1], default=0) <= size, (n, q, epsilons[-1])
+
+
+def test_a_ladder_share_one_prime_short_of_a_smaller_target_raises(monkeypatch):
+    # the same q = 3, n = 21 table: a share one prime short of the prefix
+    # of k = 2228 still determines the top operands' entries, below
+    # 3**2227 + 1, yet the run is refused before any product
+    g = sg.random_regular(21, 3, seed=1)
+    ks = [required_even_index(g.n, eps) for eps in TABLE]
+    shorts = []
+
+    def short(primes, entry, per_block, most):
+        shorts.append((primes, next(i for i in range(len(primes))
+                                    if math.prod(primes[:i + 1]) > 4 * entry)))
+        return shorts[-1][1]
+
+    def climb(*args):
+        raise AssertionError("a refused run climbed")
+
+    monkeypatch.setattr(ladder, "_ladder_size", short)
+    monkeypatch.setattr(ladder, "_climb", climb)
+    with pytest.raises(ArithmeticError, match="ladder moduli do not determine"):
+        _run_ladder_pairs(g, ks, MultCounter())
+    # the plan's last share is the one refused
+    primes, size = shorts[-1]
+    assert math.prod(primes[:size]) > 4 * (g.q**2227 + 1)
 
 
 # ---- base extension from the ladder's primes to the trace's ----

@@ -150,6 +150,15 @@ def test_estimate_epsilon_validation():
         sg.estimate_expansion(g, 0)
 
 
+@pytest.mark.parametrize("epsilons", ["25", b"25"])
+def test_estimates_refuse_one_string_of_epsilons(epsilons):
+    # a string is not read as its characters, eps = 2 and eps = 5
+    g = sg.named_graph("petersen")
+    with pytest.raises(TypeError, match="collection of eps values"):
+        sg.estimate_expansions(g, epsilons)
+    assert sg.estimate_expansions(g, ["25"]) == [sg.estimate_expansion(g, "25")]
+
+
 def test_reports_are_deterministic():
     g = sg.named_graph("cube")
     a = sg.estimate_expansion(g, "2^-3")
