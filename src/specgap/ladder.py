@@ -39,7 +39,7 @@ additions, not products, and count nothing.
 
 The ladder forms its leading indices exactly, once, and the rest on
 residues modulo word-size primes; the Chinese remainder theorem rebuilds
-each final trace.
+each final trace's deviation, trace M(k) - q**k - 1.
 
 Bounds.  An eigenvalue lam of A has |lam| <= q+1.  The matching
 eigenvalue of M(t) is a**t + b**t with a + b = lam and a*b = q.  If
@@ -49,6 +49,20 @@ larger modulus x = |a| satisfies x + q/x = |lam| <= q + 1, so
 sqrt(q) <= x <= q; x**t + (q/x)**t grows on that range, so the modulus
 is again at most q**t + 1.  Hence |trace M(t)| <= n (q**t + 1), and, M(t)
 being symmetric, every entry satisfies |M(t)_uv| <= ||M(t)||_2 <= q**t + 1.
+
+That bound is set by the trivial eigenvalue, q**t + 1 on the all-ones
+vector.  The decision reads only the deviation trace M(t) - q**t - 1,
+the sum of the n - 1 nontrivial eigenvalues, so the run sizes its
+primes by a bound e(t) on their modulus instead (:func:`_bounds`).  It
+reads e(t) off the highest exact matrix M(h) (see Exact prefix): with
+S = max(1, ceil(sum(Y(h)**2) / q**h)), Y(t) = M(t) - s_t J, J all ones
+and s_t = (q**t + 1) // n, every nontrivial eigenvalue of M(t) is at
+most q**(t/2) (S**(t/2h) + 1) in modulus, and at most q**t + 1; e(t) is
+the smaller, rounded up in integers.  Then the deviation is at most
+(n - 1) e(t), and every entry of Y(t) at most e(t).  For a graph whose
+nontrivial spectrum lies near 2 sqrt(q), e(t) has about half the bits of
+q**t + 1 once t passes 2h; a bipartite graph, whose -(q+1) counts as
+nontrivial, and q = 1 keep q**t + 1.
 
 Exact prefix.  Entry (u, v) of M(x) M(y) is row u of M(x) times column
 v of M(y).  Every partial sum of it, in any order, is at most the sum of
@@ -94,12 +108,14 @@ a k shares a ladder only while j - a is below the products a ladder of
 its own would count (:func:`_run_ladder_pairs`).
 
 Primes.  The fewest primes, largest first below a limit, whose product
-exceeds 2 n (q**k + 1) determine the trace at index k, lifted into the
-symmetric range; the run for k and k+2 sizes one set for k+2, and a run
-for several targets one set for the top target's largest index.  Every
-other target's traces are determined by its own prefix of that list,
-the fewest leading primes whose product exceeds twice its own largest
-bound, so the targets' prefixes are nested.  Each window of candidates
+exceeds 2 (n - 1) e(k) determine the deviation at index k, lifted into
+the symmetric range, and so the trace; the run for k and k+2 sizes one
+set for k+2, and a run for several targets one set for the top target's
+largest index.  Every other target's deviations are determined by its
+own prefix of that list, the fewest leading primes whose product exceeds
+twice its own largest bound, so the targets' prefixes are nested.  The
+run plans its primes once its exact prefix is formed, since e(t) reads
+it.  Each window of candidates
 below the limit is sieved once and cached.  The limit is the largest p
 with m (p/2 + 2)**2 + p < 2**53, m the largest inner dimension of any
 product the run makes on residues (:func:`_inner`): n for the ladder's
@@ -112,8 +128,9 @@ allowed.  The ladder itself never needs the whole set: every matrix it
 forms or shifts to is M(t) with t at most top, the larger operand index
 of the top target's finishes (ceil(k/2) for one k, j+1 for the pair).
 So the ladder runs on the shortest prefix of the set whose product
-exceeds both 4 (q**top + 1) and twice every other target's largest
-trace bound, rounded up to whole prime blocks.  That is still about
+exceeds both 4 e(top), for the entries of the stored Y(top), and twice
+every other target's largest deviation bound, rounded up to whole prime
+blocks.  That is still about
 half the primes, since every other target's operands lie a few steps
 above a level below the top one (see Levels), and every target but the
 top one is then determined inside the ladder's primes (see Storage).  A
@@ -123,6 +140,8 @@ extended prime costs about r n(n+1) per operand for a prefix of r
 primes, one laddered prime n**3 per step, so the prefix may hold at most
 steps n**2 / ((n+1) operands) primes.  That keeps small graphs at small
 eps, where the prefix runs to hundreds of primes, on the whole set.
+The whole set extends nothing, so its inner dimension is n, and it is
+sized below the limit for n.
 
 Products.  Residues are float64 values, so each step after the exact
 prefix is the prefix's step, one BLAS product (dgemm) and its scalar
@@ -139,18 +158,20 @@ blocks of 2**14 // n**2 (at least one), so one stack holds at most 2**14
 entries unless a single n x n matrix is larger; a block keeps two
 buffers of two stacks each, 512 KiB at most below n = 128.
 
-Storage.  Every target but the top one has its prefix inside the
-ladder's primes (see Primes), so it never needs an extended residue:
-each block that holds primes of its prefix gathers its operands' upper
-triangles (M(t) is symmetric), the diagonal first and then the entries
-above it, into a small buffer and contracts them at once (see Finish).
-So does the top target when the ladder runs on every prime.  Otherwise
-its operands, and only they, are stored: each block gathers, with one
-take per operand, its reduced residues into one int32 array of shape
+Storage.  The run stores and contracts Y(t) = M(t) - s_t J, not M(t):
+its entries, at most e(t), are what the ladder's primes determine.  Every
+target but the top one has its prefix inside the ladder's primes (see
+Primes), so it never needs an extended residue: each block that holds
+primes of its prefix gathers its operands' upper triangles (M(t) is
+symmetric), the diagonal first and then the entries above it, less s_t
+and reduced again, into a small buffer and contracts them at once (see
+Finish).  So does the top target when the ladder runs on every prime.
+Otherwise its operands, and only they, are stored: each block gathers,
+with one take per operand, those residues into one int32 array of shape
 (ladder primes, operands, width): n(n+1)/2 entries per prime and
 operand, zero-padded to whole rows of n entries; a square stores its
 operand once.  That is 2 n**2 bytes per ladder prime and operand:
-1.2 MiB for the pair at n = 100 with 32 ladder primes.
+0.74 MiB for the pair at n = 100 with 19 ladder primes.
 
 Base extension.  With P the product of the r ladder primes p_i and v_i
 an operand entry x modulo p_i, the balanced digit y_i = v_i (P/p_i)**-1
@@ -170,11 +191,13 @@ m >= r + 1 keeps below 2**53, so the tables' small graphs keep their
 extension; :func:`_certify` checks the limit, and the ladder runs on the
 whole set where the wrap sum's bound fails.
 
-Finish.  For every prime, the finish for operands X, Y contracts
-trace(X @ Y) = sum(w X Y) over the triangle, with weight w = 1 on the
-diagonal and 2 above it: in the prime blocks for every target the
+Finish.  For every prime, the finish for operands M(x), M(y) contracts
+trace(Y(x) Y(y)) = sum(w Y(x) Y(y)) over the triangle, with weight w = 1
+on the diagonal and 2 above it: in the prime blocks for every target the
 ladder's primes determine, and after the ladder for the stored top
-target.  Its stored triangles run in chunks of about 2**14 residues per
+target.  The rest is known, since every row of M(t) sums to q**t + 1:
+trace(M(x) M(y)) = trace(Y(x) Y(y)) + s_y n (q**x + 1) + s_x n (q**y + 1)
+- s_x s_y n**2.  Its stored triangles run in chunks of about 2**14 residues per
 operand with every prime's.  Every operand's chunk goes into one
 buffer, reused from chunk to chunk, with a row per prime and the
 operands side by side along it: the stored residues on top, and below
@@ -183,9 +206,10 @@ operands, writes in place.  Each finish contracts its operands' column
 slices.  Each row of n products is summed unweighted, which the prime
 limit keeps exact, reduced, and only then weighted, so the weight 2
 costs no bit of prime.  The extended residues are never stored.  One CRT
-per trace follows, over its target's own prefix: Garner's mixed-radix
-constants, built once for the run's list of primes, serve every prefix
-of it.
+per deviation follows, over its target's own prefix: Garner's
+mixed-radix constants, built once for the run's list of primes, serve
+every prefix of it.  A rebuilt deviation outside its bound raises
+LadderInvariantError.
 
 Consumers that want every k in 1..K use one sweep of the three-term
 recurrence M(j+1) = A M(j) - q M(j-1) instead (:func:`chebyshev_sweep`).
@@ -298,7 +322,7 @@ class LadderInvariantError(AssertionError):
     """The ladder state failed verification.
 
     Checked mode raises it on any mismatch with the sweep; every run
-    raises it if the rebuilt trace falls outside its proven bound.
+    raises it if a rebuilt deviation falls outside its proven bound.
     """
 
 
@@ -364,7 +388,7 @@ def _ladder_size(primes, entry, per_block, most):
 
     The shortest prefix whose product exceeds 4*entry, rounded up to
     whole blocks of ``per_block`` primes: ``entry`` bounds the top
-    operand's entries and half of every other target's trace bound
+    operand's entries and half of every other target's deviation bound
     (:func:`_drive`), so that prefix determines all of them.  The whole
     set if that leaves nothing to extend to, if the prefix is longer than ``most`` (the
     extension would cost more than it saves), or if the base extension's
@@ -395,18 +419,24 @@ def _plan(n, bound, entry, per_block, most):
     """(primes, size): the moduli for ``bound`` and the ladder's share of them.
 
     The share determines every value ``entry`` bounds: the top operand's
-    entries and every smaller target's traces (:func:`_ladder_size`).
+    entries and every smaller target's deviations (:func:`_ladder_size`).
     The primes lie below the limit for the run's largest inner dimension
     (:func:`_inner`), which the ladder's share sets in turn: starting from
     n, the dimension rises to that share plus one until it holds.  It
     only rises, and each rise shrinks the primes, so it settles: after
-    at most three rises for n from 3 to 8192 and k up to 24,472.  The
-    arguments after ``bound`` are as for :func:`_ladder_size`.
+    at most three rises for n from 3 to 8192 and k up to 24,472.  A
+    share that settles on the whole set extends nothing, so its inner
+    dimension is n again, and the set is sized anew below the limit for
+    n: fewer, wider primes.  The arguments after ``bound`` are as for
+    :func:`_ladder_size`.
     """
     inner = n
     while True:
         primes = _moduli(inner, bound)
         size = _ladder_size(primes, entry, per_block, most)
+        if size == len(primes) and inner > n:
+            primes = _moduli(n, bound)
+            return primes, len(primes)
         if _inner(n, primes, size) <= inner:
             return primes, size
         inner = _inner(n, primes, size)
@@ -431,13 +461,15 @@ def _extension_bits(primes, size):
 
 
 def _certify(n, bound, primes, entry, size):
-    """Raise unless the moduli make every step exact and determine the trace.
+    """Raise unless the moduli make every step exact and determine the deviation.
 
-    Every prime must lie below the limit for the run's largest inner
-    dimension (:func:`_inner`), and the ladder's primes[:size] must also
-    determine every operand entry, bounded by ``entry``, with the margin
-    the base extension needs, and so every trace bounded by 2*entry: each
-    target's but the top one's, whose prefix then lies inside them.
+    The primes must determine a deviation bounded by ``bound``, and so
+    its trace.  Every prime must lie below the limit for the run's
+    largest inner dimension (:func:`_inner`), and the ladder's
+    primes[:size] must also determine every operand entry, bounded by
+    ``entry``, with the margin the base extension needs, and so every
+    deviation bounded by 2*entry: each target's but the top one's, whose
+    prefix then lies inside them.
     """
     inner = _inner(n, primes, size)
     # the limit test grows with p, so the largest prime decides it
@@ -445,12 +477,94 @@ def _certify(n, bound, primes, entry, size):
     if inner * (p + 4) ** 2 + 4 * p >= 4 * _EXACT:
         raise ArithmeticError(f"a modulus is too large for exact products of inner dimension {inner}")
     if math.prod(primes) <= 2 * bound:
-        raise ArithmeticError(f"moduli do not determine a trace bounded by {bound}")
+        raise ArithmeticError(f"moduli do not determine a trace whose deviation is bounded by {bound}")
     if math.prod(primes[:size]) <= 4 * entry:
         raise ArithmeticError(f"ladder moduli do not determine entries bounded by {entry} "
-                              f"and smaller traces bounded by {2 * entry}")
+                              f"and smaller deviations bounded by {2 * entry}")
     if _extension_bits(primes, size) is None:
         raise ArithmeticError(f"base extension from {size} moduli would not be exact")
+
+
+def _squares(y):
+    """sum(y**2), exactly, for a float64 array of integers of modulus below 2**53.
+
+    Each entry splits as hi 2**26 + lo with |hi| <= 2**27 and
+    0 <= lo < 2**26, and over chunks of 256 entries every sum of hi**2,
+    hi lo or lo**2 stays below 2**63.
+    """
+    v = np.zeros(-(-y.size // 256) * 256, dtype=np.int64)
+    v[:y.size] = y.ravel()
+    v = v.reshape(-1, 256)
+    hi, lo = v >> 26, v & (2**26 - 1)
+    return sum(sum(np.einsum("ij,ij->i", x, z).tolist()) << shift
+               for x, z, shift in ((hi, hi, 52), (hi, lo, 27), (lo, lo, 0)))
+
+
+def _power_above(u, f, t):
+    """An integer at least (u / 2**f)**t, for u >= 2**f.
+
+    Square and multiply on a mantissa of at most 64 bits, each cut
+    rounded up by less than 2**-63 of it; the later squarings raise the
+    cuts to powers that sum to below 2t, so the result exceeds the power
+    by a factor of at most exp(t 2**-62), plus the final rounding up.
+    """
+    m, e = 1, 0  # the value m 2**e
+    for bit in bin(t)[2:]:
+        m, e = m * m, 2 * e
+        if bit == "1":
+            m, e = m * u, e - f
+        cut = m.bit_length() - 64
+        if cut > 0:
+            m, e = (m >> cut) + 1, e + cut
+    return m << e if e >= 0 else -(-m >> -e)
+
+
+def _bounds(n, q, h, y):
+    """bounds(t) = (entry, deviation) at every index t, from y = M(h), exact.
+
+    Let s_t = (q**t + 1) // n and Y(t) = M(t) - s_t J, J all ones.  The
+    nontrivial eigenvalues of M(t), those off the all-ones vector, are
+    q**(t/2) T(t, x) for x = lam / sqrt(q), and Y(t) has them and
+    q**t + 1 - n s_t, in [0, n).  Their squares sum to at most
+    sum(Y(h)**2), so S = max(1, ceil(sum(Y(h)**2) / q**h)) >= T(h, x)**2.
+    Where |x| > 2, x = z + 1/z with real |z| > 1, |T(t, x)| <= |z|**t + 1
+    and |z|**h <= |T(h, x)|, so for every t, max(2, |T(t, x)|) <=
+    S**(t/2h) + 1.  With the spectral bound q**t + 1 (see "Bounds" above),
+    every nontrivial eigenvalue has modulus at most
+    e(t) = min(q**t + 1, q**(t/2) (S**(t/2h) + 1)), rounded up here.  So
+    the deviation trace M(t) - q**t - 1, their sum, is at most (n-1) e(t)
+    in modulus.  Y(t) is Y'(t) + (q**t + 1 - n s_t) J/n, Y'(t) symmetric
+    with the nontrivial eigenvalues and 0, so each entry is an integer
+    below e(t) + 1 in modulus: at most e(t).  All in integers:
+    q**(t/2) S**(t/2h) = (q**h S)**(t/2h) <= (u/2**24)**t, u the least
+    integer with u**(2h) >= q**h S 2**(48h), which overshoots by a factor
+    below (1 + 2**-24)**t (:func:`_power_above` adds less).  For q = 1 the
+    first bound is already the least, 2.
+    """
+    s = (q**h + 1) // n
+    # sum(Y(h)**2) = sum(M(h)**2) - 2 s sum(M(h)) + s**2 n**2, and every
+    # row of M(h) sums to q**h + 1
+    squares = _squares(y) - 2 * s * n * (q**h + 1) + s * s * n * n
+    ratio = max(1, -(-squares // q**h))  # S
+    u, f = None, 24
+    if q > 1:
+        d, target = 2 * h, q**h * ratio << 2 * f * h
+        lo, hi = 1 << (target.bit_length() - 1) // d, 1 << -(-target.bit_length() // d)
+        while lo < hi:  # the least u with u**d >= target
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if mid**d >= target else (mid + 1, hi)
+        u = lo
+
+    @functools.cache
+    def bounds(t):
+        e = q**t + 1
+        if u is not None:
+            # ceil(q**(t/2)), then the cheaper of the two
+            root = q ** (t // 2) if t % 2 == 0 else math.isqrt(e - 2) + 1
+            e = min(e, _power_above(u, f, t) + root)
+        return e, (n - 1) * e
+
+    return bounds
 
 
 def _reduce(x, p, inv, out=None):
@@ -743,8 +857,9 @@ def _finish(store, operands, finishes, primes, size, weights, triangles):
     """Per finish (x, y), per prime, an integer congruent to trace(X @ Y).
 
     ``store`` holds int32 triangles modulo primes[:size], shaped (size,
-    slots, rows of n entries): slot s holds M(operands[s]), an operand of
-    the top target, and X and Y are the matrices of slots x and y.
+    slots, rows of n entries): slot s holds Y(t) = M(t) - s_t J for
+    t = operands[s], an operand of the top target (see :func:`_bounds`),
+    and X and Y are the matrices of slots x and y.
     ``weights`` is each row's contraction weight.  Groups of rows, about
     _BLOCK_ENTRIES residues per slot with every prime's, run in turn:
     every slot's group is copied into the top rows of one buffer with a
@@ -817,23 +932,33 @@ def _drive(graph, targets, counter, checked):
     eps = 2^-1 .. 2^-10, whose indices about double from one to the
     next, j - a is at most 4.
 
-    The primes are those of :func:`_moduli` for the top target's largest
-    bound |trace| <= n (q**index + 1), largest first.  Each target's
-    traces are determined by its own prefix of them, the fewest whose
-    product exceeds twice its own largest bound, so the prefixes are
-    nested.  The ladder runs, block by block, on the prefix of the
-    primes that :func:`_ladder_size` picks for the top operand's entries
-    and every other target's traces, so every target but the top one is
-    contracted in the blocks that hold its prefix, and no block beyond
-    them serves it.  So is the top one when the ladder runs on every
-    prime; otherwise its operands, and only they, are stored, and the
-    finish extends them to the other primes and contracts the top's
-    traces modulo all of them.  One CRT per trace, over its own prefix,
-    follows.  ArithmeticError is raised, before any product, if the
-    primes could not make every step exact or could not determine every
-    trace and operand entry (before any power of q if even all primes
-    below the limit for n could not); each rebuilt trace must lie within
-    its own bound.  Products are counted on ``counter`` here alone, once
+    The bounds come from :func:`_bounds`, read off the highest exact
+    matrix once the exact levels are formed: every entry of
+    Y(t) = M(t) - s_t J is at most e(t), and the deviation
+    trace M(t) - q**t - 1 at most (n - 1) e(t).  The primes are those of
+    :func:`_moduli` for the top target's largest deviation bound, largest
+    first.  Each target's deviations are determined by its own prefix of
+    them, the fewest whose product exceeds twice its own largest bound,
+    so the prefixes are nested.  The ladder runs, block by block, on the
+    prefix of the primes that :func:`_ladder_size` picks for the top
+    operands' entries and every other target's deviations, so every
+    target but the top one is contracted in the blocks that hold its
+    prefix, and no block beyond them serves it.  So is the top one when
+    the ladder runs on every prime; otherwise its operands, as Y(t) and
+    only they, are stored, and the finish extends them to the other
+    primes and contracts the top's traces modulo all of them.  The known
+    part of each trace (see "Finish" above) and q**index + 1 come off
+    before one CRT per deviation, over its own prefix.  Each rebuilt
+    deviation must lie within its own bound.
+
+    A run is refused with ArithmeticError in one of two places.  If even
+    all primes below the limit for n could not determine the least
+    deviation bound any graph can have, 2 (n - 1) q**(k/2), it is refused
+    before it forms any power of q or any exact level.  Otherwise it forms
+    its exact levels, which the bounds read, and is refused before any
+    prime block climbs if the planned primes could not make every step
+    exact or could not determine every deviation and operand entry (see
+    :func:`_certify`).  Products are counted on ``counter`` here alone, once
     per formed index, however many prime blocks form it, and once per
     finish; a shift's steps are additions and count nothing.  With
     ``checked``, every matrix the run forms, reduces from an exact
@@ -842,9 +967,10 @@ def _drive(graph, targets, counter, checked):
     q, n = graph.q, graph.n
     indices = [[x + y for x, y in finishes] for finishes in targets]
     k = max(map(max, indices))
-    # the primes below L multiply to less than 4**L (Erdős) <= 2**(k floor(log2 q)) <= q**k,
-    # and no run's limit is above the one for inner dimension n
-    if k * (q.bit_length() - 1) >= 2 * (_prime_limit(n) + 1):
+    # the primes below L multiply to less than 4**L (Erdős) <= 2**(k floor(log2 q) / 2),
+    # at most q**(k/2), below half any deviation bound (_bounds); and no
+    # run's limit is above the one for inner dimension n
+    if k * (q.bit_length() - 1) >= 4 * (_prime_limit(n) + 1):
         raise ArithmeticError(f"moduli do not determine a trace bounded by {n} * ({q}**{k} + 1)")
     operands = [sorted({t for finish in finishes for t in finish}) for finishes in targets]
     top = max(range(len(targets)), key=lambda i: operands[i][-1])
@@ -856,23 +982,7 @@ def _drive(graph, targets, counter, checked):
     bases = [(ops[0], len(ops)) if i == top else (_pair_below(levels, ops[0]), 2)
              for i, ops in enumerate(operands)]
     a = graph.adjacency.astype(np.float64)
-    bound = n * (q**k + 1)
     per_block = max(1, _BLOCK_ENTRIES // (n * n))
-    # the ladder's primes determine the top operand's entries and, with a
-    # product above 4 ceil(B/2) >= 2 B, every other target's traces within B
-    entry = max([q ** operands[top][-1] + 1] +
-                [-(-n * (q ** max(own) + 1) // 2) for i, own in enumerate(indices) if i != top])
-    # the rule charges extending one prime from r 2 r n(n+1)/2 multiply-adds
-    # per operand: the one dgemm of the digits and the wrap count takes
-    # (r + 1) n(n+1)/2, and the elementwise passes around it cost about as
-    # much again; the ladder spends n**3 per prime and index it forms, so
-    # extend only when that saves work
-    most = len(built) * n**2 // ((n + 1) * len(operands[top]))
-    primes, size = _plan(n, bound, entry, per_block, most)
-    _certify(n, bound, primes, entry, size)
-    prefixes = _prefixes(primes, [n * (q ** max(own) + 1) for own in indices])
-    # only the top target's prefix can pass the ladder's primes
-    stored = operands[top] if size < len(primes) else []
     # the operands' upper triangles, diagonal first, zero-padded to whole
     # rows of n entries: row 0 weighs 1 in a trace and the others 2
     upper = np.arange(n)
@@ -880,7 +990,6 @@ def _drive(graph, targets, counter, checked):
     width = n * ((n + 2) // 2)
     weights = np.full(width // n, 2.0)
     weights[0] = 1.0
-    store = np.zeros((size, len(stored), width), dtype=np.int32)
     edges = np.flatnonzero(a)
     # neighbours[c, u] is the c-th neighbour of row u, as in _sweep
     neighbours = (edges % n).reshape(n, q + 1).T
@@ -901,6 +1010,25 @@ def _drive(graph, targets, counter, checked):
     for lo, filled, cur, other in chain([(1, 1, cur, other)], climb):
         for i in attached.get((lo, filled), ()):
             kept[i] = cur[:filled, 0].copy()
+    # the primes are sized from the highest exact matrix, the climb's last
+    bounds = _bounds(n, q, lo + filled - 1, cur[filled - 1, 0])
+    bound = bounds(k)[1]
+    # the ladder's primes determine the top operand's entries and, with a
+    # product above 4 ceil(B/2) >= 2 B, every other target's deviations within B
+    entry = max([bounds(operands[top][-1])[0]] +
+                [-(-bounds(max(own))[1] // 2) for i, own in enumerate(indices) if i != top])
+    # the rule charges extending one prime from r 2 r n(n+1)/2 multiply-adds
+    # per operand: the one dgemm of the digits and the wrap count takes
+    # (r + 1) n(n+1)/2, and the elementwise passes around it cost about as
+    # much again; the ladder spends n**3 per prime and index it forms, so
+    # extend only when that saves work
+    most = len(built) * n**2 // ((n + 1) * len(operands[top]))
+    primes, size = _plan(n, bound, entry, per_block, most)
+    _certify(n, bound, primes, entry, size)
+    prefixes = _prefixes(primes, [bounds(max(own))[1] for own in indices])
+    # only the top target's prefix can pass the ladder's primes
+    stored = operands[top] if size < len(primes) else []
+    store = np.zeros((size, len(stored), width), dtype=np.int32)
     # a prime block starts from the residues of the last whole exact level
     # and, where the rule cut the next one, of its exact member, which
     # waits in the other buffer; held lists the slots each state fills
@@ -908,6 +1036,11 @@ def _drive(graph, targets, counter, checked):
     starts = [(cur, held[-1])]
     if rest and exact and rest[0][0] == exact[-1][0]:
         starts = [(other, held[-2]), (cur, held[-1])]
+    # s_t = (q**t + 1) // n for every operand index t, and its residues:
+    # the run stores and contracts Y(t) = M(t) - s_t J (see _bounds)
+    offsets = {t: (q**t + 1) // n for ops in operands for t in ops}
+    residues = {t: np.array([s % p for p in primes], dtype=np.float64)[:, None]
+                for t, s in offsets.items()}
     buffers = np.empty((2, 2 * per_block * n * n))
     moving, raw = np.empty((2, per_block, n, n)), np.empty((per_block, n, n))
     triangle = np.zeros((2, per_block, width))
@@ -931,14 +1064,17 @@ def _drive(graph, targets, counter, checked):
         if references is not None and (j > lo or i in kept):
             for slot, member in enumerate(members):
                 _check_state(j + slot, member, references[j + slot], block)
-        extended = i == top and bool(stored)
-        out = store[start:start + count].transpose(1, 0, 2) if extended else triangle
+        p, inv = p[:, :, 0], inv[:, :, 0]
         for slot, member in enumerate(members):
-            out[slot, :count, :len(flat)] = np.take(member.reshape(count, -1), flat, axis=1)
-        if not extended:
+            taken = np.take(member.reshape(count, -1), flat, axis=1)
+            taken -= residues[j + slot][start:start + count]
+            _reduce(taken, p, inv, triangle[slot, :count, :len(flat)])
+        if i == top and stored:
+            store[start:start + count] = triangle[:len(stored), :count].transpose(1, 0, 2)
+        else:
             for total, (x, y) in zip(sums[i], targets[i]):
                 total[start:start + count] = _contract(
-                    triangle[x - j, :count], triangle[y - j, :count], weights, p[:, :, 0], inv[:, :, 0])
+                    triangle[x - j, :count], triangle[y - j, :count], weights, p, inv)
 
     for start in range(0, size, per_block):
         block = primes[start:start + per_block]
@@ -957,23 +1093,31 @@ def _drive(graph, targets, counter, checked):
         counter.bump()
     if stored:
         triangles = None if references is None else np.array(
-            [np.pad(references[t].ravel()[flat], (0, width - len(flat))) for t in stored])
+            [np.pad(references[t].astype(object).ravel()[flat] - offsets[t], (0, width - len(flat)))
+             for t in stored])
         finishes = [(x - stored[0], y - stored[0]) for x, y in targets[top]]
         sums[top] = _finish(store, stored, finishes, primes, size, weights, triangles)
     rows = []
     for finishes, totals in zip(targets, sums):
         for (x, y), total in zip(finishes, totals):
-            fix = n * _scalar(2 * x, q) if x == y else 0
-            rows.append([(int(t) - fix % p) % p for t, p in zip(total.tolist(), primes)])
-    traces = iter(_crt(rows, primes, _crt_basis(primes)))
+            # trace(M(x) M(y)) = trace(Y(x) Y(y)) + s_y n (q**x + 1)
+            # + s_x n (q**y + 1) - s_x s_y n**2, less the finish's scalar
+            # correction, less q**(x+y) + 1: the deviation at x + y
+            sx, sy = offsets[x], offsets[y]
+            fix = (sy * n * (q**x + 1) + sx * n * (q**y + 1) - sx * sy * n * n
+                   - (n * _scalar(2 * x, q) if x == y else 0) - q ** (x + y) - 1)
+            rows.append([(int(t) + fix % p) % p for t, p in zip(total.tolist(), primes)])
+    deviations = iter(_crt(rows, primes, _crt_basis(primes)))
     out = []
     for own in indices:
         out.append([])
         for index in own:
-            trace = next(traces)
-            limit = n * (q**index + 1)
-            if abs(trace) > limit:
-                raise LadderInvariantError(f"trace {trace} at index {index} exceeds its bound {limit}")
+            deviation = next(deviations)
+            limit = bounds(index)[1]
+            if abs(deviation) > limit:
+                raise LadderInvariantError(
+                    f"deviation {deviation} at index {index} exceeds its bound {limit}")
+            trace = deviation + q**index + 1
             expect = trace if references is None else _exact_trace(references[index])
             if trace != expect:
                 raise LadderInvariantError(f"final trace {trace} at index {index}, expected {expect}")
@@ -1019,8 +1163,8 @@ def _run_ladder_pairs(graph, ks, counter, checked=False):
     level climbs its own, shared in turn by the smaller ks near it.
     Each ladder, for its largest k, K, counts len(ladder_indices(K + 1))
     products plus two finishes for each other distinct k it serves, uses
-    one prime set sized for index K+2, each trace's CRT on its own
-    prefix, and in checked mode compares every formed and shifted matrix
+    one prime set sized for the deviation at index K+2, each deviation's
+    CRT on its own prefix, and in checked mode compares every formed and shifted matrix
     and every trace with one sweep to K+2.
     """
     for k in ks:

@@ -268,7 +268,9 @@ def test_the_prime_limit_reaches_a_fixed_point_under_both_bounds(monkeypatch):
 
 def test_wider_primes_cut_the_deep_estimates_moduli(monkeypatch):
     # (trace primes, ladder primes) of the benchmark's deep estimates and of
-    # the tables' worst row; a floored reduction needed (63, 32), (70, 35),
+    # the tables' worst row, sized by the nontrivial spectrum (_bounds);
+    # sized by q**t + 1 they were (58, 32), (64, 32), (10, 5), (24, 12) and
+    # (293, 160), and a floored reduction needed (63, 32), (70, 35),
     # (10, 5), (26, 16) and (299, 160)
     seen = []
     honest = ladder._certify
@@ -280,7 +282,7 @@ def test_wider_primes_cut_the_deep_estimates_moduli(monkeypatch):
     monkeypatch.setattr(ladder, "_certify", spy)
     for (n, q, eps), counts in zip(
         [(60, 2, "2^-8"), (100, 2, "2^-8"), (150, 2, "2^-5"), (60, 3, "2^-6"), (20, 3, "2^-10")],
-        [(58, 32), (64, 32), (10, 5), (24, 12), (293, 160)],
+        [(34, 20), (38, 19), (6, 3), (14, 8), (176, 120)],
     ):
         seen.clear()
         sg.estimate_expansion(sg.random_regular(n, q, seed=1), eps)
@@ -438,6 +440,18 @@ def test_pair_spans_prime_blocks(case):
     assert len(_moduli(g.n, g.n * (g.q ** (k + 2) + 1))) > ladder._BLOCK_ENTRIES // g.n**2
     traces = _sweep_traces(g, k + 2)
     assert _pair_traces(g, k) == [traces[k - 1], traces[k + 1]], (g.source, k)
+
+
+def _spy_bounds(monkeypatch):
+    """The bounds function of each run, as :func:`ladder._bounds` returns it, in run order."""
+    honest, runs = ladder._bounds, []
+
+    def spy(*args):
+        runs.append(honest(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(ladder, "_bounds", spy)
+    return runs
 
 
 def _table_graphs():
@@ -604,9 +618,9 @@ def test_a_k_far_above_every_level_climbs_its_own_ladder(monkeypatch):
 
 
 def test_each_trace_is_rebuilt_from_its_own_prefix(monkeypatch):
-    # one descending list of primes, the largest k's; each k's two traces
-    # are rebuilt from the fewest leading primes whose product exceeds
-    # twice its own bound n (q**(k+2) + 1)
+    # one descending list of primes, the largest k's; each k's two
+    # deviations are rebuilt from the fewest leading primes whose product
+    # exceeds twice its own deviation bound at k + 2 (_bounds)
     seen = []
     honest = ladder._crt
 
@@ -615,13 +629,15 @@ def test_each_trace_is_rebuilt_from_its_own_prefix(monkeypatch):
         return honest(rows, primes, basis)
 
     monkeypatch.setattr(ladder, "_crt", spy)
+    runs = _spy_bounds(monkeypatch)
     for g in _table_graphs():
         seen.clear()
+        runs.clear()
         ks = sorted({report.k for report in sg.estimate_expansions(g, TABLE)})
-        [(rows, primes)] = seen
+        [(rows, primes)], [bounds] = seen, runs
         assert primes == sorted(set(primes), reverse=True) and len(rows) == 2 * len(ks)
         for k, first, second in zip(ks, rows[::2], rows[1::2]):
-            bound = g.n * (g.q ** (k + 2) + 1)
+            bound = bounds(k + 2)[1]
             fewest = next(i for i in range(1, len(primes) + 1) if math.prod(primes[:i]) > 2 * bound)
             assert len(first) == len(second) == fewest, (g.source, k)
         assert len(rows[-1]) == len(primes), g.source
@@ -635,22 +651,25 @@ def test_checked_mode_covers_the_shifted_operands(monkeypatch):
     g = sg.named_graph("petersen")
     ks = [required_even_index(g.n, eps) for eps in TABLE]
     assert ks[0] == 10
-    honest, checks = ladder._check_state, []
+    honest, checks, plans = ladder._check_state, [], []
+    honest_plan = ladder._plan
 
     def recorded(index, state, expect, primes):
         checks.append((index, tuple(primes or ())))
         return honest(index, state, expect, primes)
 
     monkeypatch.setattr(ladder, "_check_state", recorded)
+    monkeypatch.setattr(ladder, "_plan", lambda *args: plans.append(honest_plan(*args)) or plans[-1])
+    runs = _spy_bounds(monkeypatch)
     truth = _run_ladder_pairs(g, ks, MultCounter(), checked=True)
     # each smaller k's shifted operands, the ones no level holds, are
     # compared modulo every prime of its prefix, once
-    primes = ladder._moduli(g.n, g.n * (g.q ** (ks[-1] + 2) + 1))
+    [(primes, _)], [bounds] = plans, runs
     formed = set(sg.ladder_indices(ks[-1] + 1))
     shifted = 0
     for k in ks[:-1]:
         fewest = next(i for i in range(1, len(primes) + 1)
-                      if math.prod(primes[:i]) > 2 * g.n * (g.q ** (k + 2) + 1))
+                      if math.prod(primes[:i]) > 2 * bounds(k + 2)[1])
         for index in {k // 2, k // 2 + 1} - formed:
             compared = [p for t, block in checks if t == index for p in block]
             assert compared == primes[:fewest], (k, index)
@@ -674,10 +693,11 @@ def test_checked_mode_covers_the_shifted_operands(monkeypatch):
 
 
 def test_only_the_top_targets_operands_are_stored(monkeypatch):
-    # the table of one random q = 3, n = 21 graph runs its ladder on 185 of
-    # 298 primes, sized for the traces at k = 2228 (2^-9) as well as for
-    # the top operands: only M(2226) and M(2227) are stored and extended,
-    # every other k is contracted in the prime blocks
+    # the table of one random q = 3, n = 21 graph runs its ladder on 111 of
+    # 174 primes (185 of 298 sized by q**t + 1), sized for the deviations
+    # at k = 2228 (2^-9) as well as for the top operands: only Y(2226) and
+    # Y(2227) are stored and extended, every other k is contracted in the
+    # prime blocks
     g = sg.random_regular(21, 3, seed=1)
     ks = [required_even_index(g.n, eps) for eps in TABLE]
     assert ks[-2:] == [2228, 4452]
@@ -696,7 +716,7 @@ def test_only_the_top_targets_operands_are_stored(monkeypatch):
     monkeypatch.setattr(ladder, "_finish", spy)
     monkeypatch.setattr(ladder, "_plan", plan)
     truth = _run_ladder_pairs(g, ks, MultCounter())
-    assert stored == [[2226, 2227]] and plans == [(298, 185)]
+    assert stored == [[2226, 2227]] and plans == [(174, 111)]
     assert _run_ladder_pairs(g, ks, MultCounter(), checked=True) == truth
     assert stored == [[2226, 2227]] * 2
     assert sg.estimate_expansions(g, TABLE) == [sg.estimate_expansion(g, eps) for eps in TABLE]
@@ -752,12 +772,18 @@ def test_every_smaller_targets_prefix_lies_inside_the_ladders_primes(monkeypatch
 
 
 def test_a_ladder_share_one_prime_short_of_a_smaller_target_raises(monkeypatch):
-    # the same q = 3, n = 21 table: a share one prime short of the prefix
-    # of k = 2228 still determines the top operands' entries, below
-    # 3**2227 + 1, yet the run is refused before any product
-    g = sg.random_regular(21, 3, seed=1)
+    # the table of a q = 3, n = 20 graph: a share one prime short of the
+    # prefix of k = 2200, 87 of 174 primes, still determines the top
+    # operands' entries, at most e(2199) (_bounds), yet the run is refused
+    # (at n = 21 the top operands need as many primes as k = 2228 does).
+    # The plan reads its bounds off the exact prefix, so the run has formed
+    # its exact levels, but it climbs no prime block and forms no product
+    # on residues
+    g = sg.random_regular(20, 3, seed=1)
     ks = [required_even_index(g.n, eps) for eps in TABLE]
-    shorts = []
+    assert ks[-2:] == [2200, 4396]
+    shorts, exact = [], []
+    honest_climb = ladder._climb
 
     def short(primes, entry, per_block, most):
         shorts.append((primes, next(i for i in range(len(primes))
@@ -765,15 +791,22 @@ def test_a_ladder_share_one_prime_short_of_a_smaller_target_raises(monkeypatch):
         return shorts[-1][1]
 
     def climb(*args):
-        raise AssertionError("a refused run climbed")
+        arguments = inspect.signature(honest_climb).bind(*args).arguments
+        if arguments["primes"] is not None:
+            raise AssertionError("a refused run climbed a prime block")
+        exact.append(len(arguments["levels"]))
+        return honest_climb(*args)
 
     monkeypatch.setattr(ladder, "_ladder_size", short)
     monkeypatch.setattr(ladder, "_climb", climb)
+    runs = _spy_bounds(monkeypatch)
     with pytest.raises(ArithmeticError, match="ladder moduli do not determine"):
         _run_ladder_pairs(g, ks, MultCounter())
+    assert exact and exact[0] > 0
     # the plan's last share is the one refused
     primes, size = shorts[-1]
-    assert math.prod(primes[:size]) > 4 * (g.q**2227 + 1)
+    assert (len(primes), size) == (174, 87)
+    assert math.prod(primes[:size]) > 4 * runs[-1](2199)[0]
 
 
 # ---- base extension from the ladder's primes to the trace's ----
@@ -1019,19 +1052,21 @@ def _ladder_runs(monkeypatch, g, eps):
 
 def test_extension_halves_the_deep_estimates(monkeypatch):
     # the benchmark's estimate-deep requests: about half the blocks of the
-    # whole prime set (15, 64, 10, 6), then one extension each
+    # whole prime set (9, 38, 6, 4), then one extension each; sized by
+    # q**t + 1 they ran (8, 32, 5, 3) blocks of (15, 64, 10, 6)
     for (n, q, eps), blocks in zip(
-        [(60, 2, "2^-8"), (100, 2, "2^-8"), (150, 2, "2^-5"), (60, 3, "2^-6")], [8, 32, 5, 3]
+        [(60, 2, "2^-8"), (100, 2, "2^-8"), (150, 2, "2^-5"), (60, 3, "2^-6")], [5, 19, 3, 2]
     ):
         assert _ladder_runs(monkeypatch, sg.random_regular(n, q, seed=1), eps) == (blocks, 1)
 
 
 def test_extension_is_skipped_where_it_would_cost_more(monkeypatch):
-    # chvatal at eps 2^-12: 939 primes in blocks of 113 and 25 steps; one
-    # prime extended from the 565 of five blocks would take about
-    # 2 * 565 * 78 multiply-adds per operand, one laddered prime 25 * 12**3
+    # chvatal at eps 2^-12: 519 primes in blocks of 113 and 25 steps; one
+    # prime extended from the 339 of three blocks would take about
+    # 2 * 339 * 78 multiply-adds per operand, one laddered prime 25 * 12**3
+    # (sized by q**t + 1: 939 primes, 9 blocks, against 565 of five)
     g = sg.named_graph("chvatal")
-    assert _ladder_runs(monkeypatch, g, "2^-12") == (9, 0)
+    assert _ladder_runs(monkeypatch, g, "2^-12") == (5, 0)
 
 
 # ---- exact prefix: the leading indices, formed once in float64 ----
@@ -1210,3 +1245,166 @@ def test_checked_levels_equal_the_sweep_for_q_1_bipartite_and_q_7(name, monkeypa
     # at k = 200 every block of a q = 1 run starts from the exact state and
     # forms nothing; the others form their top levels on residues
     assert runs and all((run == []) == (g.q == 1) for run in runs), name
+
+
+# ---- primes sized by the nontrivial spectrum ----
+
+
+def _complete_bipartite(d):
+    """K(d, d): d-regular, with -d = -(q+1) in its spectrum."""
+    return sg.validate([[int((u < d) != (v < d)) for v in range(2 * d)] for u in range(2 * d)],
+                       source=f"K({d}, {d})")
+
+
+def _joined(g):
+    """Two copies of g, one edge cut in each and the ends joined across.
+
+    Still (q+1)-regular, with an eigenvalue near q + 1: the nontrivial
+    spectrum's largest term, q**(t/2) T(t, x) with |x| > 2, outgrows
+    every other, so a bound read off a lower index than it claims falls
+    short.
+    """
+    n = g.n
+    a = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    a[:n, :n] = a[n:, n:] = g.adjacency
+    u, v = map(int, np.argwhere(g.adjacency)[0])
+    a[u, v] = a[v, u] = a[n + u, n + v] = a[n + v, n + u] = 0
+    a[u, n + v] = a[n + v, u] = a[v, n + u] = a[n + u, v] = 1
+    return sg.validate(a, source=f"joined({g.source})")
+
+
+@st.composite
+def spectral_graphs(draw):
+    """q = 1..7, bipartite graphs with -(q+1) in their spectrum, and joined pairs."""
+    kind = draw(st.sampled_from(["random", "complete", "bipartite", "joined"]))
+    if kind == "complete":
+        return sg.named_graph(f"complete({draw(st.integers(3, 9))})")
+    if kind == "bipartite":
+        return _complete_bipartite(draw(st.integers(2, 6)))
+    q = draw(st.integers(1, 7) if kind == "random" else st.integers(2, 3))
+    n = draw(st.integers(q + 2, 14 if kind == "random" else 8))
+    assume(n * (q + 1) % 2 == 0)
+    try:
+        g = sg.random_regular(n, q, draw(st.integers(0, 10_000)))
+    except GraphGenerationError:
+        assume(False)
+    return _joined(g) if kind == "joined" else g
+
+
+@settings(max_examples=30, deadline=None)
+@given(spectral_graphs(), st.integers(1, 90), st.booleans())
+def test_runs_sized_by_the_nontrivial_spectrum_equal_the_sweep(g, half, one_prime_blocks):
+    # checked mode compares every matrix, stored and extended residue and
+    # trace with the sweep's; blocks of one prime make the ladder extend
+    traces = _sweep_traces(g, 2 * half + 2)
+    with pytest.MonkeyPatch.context() as mp:
+        if one_prime_blocks:
+            mp.setattr(ladder, "_BLOCK_ENTRIES", 1)
+        assert _run_ladder(g, 2 * half + 1, MultCounter(), checked=True) == traces[2 * half], g.source
+        pair = _pair_traces(g, 2 * half, checked=True)
+    assert pair == [traces[2 * half - 1], traces[2 * half + 1]], (g.source, half)
+
+
+@pytest.mark.parametrize("n,k", [(100, 120), (150, 120), (300, 80)])
+def test_scale_cells_sized_by_the_nontrivial_spectrum_equal_the_sweep(n, k):
+    # the ROADMAP's scale graphs, at a k past the exact prefix: the top
+    # operands' primes follow S**(t/2h), far below q**t + 1
+    g = sg.random_regular(n, 2, seed=1)
+    traces = _sweep_traces(g, k + 2)
+    assert _pair_traces(g, k, checked=True) == [traces[k - 1], traces[k + 1]]
+
+
+@pytest.mark.parametrize("name", ["utility", "petersen", "complete(8)", "cycle(7)", "K(5, 5)", "joined"])
+def test_bounds_hold_on_the_sweeps_matrices(name):
+    # every entry of Y(t) = M(t) - s_t J within entry(t) <= q**t + 1, and
+    # every deviation trace M(t) - q**t - 1 within (n - 1) entry(t), with S
+    # read off each exact-size M(h)
+    g = {"K(5, 5)": _complete_bipartite(5), "joined": _joined(sg.random_regular(10, 2, seed=3))}.get(
+        name) or sg.named_graph(name)
+    n, q = g.n, g.q
+    m = _references(g, range(121))
+    for h in (1, 2, 5, 17):
+        bounds = ladder._bounds(n, q, h, m[h].astype(np.float64))
+        for t in range(1, 121):
+            entry, deviation = bounds(t)
+            assert entry <= q**t + 1 and deviation == (n - 1) * entry, (name, h, t)
+            y = m[t].astype(object) - (q**t + 1) // n
+            assert max(abs(v) for v in y.ravel().tolist()) <= entry, (name, h, t)
+            assert abs(sum(m[t].diagonal().tolist()) - q**t - 1) <= deviation, (name, h, t)
+
+
+def test_squares_and_powers_are_exact_upper_bounds():
+    rng = random.Random(11)
+    values = [0, 1, -1, 2**53 - 1, -(2**53 - 1), 2**26, -(2**26) - 1]
+    values += [rng.randint(-(2**53 - 1), 2**53 - 1) for _ in range(1001)]
+    y = np.array(values, dtype=np.float64)
+    assert ladder._squares(y) == sum(v * v for v in values)
+    assert ladder._squares(y.reshape(-1, 7)[:, :5]) == sum(
+        v * v for row in np.array(values).reshape(-1, 7)[:, :5].tolist() for v in row)
+    for u, f, t in [(2**24, 24, 5), (3 * 2**23, 24, 1), (3 * 2**23, 24, 1001), (2**24 + 1, 24, 10**5),
+                    (12345678901, 24, 777)]:
+        got = ladder._power_above(u, f, t)
+        exact = Fraction(u, 2**f) ** t
+        assert exact <= got < exact * (1 + Fraction(t, 2**61)) + 1, (u, t)
+
+
+def _plans(monkeypatch):
+    """((arguments, (primes, size)) of each _plan call, as runs make them."""
+    honest, plans = ladder._plan, []
+
+    def spy(*args):
+        plans.append((args, honest(*args)))
+        return plans[-1][1]
+
+    monkeypatch.setattr(ladder, "_plan", spy)
+    return plans
+
+
+@pytest.mark.parametrize("prefix", ["exact", "M(1) alone"])
+def test_the_plan_never_takes_more_primes_than_the_trace_bound(monkeypatch, prefix):
+    # bipartite graphs (utility, the cube, K(q+1, q+1)) have -(q+1) in
+    # their spectrum, and a run whose exact prefix were M(1) alone would
+    # read S off A (only k = 2 has no level, since M(2) is always exact):
+    # the min in _bounds keeps both at q**t + 1, and no plan takes more
+    # primes, or a larger ladder share, than sizing by q**t + 1 did
+    plans, graph = _plans(monkeypatch), []
+    if prefix != "exact":
+        honest = ladder._bounds
+        monkeypatch.setattr(ladder, "_bounds", lambda n, q, h, y: honest(
+            n, q, 1, graph[-1].adjacency.astype(np.float64)))
+    graphs = [sg.named_graph("utility"), sg.named_graph("cube"), sg.named_graph("cycle(4)"),
+              *map(_complete_bipartite, (4, 5)), sg.named_graph("petersen"),
+              sg.random_regular(20, 3, seed=1)]
+    for g in graphs:
+        graph.append(g)
+        n, q = g.n, g.q
+        traces = _sweep_traces(g, 122)
+        plans.clear()
+        assert _run_ladder(g, 2, MultCounter(), checked=True) == traces[1]
+        for k in (2, 10, 40, 60, 100, 120):
+            assert _pair_traces(g, k, checked=True) == [traces[k - 1], traces[k + 1]], (g.source, k)
+        # (the largest index, the top operand) of the single run at 2 and the pairs
+        runs = [(2, 1)] + [(k + 2, k // 2 + 1) for k in (2, 10, 40, 60, 100, 120)]
+        assert len(plans) == len(runs), g.source
+        for (index, top), ((_, _, _, per_block, most), (primes, size)) in zip(runs, plans):
+            old, old_size = _plan(n, n * (q**index + 1), q**top + 1, per_block, most)
+            assert len(primes) <= len(old) and size <= old_size, (g.source, index, prefix)
+
+
+def test_a_whole_set_plan_runs_on_primes_below_the_limit_for_n():
+    # the pair eps 2^-11, 2^-12 on random_regular(58, 3, seed=1), sized by
+    # q**t + 1: the first plan extends 720 of 1432 primes, but at inner
+    # dimension 721 the share passes the cost rule's most = 769, so the
+    # ladder runs on every prime, which needs inner dimension n alone:
+    # 1432 primes below the limit for n = 58, not 1547 below the one for 721
+    n, q = 58, 3
+    k11, k12 = (required_even_index(n, eps) for eps in ("2^-11", "2^-12"))
+    bound = n * (q ** (k12 + 2) + 1)
+    entry = max(q ** (k12 // 2 + 1) + 1, -(-n * (q ** (k11 + 2) + 1) // 2))
+    primes, size = _plan(n, bound, entry, 4, 769)
+    assert size == len(primes) == 1432
+    assert primes == _moduli(n, bound) and max(primes) <= _prime_limit(n)
+    _certify(n, bound, primes, entry, size)
+    # with no cost rule the ladder extends, at a raised inner dimension
+    primes, size = _plan(n, bound, entry, 4, math.inf)
+    assert size < len(primes) and primes == _moduli(_inner(n, primes, size), bound) != _moduli(n, bound)

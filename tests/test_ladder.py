@@ -241,45 +241,57 @@ def test_mult_count_formula():
 def test_hopeless_indices_are_refused_before_any_power(monkeypatch):
     g = sg.named_graph("petersen")
     honest, calls = ladder._moduli, []
+    honest_climb, climbs = ladder._climb, []
 
     def spy(n, bound):
         calls.append(bound)
         return honest(n, bound)
 
+    def climb(*args):
+        climbs.append(1)
+        return honest_climb(*args)
+
     monkeypatch.setattr(ladder, "_moduli", spy)
+    monkeypatch.setattr(ladder, "_climb", climb)
     # with a prime limit of 50, every prime up to 50 multiplies to less than
-    # 4**51 = 2**102, so q = 2 refuses k >= 102 before sizing any moduli;
-    # k = 101 reaches _moduli, and _certify refuses it in the same words
+    # 4**51 = 2**102, and every deviation bound at index k is at least
+    # q**(k/2) (_bounds), so q = 2 refuses k >= 204 before it forms any
+    # power or any exact level; k = 203 forms its exact levels, the plan
+    # reads its bounds off them and reaches _moduli, and _certify refuses
+    # it in the same words, before any prime block climbs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ladder, "_prime_limit", lambda n: 50)
-        for run, k, reached in [(_run_ladder, 101, True), (_run_ladder, 102, False),
-                                (_run_ladder_pair, 98, True), (_run_ladder_pair, 100, False),
+        for run, k, reached in [(_run_ladder, 203, True), (_run_ladder, 204, False),
+                                (_run_ladder_pair, 200, True), (_run_ladder_pair, 202, False),
                                 (_run_ladder, 10**13, False), (_run_ladder_pair, 10**13, False)]:
             calls.clear()
-            with pytest.raises(ArithmeticError, match="moduli do not determine a trace bounded by"):
+            climbs.clear()
+            with pytest.raises(ArithmeticError, match="moduli do not determine a trace"):
                 run(g, k, MultCounter())
-            assert bool(calls) == reached, (run.__name__, k)
+            assert bool(calls) == bool(climbs) == reached, (run.__name__, k)
+            assert len(climbs) <= 1, (run.__name__, k)
     # petersen (n = 10, q = 2) at its own limit: the least refused k is
-    # 2 (limit + 1), and it returns at once
-    assert 2 * (_prime_limit(g.n) + 1) == 120_047_978
+    # 4 (limit + 1), and it returns at once
+    assert 4 * (_prime_limit(g.n) + 1) == 240_095_956
     calls.clear()
+    climbs.clear()
     started = time.perf_counter()
-    with pytest.raises(ArithmeticError, match=r"bounded by 10 \* \(2\*\*120047978 \+ 1\)"):
-        _run_ladder(g, 120_047_978, MultCounter())
-    assert time.perf_counter() - started < 0.5 and calls == []
+    with pytest.raises(ArithmeticError, match=r"bounded by 10 \* \(2\*\*240095956 \+ 1\)"):
+        _run_ladder(g, 240_095_956, MultCounter())
+    assert time.perf_counter() - started < 0.5 and calls == climbs == []
 
 
 def test_refused_indices_are_ones_certify_refuses():
     # at the largest order, and at the least k refused for q = 2 or 3
     # (floor(log2 q) = 1), every prime below the limit multiplies to at
-    # most twice the trace bound, so the refusal only says early what
-    # _certify would say after the powers
+    # most twice the least deviation bound, 2 (n - 1) q**(k/2) (_bounds),
+    # so the refusal only says early what _certify would say after the powers
     n = sg.graphs.MAX_VERTICES
     top = _prime_limit(n) + 1
     values = _primes_between(2, top).tolist()
     while len(values) > 1:  # a product tree: one pass of halving per level
         values = [math.prod(values[i:i + 2]) for i in range(0, len(values), 2)]
-    assert values[0] <= 2 * n * (2 ** (2 * top) + 1)
+    assert values[0] <= 2 * 2 * (n - 1) * 2 ** (2 * top)  # q**(k/2) at k = 4 top
 
 
 # ---- checked mode ----
@@ -488,19 +500,21 @@ def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
 @pytest.mark.parametrize("rows_per_chunk", [1, 3])
 def test_one_extension_per_chunk_covers_every_operand(monkeypatch, rows_per_chunk):
     # the pair at k = 60 on utility runs its ladder on 2 primes and extends
-    # M(30) and M(31) to a third; the finish reads the 4 rows of 6 entries
-    # that hold each operand's triangle in chunks of rows_per_chunk rows,
-    # and each chunk is one extend call whose columns hold M(30)'s rows,
-    # then M(31)'s, every residue of them right modulo every prime
+    # Y(30) and Y(31), Y(t) = M(t) - s_t J (ladder._bounds), to a third; the
+    # finish reads the 4 rows of 6 entries that hold each operand's
+    # triangle in chunks of rows_per_chunk rows, and each chunk is one
+    # extend call whose columns hold Y(30)'s rows, then Y(31)'s, every
+    # residue of them right modulo every prime; utility is bipartite, so
+    # its deviation bound at 62 is (n - 1)(q**62 + 1)
     g = sg.named_graph("utility")
     n = g.n
-    primes = _moduli(n, n * (g.q**62 + 1))
+    primes = _moduli(n, (n - 1) * (g.q**62 + 1))
+    assert len(primes) == 3
     monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", rows_per_chunk * len(primes) * n)
-    size = ladder._ladder_size(primes, g.q**31 + 1, 1, len(primes))
-    assert 0 < size < len(primes)
-    honest, chunks = ladder._extender, []
+    honest, chunks, plans = ladder._extender, [], []
 
     def spy(primes, size, width):
+        plans.append((primes, size))
         extend = honest(primes, size, width)
 
         def recorded(chunk):
@@ -514,13 +528,15 @@ def test_one_extension_per_chunk_covers_every_operand(monkeypatch, rows_per_chun
     sweep = ladder.chebyshev_sweep(g)
     traces = [next(sweep) for _ in range(62)]
     assert truth == [traces[59], traces[61]]
+    assert plans == [(primes, 2)]
     rows = (n + 2) // 2
     assert len(chunks) == -(-rows // rows_per_chunk)
     # each operand's triangle, diagonal first, zero-padded to whole rows
     upper = np.arange(n)
     flat = np.concatenate((upper * (n + 1), np.flatnonzero(upper[:, None] < upper)))
     references = _references(g, [30, 31])
-    triangles = [np.pad(references[t].ravel()[flat], (0, rows * n - len(flat))) for t in (30, 31)]
+    triangles = [np.pad(references[t].astype(object).ravel()[flat] - (g.q**t + 1) // n,
+                        (0, rows * n - len(flat))) for t in (30, 31)]
     start = 0
     for chunk in chunks:
         assert chunk.shape[0] == len(primes) and chunk.shape[1] % (2 * n) == 0
