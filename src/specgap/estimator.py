@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import rational_text
+from .exact import _power_bounds, rational_text
 from .graphs import RegularGraph
 from .ladder import SlackValue, _slack_pairs, chebyshev_sweep, expansion_slacks
 
@@ -75,33 +75,6 @@ def parse_epsilon(value):
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {rational_text(eps)}")
     return eps
-
-
-def _truncate(lo, hi, shift, bits):
-    # drop low bits from both bounds: lo rounds down, hi rounds up
-    d = max(0, hi.bit_length() - bits)
-    return lo >> d, -(-hi >> d), shift + d
-
-
-def _power_bounds(x, e, bits):
-    """(lo, hi, s) with lo * 2**s <= x**e <= hi * 2**s, for integers x >= 1, e >= 0.
-
-    Square-and-multiply on lower and upper bounds kept to about ``bits``
-    bits; once ``bits`` covers x**e, lo == hi == x**e and s == 0.
-    """
-    lo = hi = 1
-    shift = 0
-    base_lo = base_hi = x
-    base_shift = 0
-    while True:
-        if e & 1:
-            lo, hi, shift = _truncate(lo * base_lo, hi * base_hi, shift + base_shift, bits)
-        e >>= 1
-        if not e:
-            return lo, hi, shift
-        base_lo, base_hi, base_shift = _truncate(
-            base_lo * base_lo, base_hi * base_hi, 2 * base_shift, bits
-        )
 
 
 def _at_least(num, den, e, a):

@@ -1,11 +1,15 @@
-"""Exact numbers for the decision path: the product counter and slack values.
+"""Exact numbers for the decision path: the product counter, slack values
+and directed-rounding bounds on integer powers.
 
 A slack value is a + b*sqrt(r) with rational a, b (``fractions.Fraction``)
 and a positive integer r.  :class:`Quadratic` builds one, compares two,
 and gives its sign, floor, correctly rounded decimal digits and text, all
 decided on integers without ever rounding.  It has no arithmetic: nothing
 on the decision path adds or multiplies slack values.  Floating point
-appears only in ``to_float``.
+appears only in ``to_float``.  :func:`_power_bounds` brackets an
+integer power between two integers of a given bit length, each times the
+same power of two: the even-index search compares powers with it, and the
+ladder rounds its prime-sizing bounds up with it.
 """
 
 import math
@@ -52,6 +56,33 @@ def rational_text(x):
     x = _as_fraction(x)
     num = str(Decimal(x.numerator))
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def _truncate(lo, hi, shift, bits):
+    # drop low bits from both bounds: lo rounds down, hi rounds up
+    d = max(0, hi.bit_length() - bits)
+    return lo >> d, -(-hi >> d), shift + d
+
+
+def _power_bounds(x, e, bits):
+    """(lo, hi, s) with lo * 2**s <= x**e <= hi * 2**s, for integers x >= 1, e >= 0.
+
+    Square-and-multiply on lower and upper bounds kept to about ``bits``
+    bits; once ``bits`` covers x**e, lo == hi == x**e and s == 0.
+    """
+    lo = hi = 1
+    shift = 0
+    base_lo = base_hi = x
+    base_shift = 0
+    while True:
+        if e & 1:
+            lo, hi, shift = _truncate(lo * base_lo, hi * base_hi, shift + base_shift, bits)
+        e >>= 1
+        if not e:
+            return lo, hi, shift
+        base_lo, base_hi, base_shift = _truncate(
+            base_lo * base_lo, base_hi * base_hi, 2 * base_shift, bits
+        )
 
 
 def _log10_floor(f):

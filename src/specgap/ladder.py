@@ -107,41 +107,42 @@ ks closer together could sit hundreds of steps above every level, so
 a k shares a ladder only while j - a is below the products a ladder of
 its own would count (:func:`_run_ladder_pairs`).
 
-Primes.  The fewest primes, largest first below a limit, whose product
-exceeds 2 (n - 1) e(k) determine the deviation at index k, lifted into
-the symmetric range, and so the trace; the run for k and k+2 sizes one
-set for k+2, and a run for several targets one set for the top target's
-largest index.  Every other target's deviations are determined by its
-own prefix of that list, the fewest leading primes whose product exceeds
-twice its own largest bound, so the targets' prefixes are nested.  The
-run plans its primes once its exact prefix is formed, since e(t) reads
-it.  Each window of candidates
+Primes.  One function, :func:`_plan`, makes every prime-sizing decision
+of a run, once its exact prefix is formed, since e(t) reads it; the run
+only carries the plan out, and :func:`_certify` checks it independently.
+One rule sizes every prefix (:func:`_prefix`): the fewest leading primes
+whose product exceeds twice a bound.  The fewest primes, largest first
+below a limit, whose product exceeds 2 (n - 1) e(k) determine the
+deviation at index k, lifted into the symmetric range, and so the trace;
+the run for k and k+2 sizes one set for k+2, and a run for several
+targets one set for the largest deviation bound of any target.  Every
+other target's deviations are determined by its own prefix of that
+list, so the targets' prefixes are nested.  Each window of candidates
 below the limit is sieved once and cached.  The limit is the largest p
 with m (p/2 + 2)**2 + p < 2**53, m the largest inner dimension of any
 product the run makes on residues (:func:`_inner`): n for the ladder's
 and the finish's, and r + 1 for the base extension's from r ladder
-primes (and 4, for its digits).  Since r depends on the primes, the run
-starts at m = n and raises m to r + 1 until it holds (:func:`_plan`; at
-most three rises for n from 3 to 8192 and k up to 24,472).  At n = 100
-that gives primes of 24.2 bits, two more than a floored reduction
-allowed.  The ladder itself never needs the whole set: every matrix it
-forms or shifts to is M(t) with t at most top, the larger operand index
-of the top target's finishes (ceil(k/2) for one k, j+1 for the pair).
-So the ladder runs on the shortest prefix of the set whose product
-exceeds both 4 e(top), for the entries of the stored Y(top), and twice
-every other target's largest deviation bound, rounded up to whole prime
-blocks.  That is still about
-half the primes, since every other target's operands lie a few steps
-above a level below the top one (see Levels), and every target but the
-top one is then determined inside the ladder's primes (see Storage).  A
-request whose primes all fit in one block extends to nothing.  Nor does
-one where extending would cost more multiply-adds than it saves: one
-extended prime costs about r n(n+1) per operand for a prefix of r
-primes, one laddered prime n**3 per step, so the prefix may hold at most
-steps n**2 / ((n+1) operands) primes.  That keeps small graphs at small
-eps, where the prefix runs to hundreds of primes, on the whole set.
-The whole set extends nothing, so its inner dimension is n, and it is
-sized below the limit for n.
+primes (and 4, for its digits).  Since r depends on the primes, the plan
+starts at m = n and raises m to r + 1 until it holds (at most three
+rises for n from 3 to 8192 and k up to 24,472).  At n = 100 that gives
+primes of 24.2 bits, two more than a floored reduction allowed.  The
+ladder itself never needs the whole set: every matrix it forms or
+shifts to is M(t) with t at most top, the larger operand index of the
+top target's finishes (ceil(k/2) for one k, j+1 for the pair).  So the
+ladder runs on the shortest prefix of the set whose product exceeds both
+4 e(top), for the entries of the stored Y(top), and twice every other
+target's largest deviation bound, rounded up to whole prime blocks.
+That is still about half the primes, since every other target's operands
+lie a few steps above a level below the top one (see Levels), and every
+target but the top one is then determined inside the ladder's primes
+(see Storage).  A request whose primes all fit in one block extends to
+nothing.  Nor does one where extending would cost more multiply-adds
+than it saves: one extended prime costs about r n(n+1) per operand for a
+prefix of r primes, one laddered prime n**3 per step, so the prefix may
+hold at most steps n**2 / ((n+1) operands) primes.  That keeps small
+graphs at small eps, where the prefix runs to hundreds of primes, on the
+whole set.  The whole set extends nothing, so its inner dimension is n,
+and it is sized below the limit for n.
 
 Products.  Residues are float64 values, so each step after the exact
 prefix is the prefix's step, one BLAS product (dgemm) and its scalar
@@ -231,7 +232,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .exact import MultCounter, Quadratic
+from .exact import MultCounter, Quadratic, _power_bounds
 from .graphs import RegularGraph
 
 # the sweep stays on int64 while a bound on every intermediate is below this
@@ -360,6 +361,21 @@ def _prime_limit(m):
     return p
 
 
+def _prefix(primes, bound):
+    """The fewest leading ``primes`` whose product exceeds 2*bound; all of them if none do.
+
+    Stops at the first prime that suffices, so a long candidate list is
+    read only as far as it is needed.
+    """
+    size, product, limit = 0, 1, 2 * bound
+    for p in primes:
+        if product > limit:
+            break
+        product *= int(p)
+        size += 1
+    return size
+
+
 def _moduli(m, bound):
     """The fewest primes, largest first below _prime_limit(m), with product > 2*bound.
 
@@ -372,34 +388,13 @@ def _moduli(m, bound):
     width = _WINDOW
     while True:
         lo = max(2, top - width)
-        primes, product = [], 1
-        for p in map(int, _primes_between(lo, top)[::-1]):
-            primes.append(p)
-            product *= p
-            if product > 2 * bound:
-                return primes
-        if lo == 2:
-            return primes
+        window = _primes_between(lo, top)[::-1]
+        size = _prefix(window, bound)
+        # a window used up may suffice only at its last prime, and a wider
+        # one then gives the same primes
+        if size < len(window) or lo == 2:
+            return window[:size].tolist()
         width *= 4
-
-
-def _ladder_size(primes, entry, per_block, most):
-    """How many of ``primes`` the ladder runs on.
-
-    The shortest prefix whose product exceeds 4*entry, rounded up to
-    whole blocks of ``per_block`` primes: ``entry`` bounds the top
-    operand's entries and half of every other target's deviation bound
-    (:func:`_drive`), so that prefix determines all of them.  The whole
-    set if that leaves nothing to extend to, if the prefix is longer than ``most`` (the
-    extension would cost more than it saves), or if the base extension's
-    wrap sum would not be exact.
-    """
-    size, product = 0, 1
-    while size < len(primes) and product <= 4 * entry:
-        product *= primes[size]
-        size += 1
-    size = min(len(primes), -(-size // per_block) * per_block)
-    return size if size <= most and _extension_bits(primes, size) is not None else len(primes)
 
 
 def _inner(n, primes, size):
@@ -413,33 +408,6 @@ def _inner(n, primes, size):
     exactly.
     """
     return n if size == len(primes) else max(n, size + 1, 4)
-
-
-def _plan(n, bound, entry, per_block, most):
-    """(primes, size): the moduli for ``bound`` and the ladder's share of them.
-
-    The share determines every value ``entry`` bounds: the top operand's
-    entries and every smaller target's deviations (:func:`_ladder_size`).
-    The primes lie below the limit for the run's largest inner dimension
-    (:func:`_inner`), which the ladder's share sets in turn: starting from
-    n, the dimension rises to that share plus one until it holds.  It
-    only rises, and each rise shrinks the primes, so it settles: after
-    at most three rises for n from 3 to 8192 and k up to 24,472.  A
-    share that settles on the whole set extends nothing, so its inner
-    dimension is n again, and the set is sized anew below the limit for
-    n: fewer, wider primes.  The arguments after ``bound`` are as for
-    :func:`_ladder_size`.
-    """
-    inner = n
-    while True:
-        primes = _moduli(inner, bound)
-        size = _ladder_size(primes, entry, per_block, most)
-        if size == len(primes) and inner > n:
-            primes = _moduli(n, bound)
-            return primes, len(primes)
-        if _inner(n, primes, size) <= inner:
-            return primes, size
-        inner = _inner(n, primes, size)
 
 
 def _extension_bits(primes, size):
@@ -485,6 +453,67 @@ def _certify(n, bound, primes, entry, size):
         raise ArithmeticError(f"base extension from {size} moduli would not be exact")
 
 
+def _plan(n, bounds, indices, operands, top, formed, per_block):
+    """(primes, size, prefixes): every prime-sizing decision of one run.
+
+    ``bounds`` is the run's :func:`_bounds`; ``indices`` and ``operands``
+    hold each target's trace indices and sorted finish operands, ``top``
+    is the target with the largest operand, ``formed`` the number of
+    indices the ladder forms, and ``per_block`` the primes of one block.
+    The primes are those of :func:`_moduli` for the largest deviation
+    bound of any target, largest first.  prefixes[i] is target i's own
+    prefix of them, the fewest whose product exceeds twice its largest
+    deviation bound (:func:`_prefix`), so the prefixes are nested.
+
+    The ladder runs on primes[:size]: the fewest whose product exceeds
+    4*entry, rounded up to whole blocks, where ``entry`` bounds the top
+    operands' entries and half of every other target's deviation bound,
+    so every prefix but the top target's lies inside the share.  It runs
+    on the whole set instead if that leaves nothing to extend to, if the
+    base extension's wrap sum would not be exact (:func:`_extension_bits`),
+    or if the share is longer than ``most``, where extending would cost
+    more than it saves.  The primes lie below the limit for the run's
+    largest inner dimension (:func:`_inner`), which the share sets in
+    turn: starting from n, the dimension rises to that share plus one
+    until it holds.  It only rises, and each rise shrinks the primes, so
+    it settles: after at most three rises for n from 3 to 8192 and k up
+    to 24,472.  A share that settles on the whole set extends nothing, so
+    its inner dimension is n again, and the set is sized anew below the
+    limit for n: fewer, wider primes.  :func:`_certify` checks the plan.
+    """
+    deviations = [bounds(max(own))[1] for own in indices]
+    bound = max(deviations)
+    # the share determines the top operand's entries and, with a product
+    # above 4 ceil(B/2) >= 2 B, every other target's deviations within B
+    entry = max([bounds(operands[top][-1])[0]] +
+                [-(-b // 2) for i, b in enumerate(deviations) if i != top])
+    # the rule charges extending one prime from r 2 r n(n+1)/2 multiply-adds
+    # per operand: the one dgemm of the digits and the wrap count takes
+    # (r + 1) n(n+1)/2, and the elementwise passes around it cost about as
+    # much again; a laddered prime costs n**3 per index formed.  ``formed``
+    # also counts the indices the exact prefix forms once per run, not per
+    # prime.  That overcount is kept on purpose until ROADMAP item 6 fits a
+    # cost model: counting only the per-prime steps would run the
+    # benchmark's h20 (n = 20, q = 3) at 2^-11 on all 326 of its primes
+    # instead of 200 of 349, and g24 (n = 24, q = 2) at 2^-12 on all 422
+    # instead of 252 of 453, each within 6% of the time either way
+    most = formed * n**2 // ((n + 1) * len(operands[top]))
+    inner = n
+    while True:
+        primes = _moduli(inner, bound)
+        size = min(len(primes), -(-_prefix(primes, 2 * entry) // per_block) * per_block)
+        if size > most or _extension_bits(primes, size) is None:
+            size = len(primes)
+        if size == len(primes) and inner > n:
+            primes = _moduli(n, bound)
+            size = len(primes)
+        if _inner(n, primes, size) <= inner:
+            break
+        inner = _inner(n, primes, size)
+    _certify(n, bound, primes, entry, size)
+    return primes, size, [_prefix(primes, b) for b in deviations]
+
+
 def _squares(y):
     """sum(y**2), exactly, for a float64 array of integers of modulus below 2**53.
 
@@ -498,25 +527,6 @@ def _squares(y):
     hi, lo = v >> 26, v & (2**26 - 1)
     return sum(sum(np.einsum("ij,ij->i", x, z).tolist()) << shift
                for x, z, shift in ((hi, hi, 52), (hi, lo, 27), (lo, lo, 0)))
-
-
-def _power_above(u, f, t):
-    """An integer at least (u / 2**f)**t, for u >= 2**f.
-
-    Square and multiply on a mantissa of at most 64 bits, each cut
-    rounded up by less than 2**-63 of it; the later squarings raise the
-    cuts to powers that sum to below 2t, so the result exceeds the power
-    by a factor of at most exp(t 2**-62), plus the final rounding up.
-    """
-    m, e = 1, 0  # the value m 2**e
-    for bit in bin(t)[2:]:
-        m, e = m * m, 2 * e
-        if bit == "1":
-            m, e = m * u, e - f
-        cut = m.bit_length() - 64
-        if cut > 0:
-            m, e = (m >> cut) + 1, e + cut
-    return m << e if e >= 0 else -(-m >> -e)
 
 
 def _bounds(n, q, h, y):
@@ -538,8 +548,10 @@ def _bounds(n, q, h, y):
     below e(t) + 1 in modulus: at most e(t).  All in integers:
     q**(t/2) S**(t/2h) = (q**h S)**(t/2h) <= (u/2**24)**t, u the least
     integer with u**(2h) >= q**h S 2**(48h), which overshoots by a factor
-    below (1 + 2**-24)**t (:func:`_power_above` adds less).  For q = 1 the
-    first bound is already the least, 2.
+    below (1 + 2**-24)**t; the power's upper bound kept to 64 bits
+    (:func:`_power_bounds`) adds a factor below exp(t 2**-62), and the
+    final rounding up less than 1.  For q = 1 the first bound is already
+    the least, 2.
     """
     s = (q**h + 1) // n
     # sum(Y(h)**2) = sum(M(h)**2) - 2 s sum(M(h)) + s**2 n**2, and every
@@ -561,7 +573,10 @@ def _bounds(n, q, h, y):
         if u is not None:
             # ceil(q**(t/2)), then the cheaper of the two
             root = q ** (t // 2) if t % 2 == 0 else math.isqrt(e - 2) + 1
-            e = min(e, _power_above(u, f, t) + root)
+            _, power, shift = _power_bounds(u, t, 64)
+            shift -= f * t
+            power = power << shift if shift >= 0 else -(-power >> -shift)
+            e = min(e, power + root)
         return e, (n - 1) * e
 
     return bounds
@@ -898,20 +913,6 @@ def _finish(store, operands, finishes, primes, size, weights, triangles):
     return totals
 
 
-def _prefixes(primes, bounds):
-    """Per bound, the fewest leading primes whose product exceeds 2*bound.
-
-    The primes must suffice for the largest bound.
-    """
-    out, product, size = {}, 1, 0
-    for bound in sorted(set(bounds)):
-        while product <= 2 * bound:
-            product *= primes[size]
-            size += 1
-        out[bound] = size
-    return [out[bound] for bound in bounds]
-
-
 def _drive(graph, targets, counter, checked):
     """Run one ladder for every target; returns their traces, target by target.
 
@@ -935,21 +936,18 @@ def _drive(graph, targets, counter, checked):
     The bounds come from :func:`_bounds`, read off the highest exact
     matrix once the exact levels are formed: every entry of
     Y(t) = M(t) - s_t J is at most e(t), and the deviation
-    trace M(t) - q**t - 1 at most (n - 1) e(t).  The primes are those of
-    :func:`_moduli` for the top target's largest deviation bound, largest
-    first.  Each target's deviations are determined by its own prefix of
-    them, the fewest whose product exceeds twice its own largest bound,
-    so the prefixes are nested.  The ladder runs, block by block, on the
-    prefix of the primes that :func:`_ladder_size` picks for the top
-    operands' entries and every other target's deviations, so every
-    target but the top one is contracted in the blocks that hold its
-    prefix, and no block beyond them serves it.  So is the top one when
-    the ladder runs on every prime; otherwise its operands, as Y(t) and
-    only they, are stored, and the finish extends them to the other
-    primes and contracts the top's traces modulo all of them.  The known
-    part of each trace (see "Finish" above) and q**index + 1 come off
-    before one CRT per deviation, over its own prefix.  Each rebuilt
-    deviation must lie within its own bound.
+    trace M(t) - q**t - 1 at most (n - 1) e(t).  :func:`_plan` alone sizes
+    the primes from them, once: the list, largest first, the ladder's
+    share of it and each target's own prefix, the fewest primes whose
+    product exceeds twice its own largest bound.  The ladder runs, block
+    by block, on the share, so every target but the top one is contracted
+    in the blocks that hold its prefix, and no block beyond them serves
+    it.  So is the top one when the ladder runs on every prime; otherwise
+    its operands, as Y(t) and only they, are stored, and the finish
+    extends them to the other primes and contracts the top's traces
+    modulo all of them.  The known part of each trace (see "Finish"
+    above) and q**index + 1 come off before one CRT per deviation, over
+    its own prefix.  Each rebuilt deviation must lie within its own bound.
 
     A run is refused with ArithmeticError in one of two places.  If even
     all primes below the limit for n could not determine the least
@@ -957,12 +955,13 @@ def _drive(graph, targets, counter, checked):
     before it forms any power of q or any exact level.  Otherwise it forms
     its exact levels, which the bounds read, and is refused before any
     prime block climbs if the planned primes could not make every step
-    exact or could not determine every deviation and operand entry (see
-    :func:`_certify`).  Products are counted on ``counter`` here alone, once
-    per formed index, however many prime blocks form it, and once per
-    finish; a shift's steps are additions and count nothing.  With
-    ``checked``, every matrix the run forms, reduces from an exact
-    level, shifts, extends or traces is compared with one sweep's.
+    exact or could not determine every deviation and operand entry
+    (:func:`_plan` calls :func:`_certify`).  Products are counted on
+    ``counter`` here alone, once per formed index, however many prime
+    blocks form it, and once per finish; a shift's steps are additions
+    and count nothing.  With ``checked``, every matrix the run forms,
+    reduces from an exact level, shifts, extends or traces is compared
+    with one sweep's.
     """
     q, n = graph.q, graph.n
     indices = [[x + y for x, y in finishes] for finishes in targets]
@@ -971,7 +970,8 @@ def _drive(graph, targets, counter, checked):
     # at most q**(k/2), below half any deviation bound (_bounds); and no
     # run's limit is above the one for inner dimension n
     if k * (q.bit_length() - 1) >= 4 * (_prime_limit(n) + 1):
-        raise ArithmeticError(f"moduli do not determine a trace bounded by {n} * ({q}**{k} + 1)")
+        raise ArithmeticError("moduli do not determine a trace whose deviation is bounded by "
+                              f"2 * ({n} - 1) * {q}**({k}/2)")
     operands = [sorted({t for finish in finishes for t in finish}) for finishes in targets]
     top = max(range(len(targets)), key=lambda i: operands[i][-1])
     levels = _levels(operands[top])
@@ -1012,20 +1012,7 @@ def _drive(graph, targets, counter, checked):
             kept[i] = cur[:filled, 0].copy()
     # the primes are sized from the highest exact matrix, the climb's last
     bounds = _bounds(n, q, lo + filled - 1, cur[filled - 1, 0])
-    bound = bounds(k)[1]
-    # the ladder's primes determine the top operand's entries and, with a
-    # product above 4 ceil(B/2) >= 2 B, every other target's deviations within B
-    entry = max([bounds(operands[top][-1])[0]] +
-                [-(-bounds(max(own))[1] // 2) for i, own in enumerate(indices) if i != top])
-    # the rule charges extending one prime from r 2 r n(n+1)/2 multiply-adds
-    # per operand: the one dgemm of the digits and the wrap count takes
-    # (r + 1) n(n+1)/2, and the elementwise passes around it cost about as
-    # much again; the ladder spends n**3 per prime and index it forms, so
-    # extend only when that saves work
-    most = len(built) * n**2 // ((n + 1) * len(operands[top]))
-    primes, size = _plan(n, bound, entry, per_block, most)
-    _certify(n, bound, primes, entry, size)
-    prefixes = _prefixes(primes, [bounds(max(own))[1] for own in indices])
+    primes, size, prefixes = _plan(n, bounds, indices, operands, top, len(built), per_block)
     # only the top target's prefix can pass the ladder's primes
     stored = operands[top] if size < len(primes) else []
     store = np.zeros((size, len(stored), width), dtype=np.int32)

@@ -443,7 +443,8 @@ def test_hopeless_index_is_refused_at_once(capsys, argv, index):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - started < 0.5
     assert code == 1 and out == ""
-    assert err == f"error: moduli do not determine a trace bounded by 10 * (2**{index} + 1)\n"
+    assert err == ("error: moduli do not determine a trace whose deviation is bounded by "
+                   f"2 * (10 - 1) * 2**({index}/2)\n")
 
 
 @pytest.mark.parametrize("epsilon", [

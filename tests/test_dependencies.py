@@ -60,6 +60,19 @@ def test_the_ladder_forms_indices_in_one_loop_and_counts_in_one_place():
     assert bump == {"_drive"}, bump
 
 
+def test_one_plan_sizes_the_primes():
+    # _plan alone picks and certifies the primes, and _drive alone plans
+    tree = ast.parse((ROOT / "src" / "specgap" / "ladder.py").read_text(encoding="utf-8"))
+
+    def callers(name):
+        return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name}
+
+    assert callers("_moduli") == callers("_certify") == {"_plan"}
+    assert callers("_plan") == {"_drive"}
+
+
 def test_the_level_loop_writes_every_product_into_a_buffer():
     # a fresh (P, n, n) product costs page faults at every level; the level
     # loop and every function of ladder.py it reaches write theirs with out=

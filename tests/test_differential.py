@@ -24,11 +24,11 @@ from hypothesis import strategies as st
 import specgap as sg
 from specgap import ladder
 from specgap.estimator import EstimateReport, _decide, required_even_index
-from specgap.exact import MultCounter
+from specgap.exact import MultCounter, _power_bounds
 from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
     LadderInvariantError, _certify, _crt, _crt_basis, _extender, _extension_bits, _inner,
-    _ladder_size, _levels, _moduli, _plan, _prime_limit, _primes_between, _reduce, _references,
+    _levels, _moduli, _plan, _prefix, _prime_limit, _primes_between, _reduce, _references,
     _run_ladder, _run_ladder_pair, _run_ladder_pairs, _scalar, _sweep, chebyshev_sweep,
     expansion_slacks,
 )
@@ -201,6 +201,57 @@ def _under_limit(m, p):
     return m * (p + 4) ** 2 + 4 * p < 2**55
 
 
+# so many formed indices that the cost rule never keeps a share from extending
+UNCAPPED = 10**9
+
+
+def _trivial_bounds(n, q):
+    """Bounds as _bounds gives them, sized by the trivial eigenvalue q**t + 1."""
+    return lambda t: (q**t + 1, n * (q**t + 1))
+
+
+def _single_plan(n, q, k, finish, per_block, formed=UNCAPPED):
+    """_plan for one target of index k with one finish, sized by q**t + 1."""
+    return _plan(n, _trivial_bounds(n, q), [[k]], [sorted(set(finish))], 0, formed, per_block)
+
+
+def test_a_product_equal_to_twice_the_bound_is_not_enough():
+    assert _prefix([3, 2, 5, 7], 3) == 3  # 3 * 2 = 2 * 3
+    assert _prefix([3, 2, 5, 7], 2) == 2 and _prefix([3, 2, 5, 7], 0) == 0
+    primes = _moduli(20, 2**100)
+    for size in range(1, len(primes)):
+        product = math.prod(primes[:size])
+        assert _prefix(primes, Fraction(product, 2)) == size + 1
+        assert _prefix(primes, Fraction(product - 1, 2)) == size
+
+
+def test_when_no_prefix_suffices_every_prime_is_returned_and_refused(monkeypatch):
+    monkeypatch.setattr(ladder, "_prime_limit", lambda m: 50)
+    below = _naive_primes(2, 51)[::-1]
+    bound = math.prod(below)
+    assert _prefix(below, bound) == len(below)
+    primes = _moduli(10, bound)
+    assert primes == below
+    with pytest.raises(ArithmeticError, match="moduli do not determine a trace"):
+        _certify(10, bound, primes, 1, len(primes))
+
+
+def test_a_bound_met_at_a_windows_last_prime_matches_a_wider_window(monkeypatch):
+    monkeypatch.setattr(ladder, "_WINDOW", 200)
+    top = _prime_limit(20) + 1
+    window = _primes_between(top - 200, top).tolist()[::-1]
+    # only the window's last prime lifts the product above twice the bound
+    bound = (math.prod(window[:-1]) + 1) // 2
+    assert _prefix(window, bound) == len(window)
+    narrow = _moduli(20, bound)
+    monkeypatch.setattr(ladder, "_WINDOW", 2**16)
+    assert narrow == _moduli(20, bound) == window
+    # one prime further needs the wider window, which both reach
+    monkeypatch.setattr(ladder, "_WINDOW", 200)
+    deeper = _moduli(20, (math.prod(window) + 1) // 2)
+    assert len(deeper) == len(window) + 1 and deeper[:-1] == window
+
+
 @pytest.mark.parametrize("n", [3, 20, 150, 2048, 4096])
 def test_moduli_are_exact_and_determine_the_trace(n):
     for q in (1, 2, 3, 7):
@@ -208,7 +259,8 @@ def test_moduli_are_exact_and_determine_the_trace(n):
             bound = n * (q**k + 1)
             entry = q ** ((k + 1) // 2) + 1
             for per_block in (1, max(1, 2**14 // n**2)):
-                primes, size = _plan(n, bound, entry, per_block, math.inf)
+                primes, size, [prefix] = _single_plan(n, q, k, ((k + 1) // 2, k // 2), per_block)
+                assert prefix == len(primes)
                 assert primes == sorted(set(primes), reverse=True)
                 # every accumulation of a step and of a contraction row (inner
                 # dimension n) and of the extension's dgemm (r + 1 rows) is an
@@ -250,9 +302,9 @@ def test_the_prime_limit_reaches_a_fixed_point_under_both_bounds(monkeypatch):
     rises = set()
     for n, q, k in cases:
         calls.clear()
-        bound, entry = n * (q ** (k + 2) + 1), q ** (k // 2 + 1) + 1
         per_block = max(1, 2**14 // n**2)
-        primes, size = _plan(n, bound, entry, per_block, math.inf)
+        primes, size, _ = _plan(n, _trivial_bounds(n, q), [[k, k + 2]], [[k // 2, k // 2 + 1]], 0,
+                                UNCAPPED, per_block)
         # every prime is under the ladder's bound and, when it extends from
         # r primes, under the extension's (r + 1) and its digits' (4) too
         assert all(_under_limit(n, p) for p in primes), (n, q, k)
@@ -345,13 +397,20 @@ def test_a_modulus_set_one_prime_short_raises(monkeypatch):
         _run_ladder(g, 131, MultCounter())
     monkeypatch.setattr(ladder, "_moduli", honest)
     # a ladder prefix one prime short of the operands' entries is refused
-
-    def short(primes, entry, per_block, most):
-        return next(i for i in range(len(primes)) if math.prod(primes[:i + 1]) > 4 * entry)
-
-    monkeypatch.setattr(ladder, "_ladder_size", short)
+    monkeypatch.setattr(ladder, "_certify", _short_share(ladder._certify, []))
     with pytest.raises(ArithmeticError, match="ladder moduli do not determine entries"):
         _run_ladder(g, 131, MultCounter())
+
+
+def _short_share(honest, shorts):
+    """_certify, handed a ladder share one prime short of the fewest primes
+    above 4*entry; records (primes, share) on ``shorts``."""
+
+    def certify(n, bound, primes, entry, size):
+        shorts.append((primes, _prefix(primes, 2 * entry) - 1))
+        return honest(n, bound, primes, entry, shorts[-1][1])
+
+    return certify
 
 
 @st.composite
@@ -643,6 +702,20 @@ def test_each_trace_is_rebuilt_from_its_own_prefix(monkeypatch):
         assert len(rows[-1]) == len(primes), g.source
 
 
+def test_each_targets_prefix_is_the_fewest_primes_above_twice_its_bound(monkeypatch):
+    # the plan's prefixes, one per eps of the table, read by the one
+    # prefix rule off the one list of primes
+    plans = _plans(monkeypatch)
+    for g in _table_graphs():
+        plans.clear()
+        sg.estimate_expansions(g, TABLE)
+        [((_, bounds, indices, *_), (primes, _, prefixes))] = plans
+        assert len(prefixes) == len(indices) == len(TABLE), g.source
+        for own, prefix in zip(indices, prefixes):
+            bound = bounds(max(own))[1]
+            assert math.prod(primes[:prefix]) > 2 * bound >= math.prod(primes[:prefix - 1]), g.source
+
+
 def test_checked_mode_covers_the_shifted_operands(monkeypatch):
     # petersen's table: k = 10 reads M(5), M(6) two steps above the exact
     # level M(3), M(4), k = 1792 reads the level M(896), M(897) itself, and
@@ -664,7 +737,7 @@ def test_checked_mode_covers_the_shifted_operands(monkeypatch):
     truth = _run_ladder_pairs(g, ks, MultCounter(), checked=True)
     # each smaller k's shifted operands, the ones no level holds, are
     # compared modulo every prime of its prefix, once
-    [(primes, _)], [bounds] = plans, runs
+    [(primes, _, _)], [bounds] = plans, runs
     formed = set(sg.ladder_indices(ks[-1] + 1))
     shifted = 0
     for k in ks[:-1]:
@@ -709,9 +782,9 @@ def test_only_the_top_targets_operands_are_stored(monkeypatch):
         return honest(store, operands, *args)
 
     def plan(*args):
-        primes, size = honest_plan(*args)
+        primes, size, prefixes = honest_plan(*args)
         plans.append((len(primes), size))
-        return primes, size
+        return primes, size, prefixes
 
     monkeypatch.setattr(ladder, "_finish", spy)
     monkeypatch.setattr(ladder, "_plan", plan)
@@ -732,15 +805,11 @@ def _ladder_plans(monkeypatch, g, ks):
     prefixes holds each target's prefix, the top target's last.
     """
     plans = []
-    honest_plan, honest_prefixes, honest_drive = ladder._plan, ladder._prefixes, ladder._drive
+    honest_plan, honest_drive = ladder._plan, ladder._drive
 
     def plan(*args):
-        primes, size = honest_plan(*args)
-        plans.append(size)
-        return primes, size
-
-    def prefixes(primes, bounds):
-        plans[-1] = plans[-1], honest_prefixes(primes, bounds)
+        _, size, prefixes = honest_plan(*args)
+        plans.append((size, prefixes))
         raise _Planned
 
     def drive(graph, targets, counter, checked):
@@ -749,7 +818,6 @@ def _ladder_plans(monkeypatch, g, ks):
         return [[0, 0] for _ in targets]
 
     monkeypatch.setattr(ladder, "_plan", plan)
-    monkeypatch.setattr(ladder, "_prefixes", prefixes)
     monkeypatch.setattr(ladder, "_drive", drive)
     _run_ladder_pairs(g, ks, MultCounter())
     monkeypatch.undo()
@@ -773,8 +841,8 @@ def test_every_smaller_targets_prefix_lies_inside_the_ladders_primes(monkeypatch
 
 def test_a_ladder_share_one_prime_short_of_a_smaller_target_raises(monkeypatch):
     # the table of a q = 3, n = 20 graph: a share one prime short of the
-    # prefix of k = 2200, 87 of 174 primes, still determines the top
-    # operands' entries, at most e(2199) (_bounds), yet the run is refused
+    # prefix of k = 2200, 88 of the plan's 176 primes, still determines the
+    # top operands' entries, at most e(2199) (_bounds), yet _certify refuses it
     # (at n = 21 the top operands need as many primes as k = 2228 does).
     # The plan reads its bounds off the exact prefix, so the run has formed
     # its exact levels, but it climbs no prime block and forms no product
@@ -785,11 +853,6 @@ def test_a_ladder_share_one_prime_short_of_a_smaller_target_raises(monkeypatch):
     shorts, exact = [], []
     honest_climb = ladder._climb
 
-    def short(primes, entry, per_block, most):
-        shorts.append((primes, next(i for i in range(len(primes))
-                                    if math.prod(primes[:i + 1]) > 4 * entry)))
-        return shorts[-1][1]
-
     def climb(*args):
         arguments = inspect.signature(honest_climb).bind(*args).arguments
         if arguments["primes"] is not None:
@@ -797,15 +860,15 @@ def test_a_ladder_share_one_prime_short_of_a_smaller_target_raises(monkeypatch):
         exact.append(len(arguments["levels"]))
         return honest_climb(*args)
 
-    monkeypatch.setattr(ladder, "_ladder_size", short)
+    monkeypatch.setattr(ladder, "_certify", _short_share(ladder._certify, shorts))
     monkeypatch.setattr(ladder, "_climb", climb)
     runs = _spy_bounds(monkeypatch)
     with pytest.raises(ArithmeticError, match="ladder moduli do not determine"):
         _run_ladder_pairs(g, ks, MultCounter())
     assert exact and exact[0] > 0
-    # the plan's last share is the one refused
-    primes, size = shorts[-1]
-    assert (len(primes), size) == (174, 87)
+    # _certify saw the one plan, and refused its share cut one prime short
+    [(primes, size)] = shorts
+    assert (len(primes), size) == (176, 88)
     assert math.prod(primes[:size]) > 4 * runs[-1](2199)[0]
 
 
@@ -814,9 +877,8 @@ def test_a_ladder_share_one_prime_short_of_a_smaller_target_raises(monkeypatch):
 
 def _extension_case(n, q, t):
     """Primes for traces of index 2t at order n, and the ladder's prefix for entries of index t."""
-    entry = q**t + 1
-    primes, size = _plan(n, n * (q ** (2 * t) + 1), entry, 1, math.inf)
-    return primes, size, entry
+    primes, size, _ = _single_plan(n, q, 2 * t, (t, t), 1)
+    return primes, size, q**t + 1
 
 
 def _extend(primes, size, values):
@@ -1343,13 +1405,15 @@ def test_squares_and_powers_are_exact_upper_bounds():
         v * v for row in np.array(values).reshape(-1, 7)[:, :5].tolist() for v in row)
     for u, f, t in [(2**24, 24, 5), (3 * 2**23, 24, 1), (3 * 2**23, 24, 1001), (2**24 + 1, 24, 10**5),
                     (12345678901, 24, 777)]:
-        got = ladder._power_above(u, f, t)
+        # the power _bounds rounds up: (u / 2**f)**t, bracketed to 64 bits
+        lo, hi, shift = _power_bounds(u, t, 64)
         exact = Fraction(u, 2**f) ** t
-        assert exact <= got < exact * (1 + Fraction(t, 2**61)) + 1, (u, t)
+        below, above = (Fraction(x << shift, 2 ** (f * t)) for x in (lo, hi))
+        assert below <= exact <= above < exact * (1 + Fraction(t, 2**61)), (u, t)
 
 
 def _plans(monkeypatch):
-    """((arguments, (primes, size)) of each _plan call, as runs make them."""
+    """(arguments, (primes, size, prefixes)) of each _plan call, as runs make them."""
     honest, plans = ladder._plan, []
 
     def spy(*args):
@@ -1386,8 +1450,9 @@ def test_the_plan_never_takes_more_primes_than_the_trace_bound(monkeypatch, pref
         # (the largest index, the top operand) of the single run at 2 and the pairs
         runs = [(2, 1)] + [(k + 2, k // 2 + 1) for k in (2, 10, 40, 60, 100, 120)]
         assert len(plans) == len(runs), g.source
-        for (index, top), ((_, _, _, per_block, most), (primes, size)) in zip(runs, plans):
-            old, old_size = _plan(n, n * (q**index + 1), q**top + 1, per_block, most)
+        for (index, top), ((_, _, indices, operands, *rest), (primes, size, _)) in zip(runs, plans):
+            assert max(map(max, indices)) == index and operands[0][-1] == top
+            old, old_size, _ = _plan(n, _trivial_bounds(n, q), indices, operands, *rest)
             assert len(primes) <= len(old) and size <= old_size, (g.source, index, prefix)
 
 
@@ -1401,10 +1466,15 @@ def test_a_whole_set_plan_runs_on_primes_below_the_limit_for_n():
     k11, k12 = (required_even_index(n, eps) for eps in ("2^-11", "2^-12"))
     bound = n * (q ** (k12 + 2) + 1)
     entry = max(q ** (k12 // 2 + 1) + 1, -(-n * (q ** (k11 + 2) + 1) // 2))
-    primes, size = _plan(n, bound, entry, 4, 769)
-    assert size == len(primes) == 1432
+    indices = [[k11, k11 + 2], [k12, k12 + 2]]
+    operands = [[k11 // 2, k11 // 2 + 1], [k12 // 2, k12 // 2 + 1]]
+    # the levels up to M(k12/2 + 1) form every entry of its schedule but k12 + 1 and 1
+    formed = len(sg.ladder_indices(k12 + 1)) - 2
+    assert formed * n**2 // ((n + 1) * 2) == 769
+    primes, size, prefixes = _plan(n, _trivial_bounds(n, q), indices, operands, 1, formed, 4)
+    assert size == len(primes) == prefixes[1] == 1432
     assert primes == _moduli(n, bound) and max(primes) <= _prime_limit(n)
     _certify(n, bound, primes, entry, size)
     # with no cost rule the ladder extends, at a raised inner dimension
-    primes, size = _plan(n, bound, entry, 4, math.inf)
+    primes, size, _ = _plan(n, _trivial_bounds(n, q), indices, operands, 1, UNCAPPED, 4)
     assert size < len(primes) and primes == _moduli(_inner(n, primes, size), bound) != _moduli(n, bound)

@@ -276,7 +276,8 @@ def test_hopeless_indices_are_refused_before_any_power(monkeypatch):
     calls.clear()
     climbs.clear()
     started = time.perf_counter()
-    with pytest.raises(ArithmeticError, match=r"bounded by 10 \* \(2\*\*240095956 \+ 1\)"):
+    least = r"2 \* \(10 - 1\) \* 2\*\*\(240095956/2\)$"  # 2 (n - 1) q**(k/2)
+    with pytest.raises(ArithmeticError, match="deviation is bounded by " + least):
         _run_ladder(g, 240_095_956, MultCounter())
     assert time.perf_counter() - started < 0.5 and calls == climbs == []
 
@@ -472,7 +473,8 @@ def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
     g = sg.named_graph("utility")
     monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
     primes = _moduli(g.n, g.n * (g.q**62 + 1))
-    size = ladder._ladder_size(primes, g.q**31 + 1, 1, len(primes))
+    # the fewest primes above 4 e(31), the ladder's share on blocks of one prime
+    size = ladder._prefix(primes, 2 * (g.q**31 + 1))
     assert 0 < size < len(primes)
     honest = ladder._extender
 
