@@ -34,8 +34,8 @@ len(ladder_indices(k + 1)) products.  Several such pairs, one per eps of
 a table, share one ladder: it climbs to the largest k's half pair, and
 every smaller k reads its own pair off that ladder's levels (see
 Levels).  Such a run counts each formed index once and each finish
-once; the steps that take a level's pair up to a smaller k's are
-additions, not products, and count nothing.
+once; the three-term steps that take a level's pair up to a smaller
+k's count nothing (see Levels).
 
 The ladder forms its leading indices exactly, once, and the rest on
 residues modulo word-size primes; the Chinese remainder theorem rebuilds
@@ -97,15 +97,25 @@ A run serves one or more targets, each a set of finishes on M(j) and
 M(j+1) (or M(j) alone).  The levels climb to the top target's operands,
 the largest; every other target attaches to the highest level that holds
 a pair M(a), M(a+1) with a <= j, and :func:`_shift` takes that pair
-j - a steps up by the three-term recurrence M(t+1) = A M(t) - q M(t-1),
-each a sum of q+1 neighbour rows on residues, O(q n**2) additions per
-prime and no product.  A pair on an exact level is kept once, as exact
-matrices, and reduced modulo each block's primes.  For the table's eps =
-2^-1 .. 2^-10, whose indices about double from one to the next, j - a
-is 0 to 4 at every n measured (4 to 199 and up to 5000).  A pair of
-ks closer together could sit hundreds of steps above every level, so
-a k shares a ladder only while j - a is below the products a ladder of
-its own would count (:func:`_run_ladder_pairs`).
+j - a steps up by the three-term recurrence M(t+1) = A M(t) - q M(t-1).
+Each step is one product of A with the block's whole stack of residues,
+a dgemm per prime, and one reduction.  It is not counted: A is a 0/1
+matrix with q+1 ones per row, so the step is O(q n**2) work in
+principle, however it is computed, and the count stays that of the
+ladder's own products, which the schedule fixes.  Below about n = 150
+one BLAS call is cheaper than summing q+1 gathered neighbour rows, each
+pass a loop over short rows: on one Xeon core with one BLAS thread, a
+block's product took 15-26 us against 48-94 us for the gathers at
+n = 10 to 60, but 114 against 45 us at n = 150, where no shift of the
+benchmark runs.  A pair on an exact level is kept once, as exact
+matrices, and reduced modulo each block's primes.  For the table's
+eps = 2^-1 .. 2^-10, whose indices about double from one to the next,
+j - a is 0 to 4 at every n measured (4 to 199 and up to 5000).  A pair
+of ks closer together could sit hundreds of steps above every level,
+so a k shares a ladder only while j - a is below the products a ladder
+of its own would count (:func:`_run_ladder_pairs`): the rule charges a
+step as one product, so a shared k never costs more products than its
+own ladder.
 
 Primes.  One function, :func:`_plan`, makes every prime-sizing decision
 of a run, once its exact prefix is formed, since e(t) reads it; the run
@@ -152,7 +162,11 @@ leaves |r| <= (p+3)/2, so every value a step accumulates is an integer
 of modulus at most n ((p+3)/2)**2 + p, and the prime limit keeps that
 and the reduction's own products within 2**53, where float64 arithmetic
 on integers is exact.  A block's stacks start as the exact matrices
-reduced modulo its primes.  The run keeps one table of the steps'
+reduced modulo its primes.  Each block builds p and 1/p once
+(:func:`_constants`), at its stacks' full (b, n, n) shape when it holds
+b > 1 primes, so that each elementwise pass is one contiguous loop, and
+as one broadcast scalar when it holds one; every reduction in the block
+reads views of them.  The run keeps one table of the steps'
 scalars (:func:`_scalar`), and each block reduces it modulo its own
 primes into one array, a row per step.  The primes run in
 blocks of 2**14 // n**2 (at least one), so one stack holds at most 2**14
@@ -215,7 +229,15 @@ LadderInvariantError.
 Consumers that want every k in 1..K use one sweep of the three-term
 recurrence M(j+1) = A M(j) - q M(j-1) instead (:func:`chebyshev_sweep`).
 A has q+1 nonzeros per row, so each step is a sum of neighbour rows,
-O(q n^2) additions, and no product at all.
+O(q n^2) additions, and no product at all.  The sweep runs only to half
+the index: with x = ceil(k/2) and y = floor(k/2),
+trace M(k) = trace(M(x) M(y)) - q**y trace M(x - y), one dot of two swept
+matrices, O(n^2), so each step serves two indices.  The swept matrices
+leave int64 where their entries near 2**62 / (2q + 1), at an index of
+about 65 for q = 2, so the traces stay on int64 matrices to about
+twice that index; the dot itself runs on int64 while
+n (q**x + 1)(q**y + 1) < 2**63 (k up to 56 for q = 2 and n = 120), on
+Python ints past it.
 
 The same traces yield the exact slack of the deviation bound
 |count - expected| <= 2(n-1) * q**(k/2): nonnegative slack for every
@@ -228,7 +250,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -307,16 +329,46 @@ def _exact_trace(m):
 
 
 def chebyshev_sweep(graph):
-    """Lazy traces of M(1), M(2), M(3), ... from one three-term sweep.
+    """Lazy traces of M(1), M(2), M(3), ... from one three-term sweep to half the index.
 
-    trace(M(k)) for every k in 1..K costs O(K q n^2) additions this way,
-    against O(K log K) matrix products for one ladder per k.  The values
-    are identical to the ladder's.
+    With x = ceil(k/2) and y = floor(k/2), trace M(k) = trace(M(x) M(y))
+    - q**y trace M(x - y), where trace M(0) = 2n and trace M(1) = 0 (a
+    validated graph has no loops), and trace(M(x) M(y)) = sum(M(x) * M(y)),
+    M(y) being symmetric.  So the sweep forms M(j) only up to j = x, and
+    reading k traces pulls at most ceil(k/2) + 1 of its matrices.  Every
+    partial sum of the dot is at most n (q**x + 1)(q**y + 1) (see "Exact
+    prefix" above, summed over the n rows), so it runs on int64 while that
+    is below 2**63, where both matrices are still int64, and on Python
+    ints past it.  trace(M(k)) for every k in 1..K costs O(K q n^2)
+    additions and multiplications this way, against O(K log K) matrix
+    products for one ladder per k.  The values are identical to the
+    ladder's.
     """
     if not isinstance(graph, RegularGraph):
         raise TypeError("expected a validated RegularGraph")
-    for m in islice(_sweep(graph.adjacency, graph.q), 1, None):
-        yield _exact_trace(m)
+    n, q = graph.n, graph.q
+    sweep = _sweep(graph.adjacency, q)
+    below, power = next(sweep), 1  # M(y) and q**y, from y = 0
+    for here in sweep:  # M(y + 1)
+        # trace M(2y+1) = trace(M(y+1) M(y)), then
+        # trace M(2y+2) = trace(M(y+1)**2) - 2 n q**(y+1)
+        yield _dot(here, below, n * (q * power + 1) * (power + 1))
+        power *= q
+        yield _dot(here, here, n * (power + 1) ** 2) - 2 * n * power
+        below = here
+
+
+def _dot(x, y, bound):
+    """sum(x * y), exactly, for symmetric matrices whose every partial sum is at most ``bound``.
+
+    On int64 while ``bound`` is below 2**63; past it on Python ints, with
+    the diagonal once and the entries above it twice, half the products.
+    """
+    if bound < 2**63:
+        return int(np.einsum("ij,ij->", x, y))
+    above = np.triu_indices(len(x), 1)
+    diagonal = np.dot(x.diagonal().astype(object), y.diagonal().astype(object))
+    return int(diagonal + 2 * np.dot(x[above].astype(object), y[above].astype(object)))
 
 
 class LadderInvariantError(AssertionError):
@@ -810,7 +862,7 @@ def _exact_levels(levels, q):
     return exact, rest
 
 
-def _climb(cur, nxt, levels, edges, scalars, primes, references):
+def _climb(cur, nxt, levels, edges, scalars, primes, constants, references):
     """Form each of ``levels`` in turn, yielding (lo, width, cur, nxt) after each.
 
     cur and nxt are (2, P, n, n) buffers of two slots, each a stack of
@@ -821,14 +873,12 @@ def _climb(cur, nxt, levels, edges, scalars, primes, references):
     steps into nxt (:func:`_step`, with the step's scalar, scalars[t],
     exact or reduced modulo each of ``primes``).  Exact, nxt becomes cur;
     on residues, one call reduces every slot of nxt into cur, whose level
-    is dead by then.  Either way the yielded cur holds the level, in
+    is dead by then, with the block's ``constants`` (:func:`_constants`;
+    None when exact).  Either way the yielded cur holds the level, in
     slots 0 to width - 1, until the next level is formed.  Every slot of
     every level is compared with ``references`` (index -> the sweep's
     matrix) when given.
     """
-    if primes is not None:
-        p = np.array(primes, dtype=np.float64)[:, None, None]
-        inv = 1.0 / p
     # one row per step: its scalar, exact (below 2**53 by the exact rule)
     # or modulo each prime
     rows = iter(np.array([[scalars[t] % m for m in primes] if primes else [scalars[t]]
@@ -839,32 +889,53 @@ def _climb(cur, nxt, levels, edges, scalars, primes, references):
         if primes is None:
             cur, nxt = nxt, cur
         else:
-            _reduce(nxt[:width], p, inv, cur[:width])
+            _reduce(nxt[:width], *constants, cur[:width])
         if references is not None:
             for slot in range(width):
                 _check_state(lo + slot, cur[slot], references[lo + slot], primes)
         yield lo, width, cur, nxt
 
 
-def _shift(pair, steps, neighbours, q, p, inv, out, raw):
+def _constants(block, n):
+    """(p, 1/p) for a block of primes, to broadcast against its stacks of n x n residues.
+
+    A block of b > 1 primes builds them once at the stacks' (b, n, n)
+    shape, so that every elementwise pass of a reduction runs as one
+    contiguous loop, not as one short loop per row of n entries.  A
+    one-prime block keeps the (1, 1, 1) scalar, which numpy broadcasts
+    faster than it reads a second full array (on one Xeon core, a
+    reduction of a block's stacks took 19-22 us against 30-34 us at
+    n = 10 to 60, and 13.4 against 12.0 us at n = 100, one prime).  Every
+    reduction in the block reads views of these two arrays: [:count] for
+    its first count primes, and .reshape(count, -1)[:, :m] for rows of m
+    entries.
+    """
+    p = np.array(block, dtype=np.float64)[:, None, None]
+    if len(block) > 1:
+        p = np.repeat(p, n * n).reshape(len(block), n, n)
+    return p, 1.0 / p
+
+
+def _shift(pair, steps, a, q, p, inv, out, raw):
     """(M(a + steps), M(a + steps + 1)) from pair = (M(a), M(a + 1)), on residues.
 
     Each step is the three-term recurrence M(t+1) = A M(t) - q M(t-1),
-    with A M(t) summed from the q+1 neighbour rows of each row
-    (``neighbours`` as in :func:`_sweep`): O(q n**2) additions per prime
-    and no product.  The stacks hold residues of modulus at most (p+3)/2
-    (:func:`_reduce`, ``p`` and ``inv`` as there), so the sum stays within
-    (2q + 1)(p+3)/2, and one reduction per step writes it into out[0] and
-    out[1] in turn; ``out`` may be ``pair`` itself, since M(t-1) is dead
-    once the sum is formed.  ``raw`` is a spare buffer of one stack's shape.
+    with A M(t) one product of the float64 adjacency ``a`` with the whole
+    stack, a dgemm per prime that is not counted (see "Levels" above for
+    why, and for where it beats summing neighbour rows).  The stacks hold
+    residues of modulus at most (p+3)/2 (:func:`_reduce`, ``p`` and
+    ``inv`` as there) and A has q+1 ones per row, so every value stays
+    within (2q + 1)(p+3)/2, an exact integer.  q M(t-1) is formed in the slot that M(t+1) then
+    takes, out[0] and out[1] in turn, and one reduction per step writes
+    M(t+1) there; ``out`` may be ``pair`` itself, since M(t-1) is dead
+    once scaled.  ``raw`` is a spare buffer of one stack's shape.
     """
     below, here = pair
     for step in range(steps):
-        np.take(here, neighbours[0], axis=1, out=raw)
-        for rows in neighbours[1:]:
-            raw += here[:, rows]
-        raw -= q * below
-        below, here = here, _reduce(raw, p, inv, out[step % 2])
+        scaled = np.multiply(below, q, out=out[step % 2])
+        np.matmul(a, here, out=raw)
+        raw -= scaled
+        below, here = here, _reduce(raw, p, inv, scaled)
     return below, here
 
 
@@ -945,9 +1016,16 @@ def _drive(graph, targets, counter, checked):
     it.  So is the top one when the ladder runs on every prime; otherwise
     its operands, as Y(t) and only they, are stored, and the finish
     extends them to the other primes and contracts the top's traces
-    modulo all of them.  The known part of each trace (see "Finish"
-    above) and q**index + 1 come off before one CRT per deviation, over
-    its own prefix.  Each rebuilt deviation must lie within its own bound.
+    modulo all of them.  Each prime block builds its constants once
+    (:func:`_constants`), and its climb, its start, its shifts and its
+    triangles and contractions all read views of them.  The known part of
+    each trace (see "Finish" above) and q**index + 1 come off modulo each
+    prime of the target's own prefix, from int64 residues alone: s_t is
+    reduced once per prime of the largest prefix that reads t, and
+    q**t = n s_t + ((q**t + 1) mod n) - 1 gives every power of q, so no
+    other big integer is reduced prime by prime.  One CRT per deviation
+    follows, over its own prefix.  Each rebuilt deviation must lie within
+    its own bound.
 
     A run is refused with ArithmeticError in one of two places.  If even
     all primes below the limit for n could not determine the least
@@ -958,10 +1036,10 @@ def _drive(graph, targets, counter, checked):
     exact or could not determine every deviation and operand entry
     (:func:`_plan` calls :func:`_certify`).  Products are counted on
     ``counter`` here alone, once per formed index, however many prime
-    blocks form it, and once per finish; a shift's steps are additions
-    and count nothing.  With ``checked``, every matrix the run forms,
-    reduces from an exact level, shifts, extends or traces is compared
-    with one sweep's.
+    blocks form it, and once per finish; a shift's steps, one product
+    with A each, count nothing (see "Levels" above).  With ``checked``,
+    every matrix the run forms, reduces from an exact level, shifts,
+    extends or traces is compared with one sweep's.
     """
     q, n = graph.q, graph.n
     indices = [[x + y for x, y in finishes] for finishes in targets]
@@ -991,8 +1069,6 @@ def _drive(graph, targets, counter, checked):
     weights = np.full(width // n, 2.0)
     weights[0] = 1.0
     edges = np.flatnonzero(a)
-    # neighbours[c, u] is the c-th neighbour of row u, as in _sweep
-    neighbours = (edges % n).reshape(n, q + 1).T
     wanted = [1, *built, *(t for own in indices for t in own)]
     for (lo, _), ops in zip(bases, operands):
         wanted += range(lo, ops[0] + len(ops))
@@ -1006,7 +1082,7 @@ def _drive(graph, targets, counter, checked):
     state = np.empty((2, 2, 1, n, n))
     state[:, 0, 0] = a
     kept, cur, other = {}, state[0], state[1]
-    climb = _climb(cur, other, exact, edges, scalars, None, references)
+    climb = _climb(cur, other, exact, edges, scalars, None, None, references)
     for lo, filled, cur, other in chain([(1, 1, cur, other)], climb):
         for i in attached.get((lo, filled), ()):
             kept[i] = cur[:filled, 0].copy()
@@ -1023,11 +1099,16 @@ def _drive(graph, targets, counter, checked):
     starts = [(cur, held[-1])]
     if rest and exact and rest[0][0] == exact[-1][0]:
         starts = [(other, held[-2]), (cur, held[-1])]
-    # s_t = (q**t + 1) // n for every operand index t, and its residues:
-    # the run stores and contracts Y(t) = M(t) - s_t J (see _bounds)
-    offsets = {t: (q**t + 1) // n for ops in operands for t in ops}
-    residues = {t: np.array([s % p for p in primes], dtype=np.float64)[:, None]
-                for t, s in offsets.items()}
+    # s_t = (q**t + 1) // n for every operand index t, and its residues
+    # modulo the primes of the largest prefix that reads it: the run
+    # stores and contracts Y(t) = M(t) - s_t J (see _bounds)
+    reach = {}
+    for ops, prefix in zip(operands, prefixes):
+        for t in ops:
+            reach[t] = max(reach.get(t, 0), prefix)
+    offsets = {t: (q**t + 1) // n for t in reach}
+    residues = {t: np.array([offsets[t] % p for p in primes[:prefix]], dtype=np.int64)
+                for t, prefix in reach.items()}
     buffers = np.empty((2, 2 * per_block * n * n))
     moving, raw = np.empty((2, per_block, n, n)), np.empty((per_block, n, n))
     triangle = np.zeros((2, per_block, width))
@@ -1046,34 +1127,36 @@ def _drive(graph, targets, counter, checked):
         else:
             pair = pair[:, :count]
         if j > lo:
-            pair = _shift(pair, j - lo, neighbours, q, p, inv, moving[:, :count], raw[:count])
+            pair = _shift(pair, j - lo, a, q, p, inv, moving[:, :count], raw[:count])
         members = pair[:len(operands[i])]
         if references is not None and (j > lo or i in kept):
             for slot, member in enumerate(members):
                 _check_state(j + slot, member, references[j + slot], block)
-        p, inv = p[:, :, 0], inv[:, :, 0]
+        # the constants as rows of the triangles' and the row sums' widths
+        tp, tinv, wp, winv = (c.reshape(count, -1)[:, :m]
+                              for m in (len(flat), len(weights)) for c in (p, inv))
         for slot, member in enumerate(members):
             taken = np.take(member.reshape(count, -1), flat, axis=1)
-            taken -= residues[j + slot][start:start + count]
-            _reduce(taken, p, inv, triangle[slot, :count, :len(flat)])
+            taken -= residues[j + slot][start:start + count, None]
+            _reduce(taken, tp, tinv, triangle[slot, :count, :len(flat)])
         if i == top and stored:
             store[start:start + count] = triangle[:len(stored), :count].transpose(1, 0, 2)
         else:
             for total, (x, y) in zip(sums[i], targets[i]):
                 total[start:start + count] = _contract(
-                    triangle[x - j, :count], triangle[y - j, :count], weights, p, inv)
+                    triangle[x - j, :count], triangle[y - j, :count], weights, wp, winv)
 
     for start in range(0, size, per_block):
         block = primes[start:start + per_block]
-        p = np.array(block, dtype=np.float64)[:, None, None]
-        inv = 1.0 / p
+        p, inv = _constants(block, n)
         for i in kept:
             serve(i, None, start, block, p, inv)
         here, there = (b[:2 * len(block) * n * n].reshape(2, len(block), n, n) for b in buffers)
         if rest:
             for (source, filled), target in zip(starts, (here, there)):
                 _reduce(source[:filled], p, inv, target[:filled])
-        for lo, filled, level, _ in _climb(here, there, rest, edges, scalars, block, references):
+        for lo, filled, level, _ in _climb(here, there, rest, edges, scalars, block, (p, inv),
+                                           references):
             for i in attached.get((lo, filled), ()):
                 serve(i, level[:filled], start, block, p, inv)
     for _ in [*built, *(finish for finishes in targets for finish in finishes)]:
@@ -1085,15 +1168,21 @@ def _drive(graph, targets, counter, checked):
         finishes = [(x - stored[0], y - stored[0]) for x, y in targets[top]]
         sums[top] = _finish(store, stored, finishes, primes, size, weights, triangles)
     rows = []
-    for finishes, totals in zip(targets, sums):
+    for finishes, totals, prefix in zip(targets, sums, prefixes):
+        m = np.array(primes[:prefix], dtype=np.int64)
         for (x, y), total in zip(finishes, totals):
             # trace(M(x) M(y)) = trace(Y(x) Y(y)) + s_y n (q**x + 1)
             # + s_x n (q**y + 1) - s_x s_y n**2, less the finish's scalar
-            # correction, less q**(x+y) + 1: the deviation at x + y
-            sx, sy = offsets[x], offsets[y]
-            fix = (sy * n * (q**x + 1) + sx * n * (q**y + 1) - sx * sy * n * n
-                   - (n * _scalar(2 * x, q) if x == y else 0) - q ** (x + y) - 1)
-            rows.append([(int(t) + fix % p) % p for t, p in zip(total.tolist(), primes)])
+            # correction, 2 n q**x for a square, less q**(x+y) + 1: the
+            # deviation at x + y.  Modulo each prime, from q**t =
+            # n s_t + ((q**t + 1) mod n) - 1, every term is a product of two
+            # residues below 2**31, so int64 holds it
+            nsx, nsy = n * residues[x][:prefix] % m, n * residues[y][:prefix] % m
+            qx = (nsx + (pow(q, x, n) + 1) % n - 1) % m
+            qy = (nsy + (pow(q, y, n) + 1) % n - 1) % m
+            fix = (nsy * (qx + 1) % m + nsx * (qy + 1) % m - nsx * nsy % m - qx * qy % m - 1
+                   - (2 * n * qx % m if x == y else 0))
+            rows.append(((total.astype(np.int64) + fix) % m).tolist())
     deviations = iter(_crt(rows, primes, _crt_basis(primes)))
     out = []
     for own in indices:
@@ -1144,10 +1233,10 @@ def _run_ladder_pairs(graph, ks, counter, checked=False):
     k's pair, and a smaller k reads its own pair off that ladder's levels
     (see :func:`_drive`), j - a three-term steps above the level M(a),
     M(a+1), while j - a is below len(ladder_indices(k + 1)), the products
-    a ladder of its own would count: a step costs about as much as a
-    product at small n and less at large n.  The table's ks, whose
-    j - a is at most 4, all share one ladder; a k too far above every
-    level climbs its own, shared in turn by the smaller ks near it.
+    a ladder of its own would count: a step is itself one product with A
+    and one reduction, no dearer than a product of a ladder.  The table's
+    ks, whose j - a is at most 4, all share one ladder; a k too far above
+    every level climbs its own, shared in turn by the smaller ks near it.
     Each ladder, for its largest k, K, counts len(ladder_indices(K + 1))
     products plus two finishes for each other distinct k it serves, uses
     one prime set sized for the deviation at index K+2, each deviation's

@@ -3,8 +3,9 @@
 The Chebyshev ladder (O(log k) products on residues modulo word-size
 primes, trace-only finish, one CRT for the trace; or one ladder for k+1
 finished with the two squares that give the traces at k and k+2), the
-three-term sweep
-(neighbour-row sums, int64 then Python ints) and trace(W**k) on the
+plain three-term sweep
+(neighbour-row sums, int64 then Python ints; the reference for the
+half-index traces of chebyshev_sweep) and trace(W**k) on the
 directed edge matrix must agree on every geodesic-cycle count; where the
 spectrum is integral, the slack must also equal the scalar recomputation
 from the eigenvalues.
@@ -27,8 +28,8 @@ from specgap.estimator import EstimateReport, _decide, required_even_index
 from specgap.exact import MultCounter, _power_bounds
 from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
-    LadderInvariantError, _certify, _crt, _crt_basis, _extender, _extension_bits, _inner,
-    _levels, _moduli, _plan, _prefix, _prime_limit, _primes_between, _reduce, _references,
+    LadderInvariantError, _certify, _crt, _crt_basis, _exact_trace, _extender, _extension_bits,
+    _inner, _levels, _moduli, _plan, _prefix, _prime_limit, _primes_between, _reduce, _references,
     _run_ladder, _run_ladder_pair, _run_ladder_pairs, _scalar, _sweep, chebyshev_sweep,
     expansion_slacks,
 )
@@ -86,7 +87,8 @@ def _ladder_trace(g, k):
 
 
 def _sweep_traces(g, k_max):
-    return list(islice(chebyshev_sweep(g), k_max))
+    """trace M(1) .. M(k_max) off the plain three-term recurrence, not chebyshev_sweep."""
+    return [_exact_trace(m) for m in islice(_sweep(g.adjacency, g.q), 1, k_max + 1)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -601,7 +603,7 @@ def test_a_table_plans_once_and_counts_each_index_and_finish_once(monkeypatch):
         ks = {report.k for report in sg.estimate_expansions(g, TABLE)}
         assert len(counters) == 1 and len(plans) == 1, g.source
         # the largest k's ladder, then two finishes for every other k; the
-        # shifts are additions and count nothing
+        # shifts' products with A count nothing
         expected = len(sg.ladder_indices(max(ks) + 1)) + 2 * (len(ks) - 1)
         assert counters[0].count == expected, g.source
 
@@ -1393,6 +1395,86 @@ def test_bounds_hold_on_the_sweeps_matrices(name):
             y = m[t].astype(object) - (q**t + 1) // n
             assert max(abs(v) for v in y.ravel().tolist()) <= entry, (name, h, t)
             assert abs(sum(m[t].diagonal().tolist()) - q**t - 1) <= deviation, (name, h, t)
+
+
+# ---- the half-index sweep ----
+
+
+@settings(max_examples=20, deadline=None)
+@given(spectral_graphs())
+def test_the_half_index_sweep_equals_the_plain_recurrence(g):
+    # K = 140 takes every q >= 2 past the int64 dot, n (q**x + 1)(q**y + 1)
+    # >= 2**63, which q = 2 crosses by k = 62, and past the int64 matrices,
+    # which q = 2 leaves at an index of 65 to 68
+    assert list(islice(chebyshev_sweep(g), 140)) == _sweep_traces(g, 140), g.source
+
+
+def test_the_half_index_sweep_equals_the_plain_recurrence_at_n_120():
+    g = sg.random_regular(120, 2, seed=1)
+    # the dot leaves int64 at k = 57, the matrices by M(70)
+    dtypes = [m.dtype for m in islice(_sweep(g.adjacency, g.q), 71)]
+    assert dtypes[-1] == object and 120 * (2**29 + 1) * (2**28 + 1) >= 2**63
+    assert list(islice(chebyshev_sweep(g), 140)) == _sweep_traces(g, 140)
+
+
+def test_the_half_index_sweep_pulls_at_most_half_the_matrices(monkeypatch):
+    # trace M(k) reads M(ceil(k/2)), so k traces pull M(0) .. M(ceil(k/2))
+    g = sg.named_graph("petersen")
+    honest, pulled = ladder._sweep, []
+
+    def spy(*args):
+        for m in honest(*args):
+            pulled.append(m)
+            yield m
+
+    monkeypatch.setattr(ladder, "_sweep", spy)
+    for k in range(1, 14):
+        pulled.clear()
+        traces = list(islice(chebyshev_sweep(g), k))
+        assert len(pulled) <= -(-k // 2) + 1, k
+        assert traces == _sweep_traces(g, k), k
+
+
+# ---- the table path: block constants, shifts and fixes ----
+
+
+@pytest.mark.parametrize("n,q", [(90, 2), (91, 3)])
+def test_checked_tables_on_both_sides_of_the_one_prime_block(n, q, monkeypatch):
+    # blocks of 2**14 // n**2 primes: two at n = 90, whose constants are
+    # built at the (2, n, n) shape, one at n = 91, which keeps the
+    # (1, 1, 1) scalar.  Checked mode compares every level, shifted pair
+    # and trace with the sweep's; its sweep to the whole table's k + 2
+    # (6014 at n = 90) takes over 25 s, so the checked table stops at
+    # 2^-7, whose every smaller k still shifts and reads its own prefix
+    g = sg.random_regular(n, q, seed=1)
+    honest, shapes = ladder._constants, set()
+
+    def spy(block, width):
+        p, inv = honest(block, width)
+        shapes.add(p.shape)
+        return p, inv
+
+    monkeypatch.setattr(ladder, "_constants", spy)
+    ks = [required_even_index(n, eps) for eps in TABLE[:7]]
+    traces = _run_ladder_pairs(g, ks, MultCounter(), checked=True)
+    assert (2, n, n) in shapes if n == 90 else shapes == {(1, 1, 1)}
+    assert traces == _run_ladder_pairs(g, ks, MultCounter())
+    monkeypatch.undo()
+    assert sg.estimate_expansions(g, TABLE) == [sg.estimate_expansion(g, eps) for eps in TABLE]
+
+
+@pytest.mark.parametrize("name", ["cycle(7)", "complete(5)"])
+def test_checked_tables_fix_each_trace(name):
+    # each finish's fix is formed modulo each prime from s_t's residues,
+    # with q**t = n s_t + ((q**t + 1) mod n) - 1: for q = 1, and for
+    # complete(5) (q = 3), where n divides q**t + 1 at every t = 2 mod 4,
+    # so the identity's - 1 acts alone there
+    g = sg.named_graph(name)
+    ks = [required_even_index(g.n, eps) for eps in TABLE]
+    operands = {t for k in ks for t in (k // 2, k // 2 + 1)}
+    assert any((g.q**t + 1) % g.n == 0 for t in operands) == (g.q > 1)
+    assert _run_ladder_pairs(g, ks, MultCounter(), checked=True) == _run_ladder_pairs(
+        g, ks, MultCounter())
 
 
 def test_squares_and_powers_are_exact_upper_bounds():

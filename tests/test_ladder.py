@@ -10,8 +10,8 @@ import pytest
 import specgap as sg
 from specgap import ladder
 from specgap.ladder import (
-    LadderInvariantError, _check_state, _moduli, _prime_limit, _primes_between, _references,
-    _run_ladder, _run_ladder_pair,
+    LadderInvariantError, _check_state, _exact_trace, _moduli, _prime_limit, _primes_between,
+    _references, _run_ladder, _run_ladder_pair,
 )
 from specgap.exact import MultCounter, Quadratic
 
@@ -488,9 +488,8 @@ def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
         return corrupted
 
     truth = _run_ladder_pair(g, 60, MultCounter())
-    sweep = ladder.chebyshev_sweep(g)
-    traces = [next(sweep) for _ in range(62)]
-    assert truth == [traces[59], traces[61]]
+    references = _references(g, [60, 62])
+    assert truth == [_exact_trace(references[60]), _exact_trace(references[62])]
     monkeypatch.setattr(ladder, "_extender", corrupting)
     # the corrupt residue sends the rebuilt trace far outside its bound
     with pytest.raises(LadderInvariantError, match="exceeds its bound"):
@@ -527,9 +526,8 @@ def test_one_extension_per_chunk_covers_every_operand(monkeypatch, rows_per_chun
 
     monkeypatch.setattr(ladder, "_extender", spy)
     truth = _run_ladder_pair(g, 60, MultCounter(), checked=True)
-    sweep = ladder.chebyshev_sweep(g)
-    traces = [next(sweep) for _ in range(62)]
-    assert truth == [traces[59], traces[61]]
+    references = _references(g, [60, 62])
+    assert truth == [_exact_trace(references[60]), _exact_trace(references[62])]
     assert plans == [(primes, 2)]
     rows = (n + 2) // 2
     assert len(chunks) == -(-rows // rows_per_chunk)
