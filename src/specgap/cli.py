@@ -6,6 +6,9 @@ eps = 2^-1 .. 2^-10), oracle (spectrum-based cross-checks), gen (write
 edge-list files).  Every command accepts --json for machine-readable
 output carrying the same numbers as the text rendering; the four that
 print decimals (hseq, estimate, table, oracle) also accept --precision.
+Each command only computes: from the parsed arguments and the graph it
+returns (results, text lines, exit code), and :func:`main` alone reads
+the graph, times the request, prints and turns errors into one line.
 """
 
 import argparse
@@ -58,6 +61,7 @@ def _digits(text):
 
 
 def _load_graph(args):
+    """The graph of --name or --file."""
     if args.name:
         return named_graph(args.name)
     with open(args.file, "r", encoding="utf-8") as fh:
@@ -89,12 +93,12 @@ def _graph_summary(graph):
     return {"n": graph.n, "q": graph.q, "degree": graph.degree, "source": graph.source}
 
 
-def _emit(args, command, graph, results, text_lines, started):
+def _emit(args, graph, results, text_lines, started):
     elapsed = time.perf_counter() - started
     if args.json:
         payload = {
-            "command": command,
-            "graph": _graph_summary(graph) if graph is not None else None,
+            "command": args.command,
+            "graph": _graph_summary(graph),
             "results": results,
             "elapsed_seconds": elapsed,
         }
@@ -123,9 +127,7 @@ def _refuse_long_count(graph, k):
         )
 
 
-def _cmd_ngc(args):
-    started = time.perf_counter()
-    graph = _load_graph(args)
+def _cmd_ngc(args, graph):
     if args.json:
         _refuse_long_count(graph, args.k)
     if args.oracle:
@@ -139,10 +141,7 @@ def _cmd_ngc(args):
         results["match"] = check == count
         lines.append(f"edge-matrix trace oracle: {rational_text(check)}")
         lines.append("MATCH" if check == count else "MISMATCH")
-    _emit(args, "ngc", graph, results, lines, started)
-    if args.oracle and results["match"] is False:
-        return 3
-    return 0
+    return results, lines, 0 if results.get("match", True) else 3
 
 
 def _parse_k_range(spec):
@@ -156,9 +155,7 @@ def _parse_k_range(spec):
     return lo, hi
 
 
-def _cmd_hseq(args):
-    started = time.perf_counter()
-    graph = _load_graph(args)
+def _cmd_hseq(args, graph):
     lo, hi = _parse_k_range(args.k)
     if lo - 1 <= hi - lo + 1:
         # one sweep, unless it would step past more indices than it returns
@@ -168,8 +165,7 @@ def _cmd_hseq(args):
     slacks = [_slack_payload(s, args.precision) for s in rows]
     # the text reuses each payload's decimal, so every slack renders once
     lines = [f"k={s.k}: {s.value} ({p['decimal']})" for s, p in zip(rows, slacks)]
-    _emit(args, "hseq", graph, {"slacks": slacks}, lines, started)
-    return 0
+    return {"slacks": slacks}, lines, 0
 
 
 def _report_payload(report, precision):
@@ -199,19 +195,14 @@ def _report_lines(report, precision):
     return lines
 
 
-def _cmd_estimate(args):
-    started = time.perf_counter()
-    graph = _load_graph(args)
+def _cmd_estimate(args, graph):
     report = estimate_expansion(graph, args.epsilon)
     # the payload renders both slacks' decimals, which the text never prints
     results = _report_payload(report, args.precision) if args.json else None
-    _emit(args, "estimate", graph, results, _report_lines(report, args.precision), started)
-    return 0
+    return results, _report_lines(report, args.precision), 0
 
 
-def _cmd_table(args):
-    started = time.perf_counter()
-    graph = _load_graph(args)
+def _cmd_table(args, graph):
     rows = list(zip(_EPS_SWEEP, estimate_expansions(graph, _EPS_SWEEP)))
     results = {
         "rows": [
@@ -228,13 +219,10 @@ def _cmd_table(args):
     for label, rep in rows:
         est = "nil" if rep.estimate is None else _fmt(rep.estimate, args.precision)
         lines.append(f"{label:<{width}}{str(rep.within_bound).lower():<15}{est}")
-    _emit(args, "table", graph, results, lines, started)
-    return 0
+    return results, lines, 0
 
 
-def _cmd_oracle(args):
-    started = time.perf_counter()
-    graph = _load_graph(args)
+def _cmd_oracle(args, graph):
     spectrum = adjacency_spectrum(graph)
     summary = spectral_summary(graph, spectrum)
     bounds = geodesic_bounds_hold(graph, args.kmax)
@@ -254,17 +242,18 @@ def _cmd_oracle(args):
         f"ramanujan: {str(summary.is_ramanujan).lower()}",
         f"count-deviation bounds hold for k <= {args.kmax}: {str(bounds).lower()}",
     ]
-    _emit(args, "oracle", graph, results, lines, started)
-    return 0
+    return results, lines, 0
 
 
-def _cmd_gen(args):
-    started = time.perf_counter()
+def _generate(args):
+    """The graph of gen's --name or --random."""
     if args.name:
-        graph = named_graph(args.name)
-    else:
-        n, q = args.random
-        graph = random_regular(n, q, seed=args.seed)
+        return named_graph(args.name)
+    n, q = args.random
+    return random_regular(n, q, seed=args.seed)
+
+
+def _cmd_gen(args, graph):
     text = write_edge_list(graph)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -274,8 +263,7 @@ def _cmd_gen(args):
         lines = [text.rstrip("\n")]
     results = {"n": graph.n, "q": graph.q, "edges": len(graph.edges()),
                "output": args.output}
-    _emit(args, "gen", graph, results, lines, started)
-    return 0
+    return results, lines, 0
 
 
 @functools.cache
@@ -331,16 +319,26 @@ def build_parser():
                      help="random connected (Q+1)-regular graph on N vertices")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     p.add_argument("-o", "--output", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, source=_generate)
 
     return parser
 
 
 def main(argv=None):
+    """Run one command: read its graph, compute, print text or JSON; returns the exit code.
+
+    The clock for the JSON's elapsed_seconds (and the text's last line)
+    starts before the graph is read and stops once the command's results
+    and lines are formed, just before they are printed.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        graph = getattr(args, "source", _load_graph)(args)
+        results, lines, code = args.func(args, graph)
+        _emit(args, graph, results, lines, started)
+        return code
     except (GraphValidationError, GraphGenerationError, EigensolverError,
             ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -148,11 +148,12 @@ target but the top one is then determined inside the ladder's primes
 (see Storage).  A request whose primes all fit in one block extends to
 nothing.  Nor does one where extending would cost more multiply-adds
 than it saves: one extended prime costs about r n(n+1) per operand for a
-prefix of r primes, one laddered prime n**3 per step, so the prefix may
-hold at most steps n**2 / ((n+1) operands) primes.  That keeps small
-graphs at small eps, where the prefix runs to hundreds of primes, on the
-whole set.  The whole set extends nothing, so its inner dimension is n,
-and it is sized below the limit for n.
+prefix of r primes, one laddered prime n**3 per step it runs after the
+exact prefix, so the prefix may hold at most steps n**2 / ((n+1)
+operands) primes, and a ladder exact throughout extends nothing.  That
+keeps small graphs at small eps, where the prefix runs to hundreds of
+primes, on the whole set.  The whole set extends nothing, so its inner
+dimension is n, and it is sized below the limit for n.
 
 Products.  Residues are float64 values, so each step after the exact
 prefix is the prefix's step, one BLAS product (dgemm) and its scalar
@@ -511,7 +512,9 @@ def _plan(n, bounds, indices, operands, top, formed, per_block):
     ``bounds`` is the run's :func:`_bounds`; ``indices`` and ``operands``
     hold each target's trace indices and sorted finish operands, ``top``
     is the target with the largest operand, ``formed`` the number of
-    indices the ladder forms, and ``per_block`` the primes of one block.
+    steps each laddered prime runs (the exact prefix forms its indices
+    once per run, not per prime), and ``per_block`` the primes of one
+    block.
     The primes are those of :func:`_moduli` for the largest deviation
     bound of any target, largest first.  prefixes[i] is target i's own
     prefix of them, the fewest whose product exceeds twice its largest
@@ -539,16 +542,6 @@ def _plan(n, bounds, indices, operands, top, formed, per_block):
     # above 4 ceil(B/2) >= 2 B, every other target's deviations within B
     entry = max([bounds(operands[top][-1])[0]] +
                 [-(-b // 2) for i, b in enumerate(deviations) if i != top])
-    # the rule charges extending one prime from r 2 r n(n+1)/2 multiply-adds
-    # per operand: the one dgemm of the digits and the wrap count takes
-    # (r + 1) n(n+1)/2, and the elementwise passes around it cost about as
-    # much again; a laddered prime costs n**3 per index formed.  ``formed``
-    # also counts the indices the exact prefix forms once per run, not per
-    # prime.  That overcount is kept on purpose until ROADMAP item 6 fits a
-    # cost model: counting only the per-prime steps would run the
-    # benchmark's h20 (n = 20, q = 3) at 2^-11 on all 326 of its primes
-    # instead of 200 of 349, and g24 (n = 24, q = 2) at 2^-12 on all 422
-    # instead of 252 of 453, each within 6% of the time either way
     most = formed * n**2 // ((n + 1) * len(operands[top]))
     inner = n
     while True:
@@ -1088,7 +1081,8 @@ def _drive(graph, targets, counter, checked):
             kept[i] = cur[:filled, 0].copy()
     # the primes are sized from the highest exact matrix, the climb's last
     bounds = _bounds(n, q, lo + filled - 1, cur[filled - 1, 0])
-    primes, size, prefixes = _plan(n, bounds, indices, operands, top, len(built), per_block)
+    primes, size, prefixes = _plan(n, bounds, indices, operands, top,
+                                   sum(len(steps) for _, _, steps in rest), per_block)
     # only the top target's prefix can pass the ladder's primes
     stored = operands[top] if size < len(primes) else []
     store = np.zeros((size, len(stored), width), dtype=np.int32)
@@ -1263,18 +1257,6 @@ def _run_ladder_pairs(graph, ks, counter, checked=False):
     return [found[k // 2] for k in ks]
 
 
-def _run_ladder_pair(graph, k, counter, checked=False):
-    """Traces of the scaled Chebyshev matrices for indices k and k+2, one ladder.
-
-    k must be even and at least 2; the one-k case of
-    :func:`_run_ladder_pairs`.  Returns [trace_k, trace_k+2] and counts
-    exactly len(ladder_indices(k + 1)) products: one per formed index,
-    exact or on residues, and one per finish.
-    """
-    [pair] = _run_ladder_pairs(graph, [k], counter, checked)
-    return pair
-
-
 def _references(graph, indices):
     """M(t) for each t in ``indices``, read off one sweep."""
     wanted = set(indices)
@@ -1387,6 +1369,8 @@ def ladder_mult_count(graph, k):
     Always equals len(ladder_indices(k)) - 1, which is
     2*floor(log2 k) - h where h indexes the lowest set bit of k.
     """
+    if not isinstance(graph, RegularGraph):
+        raise TypeError("expected a validated RegularGraph")
     counter = MultCounter()
     _run_ladder(graph, k, counter)
     return counter.count

@@ -30,7 +30,7 @@ from specgap.graphs import GraphGenerationError
 from specgap.ladder import (
     LadderInvariantError, _certify, _crt, _crt_basis, _exact_trace, _extender, _extension_bits,
     _inner, _levels, _moduli, _plan, _prefix, _prime_limit, _primes_between, _reduce, _references,
-    _run_ladder, _run_ladder_pair, _run_ladder_pairs, _scalar, _sweep, chebyshev_sweep,
+    _run_ladder, _run_ladder_pairs, _scalar, _sweep, chebyshev_sweep,
     expansion_slacks,
 )
 from specgap.oracle import exact_slack_from_integer_spectrum
@@ -463,7 +463,7 @@ def test_one_prime_per_block_agrees_with_the_oracle(g, k):
 
 def _pair_traces(g, k, checked=False):
     counter = MultCounter()
-    out = _run_ladder_pair(g, k, counter, checked=checked)
+    out = _run_ladder_pairs(g, [k], counter, checked)[0]
     assert counter.count == len(sg.ladder_indices(k + 1)), (g.source, k)
     return out
 

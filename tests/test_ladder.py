@@ -11,11 +11,16 @@ import specgap as sg
 from specgap import ladder
 from specgap.ladder import (
     LadderInvariantError, _check_state, _exact_trace, _moduli, _prime_limit, _primes_between,
-    _references, _run_ladder, _run_ladder_pair,
+    _references, _run_ladder, _run_ladder_pairs,
 )
 from specgap.exact import MultCounter, Quadratic
 
 from brute import brute_geodesic_cycles
+
+
+def _run_pair(g, k, counter, checked=False):
+    """[trace_k, trace_k+2], from a ladder of their own."""
+    return _run_ladder_pairs(g, [k], counter, checked)[0]
 
 
 # ---- halving schedule ----
@@ -235,6 +240,12 @@ def test_mult_count_formula():
         assert expected == len(sg.ladder_indices(k)) - 1
 
 
+@pytest.mark.parametrize("entry", [sg.geodesic_count, sg.expansion_slack, sg.ladder_mult_count])
+def test_ladder_entry_points_refuse_an_unvalidated_graph(entry):
+    with pytest.raises(TypeError, match="expected a validated RegularGraph"):
+        entry([[0, 1], [1, 0]], 3)
+
+
 # ---- indices no prime set can determine ----
 
 
@@ -262,8 +273,8 @@ def test_hopeless_indices_are_refused_before_any_power(monkeypatch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ladder, "_prime_limit", lambda n: 50)
         for run, k, reached in [(_run_ladder, 203, True), (_run_ladder, 204, False),
-                                (_run_ladder_pair, 200, True), (_run_ladder_pair, 202, False),
-                                (_run_ladder, 10**13, False), (_run_ladder_pair, 10**13, False)]:
+                                (_run_pair, 200, True), (_run_pair, 202, False),
+                                (_run_ladder, 10**13, False), (_run_pair, 10**13, False)]:
             calls.clear()
             climbs.clear()
             with pytest.raises(ArithmeticError, match="moduli do not determine a trace"):
@@ -316,8 +327,8 @@ def test_checked_mode_runs_one_sweep(name, monkeypatch):
 
     monkeypatch.setattr(ladder, "_sweep", spy)
     for k in (2, 3, 12, 61, 106):
-        for run in (_run_ladder, _run_ladder_pair):
-            if run is _run_ladder_pair and k % 2:
+        for run in (_run_ladder, _run_pair):
+            if run is _run_pair and k % 2:
                 continue
             calls.clear()
             run(g, k, MultCounter())
@@ -373,7 +384,7 @@ def test_pair_needs_an_even_index():
     g = sg.named_graph("utility")
     for k in (0, 1, 3):
         with pytest.raises(ValueError, match="even"):
-            _run_ladder_pair(g, k, MultCounter())
+            _run_pair(g, k, MultCounter())
 
 
 # k = 10 runs the schedule for 11, [11, 6, 5, 3, 2, 2, 1], without its last
@@ -385,7 +396,7 @@ PAIR_FINISHES = [(0, 5), (1, 6)]
 
 
 def _pair(g, checked=False, k=10):
-    return _run_ladder_pair(g, k, MultCounter(), checked=checked)
+    return _run_pair(g, k, MultCounter(), checked=checked)
 
 
 def _corrupt_step(monkeypatch, index):
@@ -464,18 +475,19 @@ def test_checked_mode_covers_both_squaring_finishes(monkeypatch, which, index):
         _pair(g, checked=True)
 
 
-@pytest.mark.parametrize("index", [30, 31])
+@pytest.mark.parametrize("index", [53, 54])
 def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
-    # k = 60 on blocks of one prime: the ladder runs on 2 primes and the
-    # finish extends M(30) and M(31) to a third one, both in one call per
-    # chunk, M(30)'s columns first; corrupt one extended residue of either
+    # k = 106 on blocks of one prime: M(53) and M(54) are the two indices
+    # each prime forms past the exact prefix, so the ladder runs on 3
+    # primes and the finish extends them to 2 more, both in one call per
+    # chunk, M(53)'s columns first; corrupt one extended residue of either
     # operand
     g = sg.named_graph("utility")
     monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
-    primes = _moduli(g.n, g.n * (g.q**62 + 1))
-    # the fewest primes above 4 e(31), the ladder's share on blocks of one prime
-    size = ladder._prefix(primes, 2 * (g.q**31 + 1))
-    assert 0 < size < len(primes)
+    primes = _moduli(g.n, (g.n - 1) * (g.q**108 + 1))
+    # the fewest primes above 4 e(54), the ladder's share on blocks of one prime
+    size = ladder._prefix(primes, 2 * (g.q**54 + 1))
+    assert (size, len(primes)) == (3, 5)
     honest = ladder._extender
 
     def corrupting(primes, size, width):
@@ -483,35 +495,38 @@ def test_checked_mode_covers_the_extended_residues(monkeypatch, index):
 
         def corrupted(chunk):
             extend(chunk)
-            chunk[size, (index - 30) * chunk.shape[1] // 2] += 1
+            chunk[size, (index - 53) * chunk.shape[1] // 2] += 1
 
         return corrupted
 
-    truth = _run_ladder_pair(g, 60, MultCounter())
-    references = _references(g, [60, 62])
-    assert truth == [_exact_trace(references[60]), _exact_trace(references[62])]
+    truth = _run_pair(g, 106, MultCounter())
+    references = _references(g, [106, 108])
+    assert truth == [_exact_trace(references[106]), _exact_trace(references[108])]
     monkeypatch.setattr(ladder, "_extender", corrupting)
     # the corrupt residue sends the rebuilt trace far outside its bound
     with pytest.raises(LadderInvariantError, match="exceeds its bound"):
-        _run_ladder_pair(g, 60, MultCounter())
+        _run_pair(g, 106, MultCounter())
     with pytest.raises(LadderInvariantError, match=rf"extended residue mismatch in M\({index}\) "):
-        _run_ladder_pair(g, 60, MultCounter(), checked=True)
+        _run_pair(g, 106, MultCounter(), checked=True)
 
 
 @pytest.mark.parametrize("rows_per_chunk", [1, 3])
 def test_one_extension_per_chunk_covers_every_operand(monkeypatch, rows_per_chunk):
-    # the pair at k = 60 on utility runs its ladder on 2 primes and extends
-    # Y(30) and Y(31), Y(t) = M(t) - s_t J (ladder._bounds), to a third; the
-    # finish reads the 4 rows of 6 entries that hold each operand's
-    # triangle in chunks of rows_per_chunk rows, and each chunk is one
-    # extend call whose columns hold Y(30)'s rows, then Y(31)'s, every
-    # residue of them right modulo every prime; utility is bipartite, so
-    # its deviation bound at 62 is (n - 1)(q**62 + 1)
+    # the pair at k = 106 on utility forms M(53) and M(54) on each prime
+    # past the exact prefix, runs its ladder on 3 primes (4 on blocks of
+    # 2, at 3 rows per chunk) and extends Y(53) and Y(54),
+    # Y(t) = M(t) - s_t J (ladder._bounds), to the rest of 5; the finish
+    # reads the 4 rows of 6 entries that hold each operand's triangle in
+    # chunks of rows_per_chunk rows, and each chunk is one extend call
+    # whose columns hold Y(53)'s rows, then Y(54)'s, every residue of them
+    # right modulo every prime; utility is bipartite, so its deviation
+    # bound at 108 is (n - 1)(q**108 + 1)
     g = sg.named_graph("utility")
     n = g.n
-    primes = _moduli(n, (n - 1) * (g.q**62 + 1))
-    assert len(primes) == 3
+    primes = _moduli(n, (n - 1) * (g.q**108 + 1))
+    assert len(primes) == 5
     monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", rows_per_chunk * len(primes) * n)
+    share = {1: 3, 3: 4}[rows_per_chunk]
     honest, chunks, plans = ladder._extender, [], []
 
     def spy(primes, size, width):
@@ -525,18 +540,18 @@ def test_one_extension_per_chunk_covers_every_operand(monkeypatch, rows_per_chun
         return recorded
 
     monkeypatch.setattr(ladder, "_extender", spy)
-    truth = _run_ladder_pair(g, 60, MultCounter(), checked=True)
-    references = _references(g, [60, 62])
-    assert truth == [_exact_trace(references[60]), _exact_trace(references[62])]
-    assert plans == [(primes, 2)]
+    truth = _run_pair(g, 106, MultCounter(), checked=True)
+    references = _references(g, [106, 108])
+    assert truth == [_exact_trace(references[106]), _exact_trace(references[108])]
+    assert plans == [(primes, share)]
     rows = (n + 2) // 2
     assert len(chunks) == -(-rows // rows_per_chunk)
     # each operand's triangle, diagonal first, zero-padded to whole rows
     upper = np.arange(n)
     flat = np.concatenate((upper * (n + 1), np.flatnonzero(upper[:, None] < upper)))
-    references = _references(g, [30, 31])
+    references = _references(g, [53, 54])
     triangles = [np.pad(references[t].astype(object).ravel()[flat] - (g.q**t + 1) // n,
-                        (0, rows * n - len(flat))) for t in (30, 31)]
+                        (0, rows * n - len(flat))) for t in (53, 54)]
     start = 0
     for chunk in chunks:
         assert chunk.shape[0] == len(primes) and chunk.shape[1] % (2 * n) == 0
@@ -546,3 +561,28 @@ def test_one_extension_per_chunk_covers_every_operand(monkeypatch, rows_per_chun
             assert np.array_equal(residues.astype(np.int64) % p, expect % p), (start, p)
         start += m
     assert start == rows * n
+
+
+@pytest.mark.parametrize("name,k", [("utility", 60), ("petersen", 100), ("chvatal", 64)])
+def test_a_ladder_exact_throughout_extends_nothing(monkeypatch, name, k):
+    # q = 2 forms every index up to 52 exactly, once per run, and q = 3
+    # every index up to 33, so the pair at k leaves no step to any prime,
+    # and extending would save none: the ladder runs on every prime, on
+    # blocks of one prime too
+    g = sg.named_graph(name)
+    monkeypatch.setattr(ladder, "_BLOCK_ENTRIES", 1)
+    honest_plan, honest_extender, plans, extenders = ladder._plan, ladder._extender, [], []
+
+    def plan(*args):
+        primes, size, prefixes = honest_plan(*args)
+        plans.append((args[5], len(primes), size))
+        return primes, size, prefixes
+
+    monkeypatch.setattr(ladder, "_plan", plan)
+    monkeypatch.setattr(ladder, "_extender",
+                        lambda *args: extenders.append(args) or honest_extender(*args))
+    truth = _run_pair(g, k, MultCounter(), checked=True)
+    [(formed, count, size)] = plans
+    assert count > 1 and size == count and extenders == [] and formed == 0
+    references = _references(g, [k, k + 2])
+    assert truth == [_exact_trace(references[k]), _exact_trace(references[k + 2])]
