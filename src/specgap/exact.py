@@ -58,31 +58,34 @@ def rational_text(x):
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
-def _truncate(lo, hi, shift, bits):
-    # drop low bits from both bounds: lo rounds down, hi rounds up
-    d = max(0, hi.bit_length() - bits)
-    return lo >> d, -(-hi >> d), shift + d
-
-
 def _power_bounds(x, e, bits):
     """(lo, hi, s) with lo * 2**s <= x**e <= hi * 2**s, for integers x >= 1, e >= 0.
 
-    Square-and-multiply on lower and upper bounds kept to about ``bits``
-    bits; once ``bits`` covers x**e, lo == hi == x**e and s == 0.
+    For x = 2**b, exactly (1, 1, b e).  Otherwise square-and-multiply on
+    lower and upper bounds kept to about ``bits`` bits: each product drops
+    its low bits, rounding lo down and hi up.  Once ``bits`` covers x**e,
+    lo == hi == x**e and s == 0.
     """
+    b = x.bit_length() - 1
+    if x == 1 << b:
+        return 1, 1, b * e
     lo = hi = 1
     shift = 0
     base_lo = base_hi = x
     base_shift = 0
     while True:
         if e & 1:
-            lo, hi, shift = _truncate(lo * base_lo, hi * base_hi, shift + base_shift, bits)
+            lo, hi, shift = lo * base_lo, hi * base_hi, shift + base_shift
+            d = hi.bit_length() - bits
+            if d > 0:
+                lo, hi, shift = lo >> d, -(-hi >> d), shift + d
         e >>= 1
         if not e:
             return lo, hi, shift
-        base_lo, base_hi, base_shift = _truncate(
-            base_lo * base_lo, base_hi * base_hi, 2 * base_shift, bits
-        )
+        base_lo, base_hi, base_shift = base_lo * base_lo, base_hi * base_hi, 2 * base_shift
+        d = base_hi.bit_length() - bits
+        if d > 0:
+            base_lo, base_hi, base_shift = base_lo >> d, -(-base_hi >> d), base_shift + d
 
 
 def _log10_floor(f):

@@ -14,6 +14,7 @@ whitespace separated.  The vertex count is inferred as 1 + max index.
 
 import random
 import re
+from itertools import chain, compress, count
 
 import numpy as np
 
@@ -286,34 +287,57 @@ def random_regular(n, q, seed):
 
 
 def parse_edge_list(text):
-    """Parse the edge-list format into a validated graph."""
-    edges = []
-    seen = set()
-    max_vertex = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: vertex indices must be integers: {raw!r}") from None
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: negative vertex index: {raw!r}")
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop {u} {v} is not allowed")
-        if u > v:
-            raise ValueError(f"line {lineno}: expected u < v, got {raw!r}")
-        if (u, v) in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {u} {v}")
-        seen.add((u, v))
-        edges.append((u, v))
-        max_vertex = max(max_vertex, v)
-    if not edges:
+    """Parse the edge-list format into a validated graph.
+
+    All data lines are read at once: one ``int`` per token, and numpy
+    checks over every line.  An error names the first offending line
+    and the first check it fails, in this order: two tokens, integers,
+    no negative index, no self-loop, u < v, no duplicate of an earlier
+    line.
+    """
+    lines = text.splitlines()
+    keep = [raw.strip()[:1] not in ("", "#") for raw in lines]
+    data = list(compress(lines, keep))
+    if not data:
         raise ValueError("no edges found")
+    rows = list(map(str.split, data))
+    # the leading data lines of two integer tokens, up to the first that is not
+    well = next(compress(count(), map((2).__ne__, map(len, rows))), len(rows))
+    tokens = list(chain.from_iterable(rows[:well]))
+    del rows  # a list per line: the largest part of a long file's peak
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        well = next(i for i, token in enumerate(tokens) if not _is_integer(token)) // 2
+        values = list(map(int, tokens[:2 * well]))
+    try:
+        edges = np.array(values, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an index past int64 allows no graph, but its lines are still checked
+        edges = np.array(values, dtype=object).reshape(-1, 2)
+    u, v = edges.T
+    # a negative index, a loop or u > v; and, since a stable sort keeps
+    # equal pairs in line order, every repeat of an earlier line
+    offending = (u >= v) | (u < 0)
+    order = np.lexsort((v, u))
+    ordered = edges[order]
+    offending[order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]] = True
+    bad = np.flatnonzero(offending)
+    if bad.size or well < len(data):
+        line = int(bad[0]) if bad.size else well
+        number, raw = int(np.flatnonzero(keep)[line]) + 1, data[line]
+        if line == well:
+            if len(raw.split()) != 2:
+                raise ValueError(f"line {number}: expected 'u v', got {raw!r}")
+            raise ValueError(f"line {number}: vertex indices must be integers: {raw!r}")
+        a, b = values[2 * line:2 * line + 2]
+        if a < 0 or b < 0:
+            raise ValueError(f"line {number}: negative vertex index: {raw!r}")
+        if a == b:
+            raise ValueError(f"line {number}: self-loop {a} {b} is not allowed")
+        if a > b:
+            raise ValueError(f"line {number}: expected u < v, got {raw!r}")
+        raise ValueError(f"line {number}: duplicate edge {a} {b}")
+    max_vertex = int(v.max())
     n = max_vertex + 1
     # every vertex has degree >= 2, so |E| = n(q+1)/2 >= n; checking this
     # first keeps a stray huge index from allocating an n x n matrix
@@ -323,6 +347,14 @@ def parse_edge_list(text):
             f"edges cannot give each of them degree >= 2"
         )
     return _from_edges(n, edges, source="edge-list")
+
+
+def _is_integer(token):
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def write_edge_list(graph):

@@ -99,7 +99,9 @@ the largest; every other target attaches to the highest level that holds
 a pair M(a), M(a+1) with a <= j, and :func:`_shift` takes that pair
 j - a steps up by the three-term recurrence M(t+1) = A M(t) - q M(t-1).
 Each step is one product of A with the block's whole stack of residues,
-a dgemm per prime, and one reduction.  It is not counted: A is a 0/1
+a dgemm per prime; it reduces only where its values could pass 2**53
+otherwise (:func:`_shift`), so the table's shifts, whose operands the
+block's triangles reduce anyway, never do.  It is not counted: A is a 0/1
 matrix with q+1 ones per row, so the step is O(q n**2) work in
 principle, however it is computed, and the count stays that of the
 ladder's own products, which the schedule fixes.  Below about n = 150
@@ -121,15 +123,18 @@ Primes.  One function, :func:`_plan`, makes every prime-sizing decision
 of a run, once its exact prefix is formed, since e(t) reads it; the run
 only carries the plan out, and :func:`_certify` checks it independently.
 One rule sizes every prefix (:func:`_prefix`): the fewest leading primes
-whose product exceeds twice a bound.  The fewest primes, largest first
-below a limit, whose product exceeds 2 (n - 1) e(k) determine the
-deviation at index k, lifted into the symmetric range, and so the trace;
-the run for k and k+2 sizes one set for k+2, and a run for several
-targets one set for the largest deviation bound of any target.  Every
-other target's deviations are determined by its own prefix of that
-list, so the targets' prefixes are nested.  Each window of candidates
-below the limit is sieved once and cached.  The limit is the largest p
-with m (p/2 + 2)**2 + p < 2**53, m the largest inner dimension of any
+whose product exceeds twice a bound, a bisection of the running products
+of the list, which the plan multiplies once (:func:`_products`).  The
+fewest primes, largest first below a limit, whose product exceeds
+2 (n - 1) e(k) determine the deviation at index k, lifted into the
+symmetric range, and so the trace; the run for k and k+2 sizes one set
+for k+2, and a run for several targets one set for the largest
+deviation bound of any target.  Every other target's deviations are
+determined by its own prefix of that list, so the targets' prefixes are
+nested.  Each window of candidates below the limit is sieved once and
+cached; only as many of its primes are multiplied as the bound's bit
+length can need.  The limit is the largest p with
+m (p/2 + 2)**2 + p < 2**53, m the largest inner dimension of any
 product the run makes on residues (:func:`_inner`): n for the ladder's
 and the finish's, and r + 1 for the base extension's from r ladder
 primes (and 4, for its digits).  Since r depends on the primes, the plan
@@ -180,10 +185,11 @@ target but the top one has its prefix inside the ladder's primes (see
 Primes), so it never needs an extended residue: each block that holds
 primes of its prefix gathers its operands' upper triangles (M(t) is
 symmetric), the diagonal first and then the entries above it, less s_t
-and reduced again, into a small buffer and contracts them at once (see
+and reduced again, into one small array, all operands with one take and
+one reduction, and contracts every finish of the target at once (see
 Finish).  So does the top target when the ladder runs on every prime.
 Otherwise its operands, and only they, are stored: each block gathers,
-with one take per operand, those residues into one int32 array of shape
+with the same take, those residues into one int32 array of shape
 (ladder primes, operands, width): n(n+1)/2 entries per prime and
 operand, zero-padded to whole rows of n entries; a square stores its
 operand once.  That is 2 n**2 bytes per ladder prime and operand:
@@ -218,13 +224,15 @@ operand with every prime's.  Every operand's chunk goes into one
 buffer, reused from chunk to chunk, with a row per prime and the
 operands side by side along it: the stored residues on top, and below
 them the extended ones, which one extension call, one dgemm for all
-operands, writes in place.  Each finish contracts its operands' column
-slices.  Each row of n products is summed unweighted, which the prime
-limit keeps exact, reduced, and only then weighted, so the weight 2
-costs no bit of prime.  The extended residues are never stored.  One CRT
-per deviation follows, over its target's own prefix: Garner's
-mixed-radix constants, built once for the run's list of primes, serve
-every prefix of it.  A rebuilt deviation outside its bound raises
+operands, writes in place.  One contraction serves every finish, from
+its operands' column slices.  Each row of n products is summed
+unweighted, which the prime limit keeps exact, reduced, and only then
+weighted, so the weight 2 costs no bit of prime.  The extended residues
+are never stored.  The known part of every finish comes off modulo each
+prime in one pass over all of them.  One CRT per deviation follows, over
+its target's own prefix: Garner's mixed-radix constants and the running
+products Q_i, built once for the run's list of primes, serve every
+prefix of it.  A rebuilt deviation outside its bound raises
 LadderInvariantError.
 
 Consumers that want every k in 1..K use one sweep of the three-term
@@ -247,11 +255,13 @@ radius being at most 2, and for odd k the slack lives in the quadratic
 field Q[sqrt(q)].
 """
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -414,19 +424,20 @@ def _prime_limit(m):
     return p
 
 
-def _prefix(primes, bound):
+def _products(primes):
+    """[1, p_0, p_0 p_1, ...]: the running products of ``primes``, from the empty one."""
+    return list(accumulate(map(int, primes), operator.mul, initial=1))
+
+
+def _prefix(primes, bound, products=None):
     """The fewest leading ``primes`` whose product exceeds 2*bound; all of them if none do.
 
-    Stops at the first prime that suffices, so a long candidate list is
-    read only as far as it is needed.
+    A bisection of their running products, ``products`` when the caller
+    has them already (:func:`_products`).
     """
-    size, product, limit = 0, 1, 2 * bound
-    for p in primes:
-        if product > limit:
-            break
-        product *= int(p)
-        size += 1
-    return size
+    if products is None:
+        products = _products(primes)
+    return min(len(primes), bisect.bisect_right(products, 2 * bound))
 
 
 def _moduli(m, bound):
@@ -442,7 +453,11 @@ def _moduli(m, bound):
     while True:
         lo = max(2, top - width)
         window = _primes_between(lo, top)[::-1]
-        size = _prefix(window, bound)
+        # 2*bound < 2**L and every prime of the window is at least
+        # lo >= 2**(b-1), so its first ceil(L / (b-1)) primes suffice:
+        # only they are multiplied
+        need = -(-int(2 * bound).bit_length() // (lo.bit_length() - 1))
+        size = _prefix(window[:need], bound)
         # a window used up may suffice only at its last prime, and a wider
         # one then gives the same primes
         if size < len(window) or lo == 2:
@@ -546,17 +561,19 @@ def _plan(n, bounds, indices, operands, top, formed, per_block):
     inner = n
     while True:
         primes = _moduli(inner, bound)
-        size = min(len(primes), -(-_prefix(primes, 2 * entry) // per_block) * per_block)
+        products = _products(primes)
+        size = min(len(primes), -(-_prefix(primes, 2 * entry, products) // per_block) * per_block)
         if size > most or _extension_bits(primes, size) is None:
             size = len(primes)
         if size == len(primes) and inner > n:
             primes = _moduli(n, bound)
+            products = _products(primes)
             size = len(primes)
         if _inner(n, primes, size) <= inner:
             break
         inner = _inner(n, primes, size)
     _certify(n, bound, primes, entry, size)
-    return primes, size, [_prefix(primes, b) for b in deviations]
+    return primes, size, [_prefix(primes, b, products) for b in deviations]
 
 
 def _squares(y):
@@ -729,31 +746,34 @@ def _extender(primes, size, width):
     return extend
 
 
-def _contract(x, y, w, p, inv):
-    """Per prime, an integer congruent to sum_g w_g (row g of x * y) mod p.
+def _run(slots):
+    """``slots`` as a slice when they are consecutive, so that indexing with it takes a view."""
+    return slice(slots[0], slots[-1] + 1) if slots == list(range(slots[0], slots[-1] + 1)) else slots
 
-    x, y are (primes, g * n) residues of modulus at most (p+3)/2
-    (:func:`_reduce`) in g rows of n entries, and w the g row weights.
-    Each row of n products sums to at most n ((p+3)/2)**2, within 2**53
-    by the prime limit (m >= n), one reduction leaves every row sum
-    within (p+3)/2, and only then are they weighted, so the weighted sum
-    stays within max(w) g (p+3)/2.
+
+def _contract(x, y, w, p, inv):
+    """Per finish and prime, an integer congruent to sum_g w_g (row g of x * y) mod p.
+
+    x, y are (finishes, primes, g * n) residues, or (primes, g * n) for
+    one finish, of modulus at most (p+3)/2 (:func:`_reduce`) in g rows of
+    n entries, and w the g row weights.  Each row of n products sums to
+    at most n ((p+3)/2)**2, within 2**53 by the prime limit (m >= n), one
+    reduction leaves every row sum within (p+3)/2, and only then are they
+    weighted, so the weighted sum stays within max(w) g (p+3)/2.
     """
     g = len(w)
-    rows = np.einsum("igc,igc->ig", x.reshape(len(x), g, -1), y.reshape(len(y), g, -1))
+    rows = np.einsum("...c,...c->...", x.reshape(*x.shape[:-1], g, -1), y.reshape(*y.shape[:-1], g, -1))
     return _reduce(rows, p, inv) @ w
 
 
 def _crt_basis(primes):
-    """Per prime p_i, (p_0 p_1 ... p_(i-1))**-1 mod p_i: Garner's constants.
+    """Garner's constants for ``primes``: (Q, inverses), Q = _products(primes)
+    and inverses[i] = Q_i**-1 mod p_i, Q_i = p_0 p_1 ... p_(i-1).
 
     They serve every prefix of ``primes`` at once (:func:`_crt`).
     """
-    inverses, modulus = [], 1
-    for p in primes:
-        inverses.append(pow(modulus, -1, p))
-        modulus *= p
-    return inverses
+    products = _products(primes)
+    return products, [pow(modulus, -1, p) for modulus, p in zip(products, primes)]
 
 
 def _crt(rows, primes, basis):
@@ -761,16 +781,17 @@ def _crt(rows, primes, basis):
     (-Q/2, Q/2] congruent to each, Q the product of that prefix.
 
     A row's length is its prefix's.  Garner's mixed-radix recurrence
-    x += Q_i ((r_i - x) Q_i**-1 mod p_i), Q_i = p_0 ... p_(i-1), keeps x
-    in [0, Q_(i+1)); ``basis`` is _crt_basis(primes), built once for all
-    rows and prefixes.
+    x += Q_i ((r_i - x) Q_i**-1 mod p_i) keeps x in [0, Q_(i+1));
+    ``basis`` is _crt_basis(primes), built once for all rows and
+    prefixes, with every Q_i.
     """
+    products, inverses = basis
     out = []
     for residues in rows:
-        total, modulus = 0, 1
-        for r, p, inverse in zip(residues, primes, basis):
+        total = 0
+        for r, p, inverse, modulus in zip(residues, primes, inverses, products):
             total += modulus * ((r - total % p) * inverse % p)
-            modulus *= p
+        modulus = products[len(residues)]
         out.append(total - modulus if 2 * total > modulus else total)
     return out
 
@@ -909,27 +930,46 @@ def _constants(block, n):
     return p, 1.0 / p
 
 
-def _shift(pair, steps, a, q, p, inv, out, raw):
-    """(M(a + steps), M(a + steps + 1)) from pair = (M(a), M(a + 1)), on residues.
+def _shift(pair, steps, a, q, p, inv, out, raw, half):
+    """M(a + steps), M(a + steps + 1) as one (2, P, n, n) stack of pairs, from
+    pair = M(a), M(a + 1), on residues.
 
     Each step is the three-term recurrence M(t+1) = A M(t) - q M(t-1),
     with A M(t) one product of the float64 adjacency ``a`` with the whole
     stack, a dgemm per prime that is not counted (see "Levels" above for
-    why, and for where it beats summing neighbour rows).  The stacks hold
-    residues of modulus at most (p+3)/2 (:func:`_reduce`, ``p`` and
-    ``inv`` as there) and A has q+1 ones per row, so every value stays
-    within (2q + 1)(p+3)/2, an exact integer.  q M(t-1) is formed in the slot that M(t+1) then
-    takes, out[0] and out[1] in turn, and one reduction per step writes
-    M(t+1) there; ``out`` may be ``pair`` itself, since M(t-1) is dead
-    once scaled.  ``raw`` is a spare buffer of one stack's shape.
+    why, and for where it beats summing neighbour rows).  The pair holds
+    residues of modulus at most ``half``, (p+3)/2 for the block's largest
+    prime (:func:`_reduce`, ``p`` and ``inv`` as there).  A has q+1 ones
+    per row, so from members of modulus at most B (here) and B' (below) a
+    step's values stay within (q+1) B + q B'.  It keeps M(t+1) unreduced
+    while that bound is at most cap = (2**53 - half) / (2q + 1), and
+    reduces it otherwise, so every member stays within cap and every
+    value a step forms, or a reduction reads, is an exact integer; the
+    table's shifts of at most 4 steps never reduce.  q M(t-1) is formed
+    in the slot that M(t+1) then takes, out[0] and out[1] in turn;
+    ``out`` may be ``pair`` itself, since M(t-1) is dead once scaled.
+    ``raw`` is a spare buffer of one stack's shape.  The result is
+    ``out``, or ``out`` read backwards after an odd number of steps;
+    after one step from a pair outside ``out``, M(a + 1) is first copied
+    into it.
     """
+    cap = (_EXACT - half) // (2 * q + 1)
     below, here = pair
+    low = high = half
     for step in range(steps):
         scaled = np.multiply(below, q, out=out[step % 2])
         np.matmul(a, here, out=raw)
-        raw -= scaled
-        below, here = here, _reduce(raw, p, inv, scaled)
-    return below, here
+        low, high = high, (q + 1) * high + q * low
+        if high <= cap:
+            below, here = here, np.subtract(raw, scaled, out=scaled)
+        else:
+            raw -= scaled
+            below, here, high = here, _reduce(raw, p, inv, scaled), half
+    if steps % 2 == 0:
+        return out if steps else pair
+    if steps == 1 and not np.may_share_memory(pair, out):
+        out[1] = below
+    return out[::-1]
 
 
 def _finish(store, operands, finishes, primes, size, weights, triangles):
@@ -945,9 +985,9 @@ def _finish(store, operands, finishes, primes, size, weights, triangles):
     row per prime, reused from group to group, and one call extends them
     all into the rows below (:func:`_extender`); the residues are checked
     against ``triangles``, the sweep's padded triangles stacked like
-    ``store``'s slots, when given, and contracted once per finish, from
-    the slots' column slices.  Returns one float64 array of integers
-    below 2**51 per finish.
+    ``store``'s slots, when given, and contracted for every finish at
+    once, from the slots' column slices.  Returns a float64 array of
+    integers below 2**51, a row per finish.
     """
     p = np.array(primes, dtype=np.float64)[:, None]
     inv = 1.0 / p
@@ -957,7 +997,8 @@ def _finish(store, operands, finishes, primes, size, weights, triangles):
     extend = _extender(primes, size, count * group * n)
     extension = np.array(primes[size:], dtype=np.int64)[:, None, None]
     buffer = np.empty((len(primes), count * group * n))
-    totals = [np.zeros(len(primes)) for _ in finishes]
+    xs, ys = (_run([finish[side] for finish in finishes]) for side in (0, 1))
+    totals = np.zeros((len(finishes), len(primes)))
     for start in range(0, rows, group):
         w = weights[start:start + group]
         m = len(w) * n
@@ -972,8 +1013,7 @@ def _finish(store, operands, finishes, primes, size, weights, triangles):
             if bad.size:
                 raise LadderInvariantError(f"extended residue mismatch in M({operands[bad[0, 0]]}) "
                                            f"modulo {primes[size + bad[0, 1]]}")
-        for total, (x, y) in zip(totals, finishes):
-            total += _contract(slots[:, x], slots[:, y], w, p, inv)
+        totals += _contract(slots[:, xs].swapaxes(0, 1), slots[:, ys].swapaxes(0, 1), w, p, inv)
     return totals
 
 
@@ -1013,12 +1053,12 @@ def _drive(graph, targets, counter, checked):
     (:func:`_constants`), and its climb, its start, its shifts and its
     triangles and contractions all read views of them.  The known part of
     each trace (see "Finish" above) and q**index + 1 come off modulo each
-    prime of the target's own prefix, from int64 residues alone: s_t is
+    prime, for every finish in one pass, from int64 residues alone: s_t is
     reduced once per prime of the largest prefix that reads t, and
     q**t = n s_t + ((q**t + 1) mod n) - 1 gives every power of q, so no
     other big integer is reduced prime by prime.  One CRT per deviation
-    follows, over its own prefix.  Each rebuilt deviation must lie within
-    its own bound.
+    follows, over its target's own prefix.  Each rebuilt deviation must
+    lie within its own bound.
 
     A run is refused with ArithmeticError in one of two places.  If even
     all primes below the limit for n could not determine the least
@@ -1055,10 +1095,12 @@ def _drive(graph, targets, counter, checked):
     a = graph.adjacency.astype(np.float64)
     per_block = max(1, _BLOCK_ENTRIES // (n * n))
     # the operands' upper triangles, diagonal first, zero-padded to whole
-    # rows of n entries: row 0 weighs 1 in a trace and the others 2
+    # rows of n entries: row 0 weighs 1 in a trace and the others 2; a
+    # block gathers the padding from entry 0 and zeroes it once reduced
     upper = np.arange(n)
     flat = np.concatenate((upper * (n + 1), np.flatnonzero(upper[:, None] < upper)))
     width = n * ((n + 2) // 2)
+    gather = np.pad(flat, (0, width - len(flat)))
     weights = np.full(width // n, 2.0)
     weights[0] = 1.0
     edges = np.flatnonzero(a)
@@ -1101,12 +1143,19 @@ def _drive(graph, targets, counter, checked):
         for t in ops:
             reach[t] = max(reach.get(t, 0), prefix)
     offsets = {t: (q**t + 1) // n for t in reach}
-    residues = {t: np.array([offsets[t] % p for p in primes[:prefix]], dtype=np.int64)
-                for t, prefix in reach.items()}
+    # a row per index t, zero past its reach
+    line = {t: r for r, t in enumerate(reach)}
+    residues = np.zeros((len(reach), len(primes)), dtype=np.int64)
+    for t, prefix in reach.items():
+        residues[line[t], :prefix] = [offsets[t] % p for p in primes[:prefix]]
+    # per target, its members' rows of s_t residues, and its finishes'
+    # left and right member slots
+    offset_rows = [residues[[line[t] for t in ops]] for ops in operands]
+    picks = [[_run([finish[side] - ops[0] for finish in finishes]) for side in (0, 1)]
+             for ops, finishes in zip(operands, targets)]
     buffers = np.empty((2, 2 * per_block * n * n))
     moving, raw = np.empty((2, per_block, n, n)), np.empty((per_block, n, n))
-    triangle = np.zeros((2, per_block, width))
-    sums = [[np.zeros(prefixes[i]) for _ in finishes] for i, finishes in enumerate(targets)]
+    sums = [np.zeros((len(finishes), prefix)) for finishes, prefix in zip(targets, prefixes)]
 
     def serve(i, pair, start, block, p, inv):
         """Store or contract target i's operands, read off ``pair``, the
@@ -1121,24 +1170,26 @@ def _drive(graph, targets, counter, checked):
         else:
             pair = pair[:, :count]
         if j > lo:
-            pair = _shift(pair, j - lo, a, q, p, inv, moving[:, :count], raw[:count])
+            pair = _shift(pair, j - lo, a, q, p, inv, moving[:, :count], raw[:count],
+                          (block[0] + 3) // 2)
         members = pair[:len(operands[i])]
         if references is not None and (j > lo or i in kept):
             for slot, member in enumerate(members):
                 _check_state(j + slot, member, references[j + slot], block)
         # the constants as rows of the triangles' and the row sums' widths
         tp, tinv, wp, winv = (c.reshape(count, -1)[:, :m]
-                              for m in (len(flat), len(weights)) for c in (p, inv))
-        for slot, member in enumerate(members):
-            taken = np.take(member.reshape(count, -1), flat, axis=1)
-            taken -= residues[j + slot][start:start + count, None]
-            _reduce(taken, tp, tinv, triangle[slot, :count, :len(flat)])
+                              for m in (width, len(weights)) for c in (p, inv))
+        # every member's triangle at once, less s_t and reduced again
+        taken = np.take(members.reshape(len(members), count, -1), gather, axis=2)
+        taken -= offset_rows[i][:, start:start + count, None]
+        gathered = _reduce(taken, tp, tinv)
+        gathered[:, :, len(flat):] = 0
         if i == top and stored:
-            store[start:start + count] = triangle[:len(stored), :count].transpose(1, 0, 2)
+            store[start:start + count] = gathered.transpose(1, 0, 2)
         else:
-            for total, (x, y) in zip(sums[i], targets[i]):
-                total[start:start + count] = _contract(
-                    triangle[x - j, :count], triangle[y - j, :count], weights, wp, winv)
+            xs, ys = picks[i]
+            sums[i][:, start:start + count] = _contract(
+                gathered[xs], gathered[ys], weights, wp, winv)
 
     for start in range(0, size, per_block):
         block = primes[start:start + per_block]
@@ -1161,22 +1212,25 @@ def _drive(graph, targets, counter, checked):
              for t in stored])
         finishes = [(x - stored[0], y - stored[0]) for x, y in targets[top]]
         sums[top] = _finish(store, stored, finishes, primes, size, weights, triangles)
-    rows = []
-    for finishes, totals, prefix in zip(targets, sums, prefixes):
-        m = np.array(primes[:prefix], dtype=np.int64)
-        for (x, y), total in zip(finishes, totals):
-            # trace(M(x) M(y)) = trace(Y(x) Y(y)) + s_y n (q**x + 1)
-            # + s_x n (q**y + 1) - s_x s_y n**2, less the finish's scalar
-            # correction, 2 n q**x for a square, less q**(x+y) + 1: the
-            # deviation at x + y.  Modulo each prime, from q**t =
-            # n s_t + ((q**t + 1) mod n) - 1, every term is a product of two
-            # residues below 2**31, so int64 holds it
-            nsx, nsy = n * residues[x][:prefix] % m, n * residues[y][:prefix] % m
-            qx = (nsx + (pow(q, x, n) + 1) % n - 1) % m
-            qy = (nsy + (pow(q, y, n) + 1) % n - 1) % m
-            fix = (nsy * (qx + 1) % m + nsx * (qy + 1) % m - nsx * nsy % m - qx * qy % m - 1
-                   - (2 * n * qx % m if x == y else 0))
-            rows.append(((total.astype(np.int64) + fix) % m).tolist())
+    # trace(M(x) M(y)) = trace(Y(x) Y(y)) + s_y n (q**x + 1)
+    # + s_x n (q**y + 1) - s_x s_y n**2, less the finish's scalar
+    # correction, 2 n q**x for a square, less q**(x+y) + 1: the deviation
+    # at x + y.  Modulo each prime, a row per finish of every target, from
+    # q**t = n s_t + ((q**t + 1) mod n) - 1, every term is a product of two
+    # residues below 2**31, so int64 holds it; each target reads its prefix
+    m = np.array(primes, dtype=np.int64)
+    ns = n * residues % m
+    powers = (ns + [[(pow(q, t, n) + 1) % n - 1] for t in reach]) % m
+    xs, ys = ([line[finish[side]] for finishes in targets for finish in finishes] for side in (0, 1))
+    nsx, nsy, qx, qy = ns[xs], ns[ys], powers[xs], powers[ys]
+    squares = np.array([[x == y] for finishes in targets for x, y in finishes])
+    fix = (nsy * (qx + 1) % m + nsx * (qy + 1) % m - nsx * nsy % m - qx * qy % m - 1
+           - squares * (2 * n * qx % m))
+    rows, first = [], 0
+    for totals, prefix in zip(sums, prefixes):
+        last = first + len(totals)
+        rows += ((totals.astype(np.int64) + fix[first:last, :prefix]) % m[:prefix]).tolist()
+        first = last
     deviations = iter(_crt(rows, primes, _crt_basis(primes)))
     out = []
     for own in indices:
@@ -1240,17 +1294,17 @@ def _run_ladder_pairs(graph, ks, counter, checked=False):
     for k in ks:
         if k < 2 or k % 2:
             raise ValueError(f"k must be even and >= 2, got {k}")
+    # each ladder's halves, largest first, and the levels of its largest
     ladders = []
     for j in sorted({k // 2 for k in ks}, reverse=True):
-        for halves in ladders:
-            steps = j - _pair_below(_levels([halves[0], halves[0] + 1]), j)
-            if steps < len(ladder_indices(2 * j + 1)):
+        for halves, levels in ladders:
+            if j - _pair_below(levels, j) < len(ladder_indices(2 * j + 1)):
                 halves.append(j)
                 break
         else:
-            ladders.append([j])
+            ladders.append(([j], _levels([j, j + 1])))
     found = {}
-    for halves in ladders:
+    for halves, _ in ladders:
         halves.sort()
         found.update(zip(halves, _drive(graph, [[(j, j), (j + 1, j + 1)] for j in halves],
                                         counter, checked)))
@@ -1310,13 +1364,19 @@ class SlackValue:
 
 
 def _slack_from_trace(graph, k, trace):
-    n, q, e = graph.n, graph.q, k // 2
-    base = Fraction(2 * (n - 1))
-    if k % 2 == 0:
-        rat = base + q**e + Fraction(1 - trace, q**e)
-        return SlackValue(k, Quadratic(rat, 0, q))
-    coeff = Fraction(q**e) + Fraction(1 - trace, q ** (e + 1))
-    return SlackValue(k, Quadratic(base, coeff, q))
+    """The slack at k from trace M(k), over one denominator.
+
+    With s = q**floor(k/2) and d = q**ceil(k/2), the slack is
+    2(n-1) + (s d + 1 - trace)/d for even k, where s = d, and
+    2(n-1) + sqrt(q) (s d + 1 - trace)/d for odd k.
+    """
+    n, q, odd = graph.n, graph.q, k % 2
+    s = q ** (k // 2)
+    d = s * q**odd
+    base = 2 * (n - 1)
+    # one Fraction: the even slack, base included, or the odd one's coefficient of sqrt(q)
+    value = Fraction((s + (0 if odd else base)) * d + 1 - trace, d)
+    return SlackValue(k, Quadratic(base, value, q) if odd else Quadratic(value, 0, q))
 
 
 def expansion_slack(graph, k):

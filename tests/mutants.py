@@ -27,24 +27,51 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LADDER, CLI = "src/specgap/ladder.py", "src/specgap/cli.py"
+LADDER, CLI, EXACT = "src/specgap/ladder.py", "src/specgap/cli.py", "src/specgap/exact.py"
 DIFFERENTIAL, TEST_LADDER = "tests/test_differential.py", "tests/test_ladder.py"
 
 MUTANTS = [
     # a shift step that forgets - q M(t-1)
     ("shift-without-q-below", LADDER,
-     "        raw -= scaled\n",
+     "np.subtract(raw, scaled, out=scaled)",
+     "np.subtract(raw, 0 * scaled, out=scaled)",
+     [f"{DIFFERENTIAL}::test_checked_mode_covers_the_shifted_operands"]),
+    # a shift that never reduces, whatever its values' bound
+    ("shift-never-reduces", LADDER,
+     "        if high <= cap:\n",
+     "        if True:\n",
+     [f"{DIFFERENTIAL}::test_a_shift_reduces_only_where_its_values_would_pass_the_cap"]),
+    # a prefix whose product only equals twice the bound: the bisection of
+    # the running products stops at an equal one
+    ("prefix-bisect-left", LADDER,
+     "bisect.bisect_right(products, 2 * bound)",
+     "bisect.bisect_left(products, 2 * bound)",
+     [f"{DIFFERENTIAL}::test_a_product_equal_to_twice_the_bound_is_not_enough",
+      f"{DIFFERENTIAL}::test_every_plan_equals_the_prime_by_prime_plan"]),
+    # 2**b to the e bracketed as 2**((b-1) e)
+    ("power-of-two-shift", EXACT,
+     "return 1, 1, b * e",
+     "return 1, 1, (b - 1) * e",
+     ["tests/test_exact.py::test_power_bounds_of_a_power_of_two_are_exact"]),
+    # the slack's numerator s d + 1 - trace without its 1
+    ("slack-without-plus-one", LADDER,
+     "* d + 1 - trace, d)",
+     "* d - trace, d)",
+     [f"{TEST_LADDER}::test_slack_examples"]),
+    # the batched triangles of M(t), not of Y(t) = M(t) - s_t J
+    ("serve-without-offsets", LADDER,
+     "        taken -= offset_rows[i][:, start:start + count, None]\n",
+     "",
+     [f"{DIFFERENTIAL}::test_checked_tables_fix_each_trace"]),
+    # a block's gathered triangles keep the entries taken for their padding
+    ("serve-keeps-padding", LADDER,
+     "        gathered[:, :, len(flat):] = 0\n",
      "",
      [f"{DIFFERENTIAL}::test_checked_mode_covers_the_shifted_operands"]),
-    # a prefix whose product only equals twice the bound
-    ("prefix-at-equality", LADDER,
-     "        if product > limit:\n",
-     "        if product >= limit:\n",
-     [f"{DIFFERENTIAL}::test_a_product_equal_to_twice_the_bound_is_not_enough"]),
     # q**x = n s_x + ((q**x + 1) mod n) - 1 without its middle term
     ("fix-without-power-residue", LADDER,
-     "qx = (nsx + (pow(q, x, n) + 1) % n - 1) % m",
-     "qx = (nsx - 1) % m",
+     "[[(pow(q, t, n) + 1) % n - 1] for t in reach]",
+     "[[-1] for t in reach]",
      [f"{DIFFERENTIAL}::test_checked_tables_fix_each_trace"]),
     # trace M(2y+2) without the square's correction 2 n q**(y+1)
     ("sweep-without-square-correction", LADDER,

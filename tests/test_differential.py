@@ -35,6 +35,8 @@ from specgap.ladder import (
 )
 from specgap.oracle import exact_slack_from_integer_spectrum
 
+from brute import moduli_by_prime, plan_by_prime
+
 K_MAX = 24
 
 
@@ -377,6 +379,44 @@ def test_each_index_is_its_operands_product_less_its_scalar(name):
         product = m[(t + 1) // 2].astype(object) @ m[t // 2].astype(object)
         assert np.array_equal(product - _scalar(t, g.q) * (a if t % 2 else eye), m[t]), (name, t)
     assert [_scalar(t, 2) for t in range(1, 7)] == [1, 4, 2, 8, 4, 16]
+
+
+def _plan_cases(n, q):
+    """(indices, operands, top) of one k, of one pair and of the ten-eps table at n."""
+    ks = [required_even_index(n, eps) for eps in TABLE]
+    cases = [([[k]], [sorted({(k + 1) // 2, k // 2})], 0) for k in (9, 10, ks[-1] + 1)]
+    cases += [([[k, k + 2]], [[k // 2, k // 2 + 1]], 0) for k in (10, ks[-1])]
+    cases.append(([[k, k + 2] for k in ks], [[k // 2, k // 2 + 1] for k in ks], len(ks) - 1))
+    return cases
+
+
+def test_every_plan_equals_the_prime_by_prime_plan():
+    # the plan bisects running products; the reference multiplies prime by
+    # prime, as the ladder once did, on the same sieve and limits
+    for n in (3, 10, 12, 20, 24, 60, 100, 150):
+        for q in (1, 2, 3):
+            half = lambda t, n=n, q=q: (min(q**t + 1, 3 * math.isqrt(q**t) + 1),
+                                        (n - 1) * min(q**t + 1, 3 * math.isqrt(q**t) + 1))
+            for bounds in (_trivial_bounds(n, q), half):
+                for indices, operands, top in _plan_cases(n, q):
+                    for per_block in (1, 4):
+                        for formed in (5, UNCAPPED):
+                            args = (n, bounds, indices, operands, top, formed, per_block)
+                            assert _plan(*args) == plan_by_prime(ladder, *args), (n, q, indices, per_block)
+    # a bound whose prefix product is exactly twice it needs one prime more,
+    # for the list, the share and every prefix
+    n, window = 100, _moduli(100, 2**2000)
+    exact = {12: Fraction(math.prod(window[:7]), 2), 42: Fraction(math.prod(window[:20]), 2),
+             21: Fraction(math.prod(window[:9]), 4)}
+    bounds = lambda t: (exact.get(t, 1), exact.get(t, 1))
+    for per_block in (1, 4):
+        args = (n, bounds, [[10, 12], [40, 42]], [[5, 6], [20, 21]], 1, UNCAPPED, per_block)
+        primes, size, prefixes = _plan(*args)
+        assert (primes, size, prefixes) == plan_by_prime(ladder, *args)
+        assert primes == window[:21] and prefixes == [8, 21]
+        assert size == -(-10 // per_block) * per_block
+    for bound in (exact[12], exact[42], math.prod(window[:3]), 0, 1):
+        assert _moduli(n, bound) == moduli_by_prime(ladder, n, bound)
 
 
 def test_crt_lifts_into_the_symmetric_range():
@@ -754,9 +794,9 @@ def test_checked_mode_covers_the_shifted_operands(monkeypatch):
     honest_shift = ladder._shift
 
     def corrupted(pair, steps, *args):
-        below, here = honest_shift(pair, steps, *args)
-        here[0, 0, 1] += 1
-        return below, here
+        shifted = honest_shift(pair, steps, *args)
+        shifted[1, 0, 0, 1] += 1  # in M(j + 1)
+        return shifted
 
     monkeypatch.setattr(ladder, "_shift", corrupted)
     with pytest.raises(LadderInvariantError, match="exceeds its bound"):
@@ -765,6 +805,33 @@ def test_checked_mode_covers_the_shifted_operands(monkeypatch):
         _run_ladder_pairs(g, ks, MultCounter(), checked=True)
     monkeypatch.undo()
     assert _run_ladder_pairs(g, ks, MultCounter()) == truth
+
+
+@pytest.mark.parametrize("name", ["cycle(6)", "petersen", "complete(9)"])
+def test_a_shift_reduces_only_where_its_values_would_pass_the_cap(name):
+    # random residues of a pair taken up by the three-term recurrence, for
+    # q = 1, 2 and 7: congruent to it on integers modulo each prime, every
+    # value within the cap; a table's shift of up to 4 steps never reduces
+    g = sg.named_graph(name)
+    a, q = g.adjacency.astype(np.float64), g.q
+    primes = _moduli(g.n, 2**200)[:3]
+    half = (primes[0] + 3) // 2
+    cap = (2**53 - half) // (2 * q + 1)
+    p = np.array(primes, dtype=np.float64)[:, None, None]
+    rng = np.random.default_rng(q)
+    pair = rng.integers(-half, half + 1, size=(2, len(primes), g.n, g.n)).astype(np.float64)
+    for steps in (1, 2, 3, 4, 5, 12, 40):
+        out, raw = np.empty_like(pair), np.empty_like(pair[0])
+        got = ladder._shift(pair.copy(), steps, a, q, p, 1.0 / p, out, raw, half)
+        below, here = pair.astype(np.int64).astype(object)
+        adjacency = g.adjacency.astype(object)
+        for _ in range(steps):
+            below, here = here, adjacency @ here - q * below
+        assert np.abs(got).max() <= cap, (name, steps)
+        for value, expect in zip(got, (below, here)):
+            assert not ((value.astype(np.int64).astype(object) - expect) % p.astype(np.int64)).any()
+        if steps <= 4 and q <= 2:
+            assert np.abs(got[1]).max() > half, (name, steps)
 
 
 def test_only_the_top_targets_operands_are_stored(monkeypatch):

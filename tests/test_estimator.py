@@ -10,6 +10,8 @@ from specgap.estimator import _decide, _estimate_at_most
 from specgap.exact import Quadratic, rational_text
 from specgap.ladder import SlackValue, expansion_slacks
 
+from brute import required_even_indices
+
 
 def test_parse_epsilon_forms():
     assert sg.parse_epsilon("2^-4") == Fraction(1, 16)
@@ -62,6 +64,15 @@ def test_required_index_is_the_least_passing_index_down_to_2_pow_minus_14():
             assert k % 2 == 0 and k >= 2
             assert b2 ** (k // 2) >= a > b2 ** (k // 2 - 1), (n, j)
             assert abs(k / 2 - math.log(a) / (2 * math.log1p(eps))) < 1, (n, j)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 2**j) for j in range(1, 15)]
+                         + [Fraction(1, 3), Fraction(1, 10), Fraction(3, 1000), Fraction(1)])
+def test_required_index_equals_a_walk_up_every_index(eps):
+    # dyadic eps take the power-of-two bound for 2**j; 1/3 and 1 take it
+    # for the numerators 4 and 2
+    ns = range(3, 301)
+    assert [sg.required_even_index(n, eps) for n in ns] == required_even_indices(ns, eps)
 
 
 def test_required_index_on_exact_powers_and_odd_epsilons():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import specgap as sg
 from specgap import MultCounter, Quadratic, named_graph
-from specgap.exact import rational_text
+from specgap.exact import _power_bounds, rational_text
 
 from brute import count_walks, naive_edge_matrix, naive_mat_mul
 
@@ -303,3 +303,13 @@ def test_slack_decimals_are_frozen(corpus):
     for g in corpus:
         got = tuple(str(sg.expansion_slack(g, k).value.decimal(10)) for k in range(1, 25))
         assert got == _SLACK_DECIMALS[g.source], g.source
+
+
+def test_power_bounds_of_a_power_of_two_are_exact():
+    # x = 2**b, b = 0 being x = 1, at every bit budget: the power itself
+    for b in range(41):
+        for e in (0, 1, 2, 3, 7, 64, 1001, 65536, 99_999, 10**5):
+            power = 1 << (b * e)
+            for bits in (1, 64, 4096):
+                lo, hi, shift = _power_bounds(2**b, e, bits)
+                assert lo << shift == hi << shift == power, (b, e, bits)

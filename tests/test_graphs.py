@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specgap as sg
 from specgap import graphs
 from specgap.graphs import GraphValidationError
 
+from brute import parse_edge_list_by_line
 from conftest import RANDOM_SPECS
 
 
@@ -271,6 +274,68 @@ def test_cube_writes_12_lines():
 def test_edge_list_errors(text, match):
     with pytest.raises(ValueError, match=match):
         sg.parse_edge_list(text)
+
+
+# tokens int() reads as Python reads them, and some it refuses
+_TOKENS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["+1", "1_0", "0_3", "-1", "-0", "+0", "٣", "a", "1.5", "0x1", "1__0",
+                     str(2**64), str(-(2**70)), str(10**30)]),
+)
+_SPACE = st.sampled_from([" ", "\t", "  ", " \t"])
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Edge lists of a named graph, maybe rewritten token by token, with
+    comments, blank lines, stray lines, CRLF and tabs mixed in."""
+    name = draw(st.sampled_from(["utility", "petersen", "cube", "complete(4)"]))
+    edges = sg.named_graph(name).edges()
+    lines = []
+    for u, v in edges:
+        tokens = [str(u), str(v)]
+        if draw(st.integers(0, 9)) == 0:  # another spelling of the same index
+            side = draw(st.integers(0, 1))
+            tokens[side] = draw(st.sampled_from(["+{}", "0_{}"])).format(tokens[side])
+        lines.append(draw(_SPACE).join(tokens))
+    stray = st.one_of(
+        st.builds("#{}".format, st.text(alphabet="ab #1", max_size=6)),
+        _SPACE.map(lambda space: space * 2),
+        st.just(""),
+        st.lists(_TOKENS, min_size=1, max_size=3).map(" ".join),
+        st.tuples(_TOKENS, _TOKENS).map(" ".join),
+        st.sampled_from(edges).map(lambda e: f"{e[1]} {e[0]}"),  # u > v
+        st.sampled_from(edges).map(lambda e: f"{e[0]}\t{e[1]}"),  # a duplicate
+        st.sampled_from(edges).map(lambda e: f"{e[0]} {e[0]}"),  # a loop
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_SPACE) * draw(st.integers(0, 1))
+                     + draw(stray))
+    if draw(st.booleans()):
+        lines = lines[:draw(st.integers(0, len(lines)))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(build):
+    """The graph a build returns, or its error's type and text."""
+    try:
+        g = build()
+    except ValueError as error:
+        return type(error), str(error)
+    return g.n, g.q, g.adjacency.tolist(), g.source
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_list_texts())
+def test_the_edge_list_reader_matches_the_per_line_reference(text):
+    try:
+        n, edges = parse_edge_list_by_line(text)
+    except ValueError as error:
+        expected = (ValueError, str(error))
+    else:
+        expected = _outcome(lambda: graphs._from_edges(n, edges, source="edge-list"))
+    assert _outcome(lambda: sg.parse_edge_list(text)) == expected
 
 
 def test_sparse_vertex_ids_fail_before_allocation(monkeypatch):

@@ -369,8 +369,9 @@ def test_checked_mode_covers_the_trace_only_finish(monkeypatch):
     honest = ladder._contract
 
     def corrupted(x, y, w, p, inv):
+        # x holds (finishes, primes, entries): the first entry of the first prime
         bad = x.copy()
-        bad[0, 0] = (bad[0, 0] + 1) % p[0, 0]
+        bad[..., 0, 0] = (bad[..., 0, 0] + 1) % p[0, 0]
         return honest(bad, y, w, p, inv)
 
     monkeypatch.setattr(ladder, "_contract", corrupted)
@@ -458,15 +459,12 @@ def test_checked_mode_covers_both_squaring_finishes(monkeypatch, which, index):
     g = sg.named_graph("utility")
     truth = _pair(g)
     honest = ladder._contract
-    calls = []
 
     def corrupted(x, y, w, p, inv):
-        calls.append(1)
-        if (len(calls) - 1) % 2 == which:  # finishes run M(5)**2, then M(6)**2
-            x = x.copy()
-            x[0, 0] = (x[0, 0] + 1) % p[0, 0]
-            y = x
-        return honest(x, y, w, p, inv)
+        # one call contracts both finishes, M(5)**2 and M(6)**2, along x's first axis
+        x = x.copy()
+        x[which, 0, 0] = (x[which, 0, 0] + 1) % p[0, 0]
+        return honest(x, x, w, p, inv)
 
     monkeypatch.setattr(ladder, "_contract", corrupted)
     wrong = _pair(g)
