@@ -14,7 +14,6 @@ whitespace separated.  The vertex count is inferred as 1 + max index.
 
 import random
 import re
-from itertools import chain, compress, count
 
 import numpy as np
 
@@ -90,20 +89,15 @@ class RegularGraph:
         return f"RegularGraph(n={self.n}, degree={self.degree}, source={self.source!r})"
 
 
-def _is_connected(a, q):
-    """Breadth-first search from vertex 0 over the (n, q+1) neighbour table
-    of the (q+1)-regular 0/1 matrix ``a``, one frontier per level."""
-    n = a.shape[0]
-    table = np.nonzero(a)[1].reshape(n, q + 1)
-    seen = np.zeros(n, dtype=bool)
+def _is_connected(a):
+    """Breadth-first search from vertex 0 of the symmetric 0/1 matrix ``a``:
+    the next frontier is every vertex a frontier row reaches and none before."""
+    seen = np.zeros(a.shape[0], dtype=bool)
     seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        fresh = np.zeros(n, dtype=bool)
-        fresh[table[frontier]] = True
-        fresh &= ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = a[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 
@@ -147,9 +141,10 @@ def validate(candidate, source="validated"):
     loops = np.flatnonzero(a.diagonal())
     if loops.size:
         raise GraphValidationError("nonzero-diagonal", f"vertex {loops[0]} carries a self-loop")
-    asymmetric = np.triu(a != a.T)
+    # a symmetric mask with a zero diagonal: its first hit lies above it
+    asymmetric = a != a.T
     if asymmetric.any():
-        i, j = np.argwhere(asymmetric)[0].tolist()
+        i, j = divmod(int(asymmetric.argmax()), n)
         raise GraphValidationError("not-symmetric", f"entries ({i},{j}) and ({j},{i}) differ")
     degrees = a.sum(axis=1)
     degree = int(degrees[0])
@@ -164,7 +159,7 @@ def validate(candidate, source="validated"):
         raise GraphValidationError(
             "degree-too-small", f"degree must be at least 2, got {degree}"
         )
-    if not _is_connected(a, q):
+    if not _is_connected(a):
         raise GraphValidationError("disconnected", "graph is not connected")
     a.flags.writeable = False
     return RegularGraph(n, q, a, source=source)
@@ -279,7 +274,7 @@ def random_regular(n, q, seed):
         a = np.zeros((n, n), dtype=np.int8)
         a[u, v] = a[v, u] = 1
         # a loop or a repeated edge leaves fewer than n*d cells set
-        if np.count_nonzero(a) == n * d and _is_connected(a, q):
+        if np.count_nonzero(a) == n * d and _is_connected(a):
             return validate(a, source=f"random(n={n}, q={q}, seed={seed})")
     raise GraphGenerationError(
         f"no simple connected graph found in {_PAIRING_ATTEMPTS} pairing attempts (n={n}, q={q})"
@@ -289,55 +284,38 @@ def random_regular(n, q, seed):
 def parse_edge_list(text):
     """Parse the edge-list format into a validated graph.
 
-    All data lines are read at once: one ``int`` per token, and numpy
-    checks over every line.  An error names the first offending line
-    and the first check it fails, in this order: two tokens, integers,
-    no negative index, no self-loop, u < v, no duplicate of an earlier
-    line.
+    Lines are read one at a time.  An error names the first offending
+    line and the first check it fails, in this order: two tokens,
+    integers, no negative index, no self-loop, u < v, no duplicate of an
+    earlier line.
     """
-    lines = text.splitlines()
-    keep = [raw.strip()[:1] not in ("", "#") for raw in lines]
-    data = list(compress(lines, keep))
-    if not data:
+    edges = []
+    seen = set()
+    max_vertex = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: vertex indices must be integers: {raw!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"line {lineno}: negative vertex index: {raw!r}")
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop {u} {v} is not allowed")
+        if u > v:
+            raise ValueError(f"line {lineno}: expected u < v, got {raw!r}")
+        if (u, v) in seen:
+            raise ValueError(f"line {lineno}: duplicate edge {u} {v}")
+        seen.add((u, v))
+        edges.append((u, v))
+        max_vertex = max(max_vertex, v)
+    if not edges:
         raise ValueError("no edges found")
-    rows = list(map(str.split, data))
-    # the leading data lines of two integer tokens, up to the first that is not
-    well = next(compress(count(), map((2).__ne__, map(len, rows))), len(rows))
-    tokens = list(chain.from_iterable(rows[:well]))
-    del rows  # a list per line: the largest part of a long file's peak
-    try:
-        values = list(map(int, tokens))
-    except ValueError:
-        well = next(i for i, token in enumerate(tokens) if not _is_integer(token)) // 2
-        values = list(map(int, tokens[:2 * well]))
-    try:
-        edges = np.array(values, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # an index past int64 allows no graph, but its lines are still checked
-        edges = np.array(values, dtype=object).reshape(-1, 2)
-    u, v = edges.T
-    # a negative index, a loop or u > v; and, since a stable sort keeps
-    # equal pairs in line order, every repeat of an earlier line
-    offending = (u >= v) | (u < 0)
-    order = np.lexsort((v, u))
-    ordered = edges[order]
-    offending[order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]] = True
-    bad = np.flatnonzero(offending)
-    if bad.size or well < len(data):
-        line = int(bad[0]) if bad.size else well
-        number, raw = int(np.flatnonzero(keep)[line]) + 1, data[line]
-        if line == well:
-            if len(raw.split()) != 2:
-                raise ValueError(f"line {number}: expected 'u v', got {raw!r}")
-            raise ValueError(f"line {number}: vertex indices must be integers: {raw!r}")
-        a, b = values[2 * line:2 * line + 2]
-        if a < 0 or b < 0:
-            raise ValueError(f"line {number}: negative vertex index: {raw!r}")
-        if a == b:
-            raise ValueError(f"line {number}: self-loop {a} {b} is not allowed")
-        if a > b:
-            raise ValueError(f"line {number}: expected u < v, got {raw!r}")
-        raise ValueError(f"line {number}: duplicate edge {a} {b}")
-    max_vertex = int(v.max())
     n = max_vertex + 1
     # every vertex has degree >= 2, so |E| = n(q+1)/2 >= n; checking this
     # first keeps a stray huge index from allocating an n x n matrix
@@ -347,14 +325,6 @@ def parse_edge_list(text):
             f"edges cannot give each of them degree >= 2"
         )
     return _from_edges(n, edges, source="edge-list")
-
-
-def _is_integer(token):
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
 
 
 def write_edge_list(graph):

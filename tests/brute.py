@@ -114,6 +114,25 @@ def parse_edge_list_by_line(text):
     return n, edges
 
 
+def reachable_by_sets(rows):
+    """Whether a set-based search from vertex 0 over the 0/1 rows reaches every vertex."""
+    seen, todo = {0}, [0]
+    while todo:
+        u = todo.pop()
+        for v, entry in enumerate(rows[u]):
+            if entry and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return len(seen) == len(rows)
+
+
+def first_asymmetric_pair(rows):
+    """The first (i, j), i < j, in row-major order with rows[i][j] != rows[j][i], or None."""
+    n = len(rows)
+    return next(((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i]),
+                None)
+
+
 def prefix_by_prime(primes, bound):
     """The fewest leading primes whose product exceeds 2*bound (all if none do), multiplied one by one."""
     size, product, limit = 0, 1, 2 * bound

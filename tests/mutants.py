@@ -13,9 +13,10 @@ unmutated copy of the tree and must pass there.  Then, for each mutant,
 directory, the old text must occur exactly once in the file, the one
 edit is applied and ``pytest -x`` runs the killers on the copy.  The
 replay fails if a mutant survives (its killers pass), if a killer does
-not fail as a test (pytest cannot collect it, say), or if an old text no
-longer occurs exactly once: a change that moves the mutated code updates
-its entry too.
+not fail as a test (pytest cannot collect it, say), if the killers run
+past ``TIMEOUT`` seconds (a mutant that loops forever), or if an old text
+no longer occurs exactly once: a change that moves the mutated code
+updates its entry too.
 """
 
 import os
@@ -28,7 +29,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LADDER, CLI, EXACT = "src/specgap/ladder.py", "src/specgap/cli.py", "src/specgap/exact.py"
+GRAPHS, ESTIMATOR = "src/specgap/graphs.py", "src/specgap/estimator.py"
 DIFFERENTIAL, TEST_LADDER = "tests/test_differential.py", "tests/test_ladder.py"
+TEST_GRAPHS, TEST_ESTIMATOR = "tests/test_graphs.py", "tests/test_estimator.py"
+# seconds a killer run may take; a mutant that loops forever is no verdict
+TIMEOUT = 120
 
 MUTANTS = [
     # a shift step that forgets - q M(t-1)
@@ -88,6 +93,36 @@ MUTANTS = [
      "sum(len(steps) for _, _, steps in rest)",
      "len(built)",
      [f"{TEST_LADDER}::test_a_ladder_exact_throughout_extends_nothing"]),
+    # the edge-list reader lets a repeated line through
+    ("reader-accepts-duplicates", GRAPHS,
+     "if (u, v) in seen:",
+     "if False:",
+     [f"{TEST_GRAPHS}::test_edge_list_errors"]),
+    # the connectivity search settles for reaching any vertex
+    ("search-reaches-some", GRAPHS,
+     "seen.all()",
+     "seen.any()",
+     [f"{TEST_GRAPHS}::test_disconnected_rejected"]),
+    # validation never compares a matrix with its transpose
+    ("symmetry-unchecked", GRAPHS,
+     "a != a.T",
+     "a != a",
+     [f"{TEST_GRAPHS}::test_validation_names_first_offender"]),
+    # the required index one bisection step short of the least passing one
+    ("index-one-short", ESTIMATOR,
+     "return 2 * high",
+     "return 2 * low",
+     [f"{TEST_ESTIMATOR}::test_required_index_is_the_least_passing_index_down_to_2_pow_minus_14"]),
+    # an estimate equal to 2 + eps no longer counts as within the bound
+    ("estimate-strict", ESTIMATOR,
+     "(a + b) ** 2 <= bound**2 * a * b",
+     "(a + b) ** 2 < bound**2 * a * b",
+     [f"{TEST_ESTIMATOR}::test_exact_threshold_comparison_agrees_with_floats"]),
+    # a nonnegative slack at k + 2 alone no longer certifies the bound
+    ("decide-without-k-plus-2", ESTIMATOR,
+     "if slack.sign() >= 0 or slack_next.sign() >= 0:",
+     "if slack.sign() >= 0:",
+     [f"{TEST_ESTIMATOR}::test_a_nonnegative_slack_at_k_plus_2_alone_certifies"]),
 ]
 
 
@@ -101,10 +136,15 @@ def _copy(tmp):
 
 
 def _pytest(tree, tests):
-    """pytest's exit code on ``tests`` in ``tree``, importing the tree's own src."""
+    """pytest's exit code on ``tests`` in ``tree``, importing the tree's own src;
+    None if it runs past TIMEOUT seconds, when it is killed."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          *tests], cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                              *tests], cwd=tree, env=env, capture_output=True, text=True,
+                             timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None, f"no result within {TIMEOUT} s"
     return run.returncode, run.stdout[-2000:]
 
 
@@ -118,6 +158,8 @@ def _replay(name, path, old, new, killers):
             return f"its old text occurs {text.count(old)} times in {path}"
         target.write_text(text.replace(old, new), encoding="utf-8")
         code, out = _pytest(tree, killers)
+    if code is None:
+        return f"pytest gave {out}"
     if code == 0:
         return "it survives: every killer passes"
     if code != 1:  # 1: tests failed; anything else is no verdict

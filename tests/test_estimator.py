@@ -137,6 +137,16 @@ def test_estimate_cube_nonnegative_slack_branch():
     assert rep.slack.as_fraction() == Fraction(153, 16)
 
 
+@pytest.mark.parametrize("name,eps,k", [("utility", 2, 4), ("cube", 1, 6)])
+def test_a_nonnegative_slack_at_k_plus_2_alone_certifies(name, eps, k):
+    rep = sg.estimate_expansion(sg.named_graph(name), eps)
+    assert rep.k == k
+    assert rep.slack.sign() < 0 <= rep.slack_next.sign()
+    assert rep.within_bound is True
+    assert rep.estimate is None
+    assert rep.caveat_flag is False
+
+
 def test_estimate_chvatal_always_true():
     g = sg.named_graph("chvatal")
     for j in (1, 5, 10):

@@ -4,14 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specgap as sg
 from specgap import graphs
 from specgap.graphs import GraphValidationError
 
-from brute import parse_edge_list_by_line
+from brute import first_asymmetric_pair, parse_edge_list_by_line, reachable_by_sets
 from conftest import RANDOM_SPECS
 
 
@@ -126,6 +126,96 @@ def test_disconnected_rejected():
     with pytest.raises(GraphValidationError) as e:
         sg.validate(_two_triangles())
     assert _reason(e) == "disconnected"
+
+
+def _random_upper(draw, n):
+    """A random symmetric zero-diagonal 0/1 int8 matrix on n vertices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.02, 0.05, 0.1, 0.3, 0.6]))
+    a = np.triu(rng.random((n, n)) < density, 1)
+    return (a | a.T).astype(np.int8), rng
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric zero-diagonal 0/1 matrices on 2-40 vertices: random ones,
+    unions of components, bipartite ones, a lone path, vertex 0 isolated."""
+    n = draw(st.integers(2, 40))
+    a, rng = _random_upper(draw, n)
+    kind = draw(st.sampled_from(["random", "components", "bipartite", "path", "isolated"]))
+    if kind == "components":
+        label = rng.integers(0, draw(st.integers(1, 4)), n)
+        a *= label[:, None] == label
+        for part in range(label.max() + 1):  # maybe a path through each component
+            members = np.flatnonzero(label == part)
+            if draw(st.booleans()):
+                a[members[:-1], members[1:]] = a[members[1:], members[:-1]] = 1
+    elif kind == "bipartite":
+        side = rng.integers(0, 2, n)
+        a *= side[:, None] != side
+    elif kind == "path":
+        a[:] = 0
+        walk = rng.permutation(n)[:draw(st.integers(2, n))]
+        a[walk[:-1], walk[1:]] = a[walk[1:], walk[:-1]] = 1
+    elif kind == "isolated":
+        a[0, :] = a[:, 0] = 0
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_matrices())
+def test_the_frontier_search_matches_a_set_based_search(a):
+    assert graphs._is_connected(a) is reachable_by_sets(a.tolist())
+
+
+@st.composite
+def _asymmetric_matrices(draw):
+    """Zero-diagonal 0/1 matrices on 2-30 vertices that are not symmetric:
+    random ones, or symmetric ones with one to three entries flipped."""
+    n = draw(st.integers(2, 30))
+    a, rng = _random_upper(draw, n)
+    if draw(st.booleans()):
+        a = (rng.random((n, n)) < 0.5).astype(np.int8)
+        np.fill_diagonal(a, 0)
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+            j += j >= i  # off the diagonal
+            a[i, j] ^= 1
+    assume(first_asymmetric_pair(a.tolist()) is not None)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_asymmetric_matrices())
+def test_validation_names_the_first_asymmetric_pair(a):
+    i, j = first_asymmetric_pair(a.tolist())
+    for candidate in (a, a.tolist()):
+        with pytest.raises(GraphValidationError) as e:
+            sg.validate(candidate)
+        assert _reason(e) == "not-symmetric"
+        assert str(e.value) == f"entries ({i},{j}) and ({j},{i}) differ"
+
+
+def test_dense_validation_is_fast_and_small():
+    # complete(2048): every row is one frontier row, and no table of
+    # neighbours or triangle mask is made
+    n = 2048
+    a = np.ones((n, n), dtype=np.int8)
+    np.fill_diagonal(a, 0)
+    started = time.perf_counter()
+    g = sg.validate(a)
+    assert time.perf_counter() - started < 1.0
+    assert (g.n, g.q) == (n, n - 2)
+    del g
+    # tracemalloc slows allocation down, so memory is measured on a second run
+    tracemalloc.start()
+    try:
+        sg.validate(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def _cycle_edges(k, offset=0):
